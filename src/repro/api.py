@@ -105,8 +105,8 @@ def make_runner(
         cache = ResultCache(cache_dir, max_bytes=cache_max_bytes)
         return ExperimentRunner(cache=cache, use_cache=use_cache)
     from .runner.artifacts import ArtifactStore
-    from .runner.cache import default_cache_root
     from .runner.netstore import ARTIFACT_SUBROOT, make_store_backend
+    from .runner.store import default_cache_root
 
     root = Path(cache_dir) if cache_dir is not None else default_cache_root()
     cache = ResultCache(

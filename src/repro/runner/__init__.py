@@ -8,12 +8,16 @@ The runner unifies how the reproduction executes (PR 3, extended in PR 5):
 * :mod:`repro.runner.fingerprint` -- static import-closure code fingerprints;
 * :mod:`repro.runner.backends` -- the pluggable :class:`StoreBackend`
   protocol (disk + in-memory), first-writer-wins fill claims and LRU
-  eviction shared by both stores;
-* :mod:`repro.runner.cache` -- the content-addressed result cache
+  eviction, plus the shared env-parsing and backoff helpers;
+* :mod:`repro.runner.store` -- the one content-addressed
+  :class:`ContentStore` (quarantine, claims, byte budget, listings) and
+  the :class:`StoreStats` counter map; both stores below are
+  configurations of it;
+* :mod:`repro.runner.cache` -- the JSON result cache
   (key = experiment + canonical params + code fingerprint);
-* :mod:`repro.runner.artifacts` -- the content-addressed store for shared
+* :mod:`repro.runner.artifacts` -- the pickled store for shared
   sub-experiment intermediates (key = artifact + canonical params +
-  producer fingerprint) with hit/miss statistics;
+  producer fingerprint) and the persisted hit/miss statistics;
 * :mod:`repro.runner.executor` -- process-parallel sweep/artifact/experiment
   fan-out with deterministic record ordering;
 * :mod:`repro.runner.service` -- the cache- and artifact-aware
@@ -26,11 +30,9 @@ The runner unifies how the reproduction executes (PR 3, extended in PR 5):
 from .artifacts import (
     ArtifactEntry,
     ArtifactStore,
-    StoreStats,
     activated,
     active_store,
     artifact_key,
-    default_artifact_root,
     load_stats,
     record_stats,
     reset_stats,
@@ -44,7 +46,7 @@ from .backends import (
     evict_lru,
     wait_for_fill,
 )
-from .cache import CacheEntry, ResultCache, cache_key, default_cache_root
+from .cache import CacheEntry, ResultCache, cache_key
 from .cli import CliError, main
 from .errors import (
     ExecutionError,
@@ -59,6 +61,7 @@ from .executor import execute_requests, parallel_sweep, produce_artifacts
 from .fingerprint import code_fingerprint, module_closure
 from .registry import ArtifactBinding, ExperimentSpec, ParamSpec, build_registry
 from .service import ArtifactUnit, ExperimentRunner, Observer, RunReport
+from .store import ContentStore, StoreStats, default_cache_root
 
 __all__ = [
     "ArtifactBinding",
@@ -67,6 +70,7 @@ __all__ = [
     "ArtifactUnit",
     "CacheEntry",
     "ClaimTicket",
+    "ContentStore",
     "DiskBackend",
     "MemoryBackend",
     "ResultCache",
@@ -78,7 +82,6 @@ __all__ = [
     "active_store",
     "artifact_key",
     "cache_key",
-    "default_artifact_root",
     "default_cache_root",
     "load_stats",
     "main",

@@ -27,8 +27,10 @@ Two layers use the store:
   scheduler's wave); without one they compute inline, so direct driver
   calls behave exactly as before the store existed.
 
-Concurrent fillers (workers in one run, or whole fleets sharing a store)
-coordinate through the same first-writer-wins claims as the result cache:
+:class:`ArtifactStore` is the pickle configuration of the one
+:class:`~repro.runner.store.ContentStore` the result cache also uses, so
+concurrent fillers (workers in one run, or whole fleets sharing a store)
+coordinate through the same first-writer-wins claims:
 :func:`produce_into` computes only after winning the fill claim, and
 losers wait for the winner's entry instead of duplicating the work.  A
 ``max_bytes`` budget (``$REPRO_ARTIFACTS_MAX_BYTES``; deliberately
@@ -38,8 +40,9 @@ thrash multi-MB trained networks) bounds the store with LRU eviction.
 Entries are pickles, which is safe here for the same reason the result
 cache's JSON is trusted: the store root is a local directory owned by the
 user running the experiments.  This module deliberately imports nothing
-from the runner package except :mod:`~repro.runner.fingerprint` and the
-stdlib-only :mod:`~repro.runner.backends`, so a driver's lazy
+from the runner package except :mod:`~repro.runner.fingerprint`,
+:mod:`~repro.runner.store` and the stdlib-only
+:mod:`~repro.runner.backends`, so a driver's lazy
 ``from ..runner.artifacts import ...`` keeps the result cache and CLI
 out of its fingerprint closure.
 """
@@ -47,36 +50,21 @@ out of its fingerprint closure.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import importlib
 import json
-import logging
 import os
 import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
-from ..faults import fault_point
-from .backends import (
-    ClaimTicket,
-    DiskBackend,
-    StoreBackend,
-    claim_is_owned,
-    env_max_bytes,
-    evict_lru,
-    wait_for_fill,
-)
+from .backends import claim_is_owned, wait_for_fill
 from .fingerprint import code_fingerprint
-
-logger = logging.getLogger(__name__)
+from .store import ContentStore, StoreStats, content_key
 
 #: Bumped when the on-disk artifact layout changes; part of every key.
 ARTIFACT_SCHEMA_VERSION = 1
-
-#: Sidecar directory (under the store root) corrupt entries are moved into.
-QUARANTINE_DIRNAME = "corrupt"
 
 #: Legacy snapshot file (under the shared cache root) of the counters.
 #: Still read for totals; new deltas land in :data:`STATS_LOG_FILENAME`.
@@ -91,13 +79,6 @@ STATS_LOG_FILENAME = "_stats.jsonl"
 ENV_ARTIFACTS_MAX_BYTES = "REPRO_ARTIFACTS_MAX_BYTES"
 
 
-def default_artifact_root() -> Path:
-    """``<result-cache root>/artifacts`` (honours ``$REPRO_CACHE_DIR``)."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    base = Path(env) if env else Path.home() / ".cache" / "dvafs-repro"
-    return base / "artifacts"
-
-
 def canonical_params_json(params: Mapping[str, object]) -> str:
     """Deterministic JSON form of artifact parameters (tuples as arrays)."""
     return json.dumps(
@@ -109,17 +90,7 @@ def canonical_params_json(params: Mapping[str, object]) -> str:
 
 def artifact_key(artifact: str, params: Mapping[str, object], fingerprint: str) -> str:
     """Content address of one artifact: name + canonical params + producer code."""
-    blob = json.dumps(
-        {
-            "schema": ARTIFACT_SCHEMA_VERSION,
-            "artifact": artifact,
-            "params": canonical_params_json(params),
-            "fingerprint": fingerprint,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return content_key(ARTIFACT_SCHEMA_VERSION, "artifact", artifact, canonical_params_json(params), fingerprint)
 
 
 def load_producer(producer: str) -> Callable[..., object]:
@@ -168,234 +139,29 @@ class ArtifactEntry:
         )
 
 
-class ArtifactStore:
-    """Content-addressed store of sub-experiment intermediates.
+class ArtifactStore(ContentStore):
+    """Content-addressed store of sub-experiment intermediates (pickled entries).
 
-    Mirrors :class:`~repro.runner.cache.ResultCache` over the same
-    :class:`~repro.runner.backends.StoreBackend` seam: pickled entries,
-    first-writer-wins fill claims, optional LRU byte budget
-    (``$REPRO_ARTIFACTS_MAX_BYTES``).
+    See :class:`~repro.runner.store.ContentStore` for the constructor
+    (``root`` defaulting to ``<cache root>/artifacts``, ``backend``,
+    ``max_bytes`` defaulting to ``$REPRO_ARTIFACTS_MAX_BYTES``) and every
+    operation.
     """
 
-    #: Fault-plan site names of this store's claim/evict hooks.
-    CLAIM_SITE = "artifact.claim"
-    EVICT_SITE = "artifact.evict"
+    KIND = "artifact"
+    ENTRY = ArtifactEntry
+    SCHEMA = ARTIFACT_SCHEMA_VERSION
+    SUFFIX = ".pkl"
+    SITE_PREFIX = "artifact"
+    COUNTER_PREFIX = "artifact"
+    MAX_BYTES_ENV = ENV_ARTIFACTS_MAX_BYTES
+    DEFAULT_SUBDIR = "artifacts"
 
-    def __init__(
-        self,
-        root: Path | str | None = None,
-        *,
-        backend: StoreBackend | None = None,
-        max_bytes: int | None = None,
-    ):
-        if backend is not None:
-            self.backend = backend
-        else:
-            self.backend = DiskBackend(Path(root) if root is not None else default_artifact_root())
-        self.root = self.backend.root
-        self.max_bytes = (
-            max_bytes if max_bytes is not None else env_max_bytes(ENV_ARTIFACTS_MAX_BYTES)
-        )
-        #: Tallies since the last :meth:`drain_stats`.
-        self.recent_corrupt = 0
-        self.recent_quarantined = 0
-        self.recent_claims = 0
-        self.recent_claim_waits = 0
-        self.recent_claim_wait_timeouts = 0
-        self.recent_evictions = 0
-        self.recent_evicted_bytes = 0
+    def encode(self, document: dict[str, object]) -> bytes:
+        return pickle.dumps(document)
 
-    def drain_stats(self) -> dict[str, int]:
-        """Counters tallied since the last drain; resets them.
-
-        Keys: ``corrupt``, ``quarantined``, ``claims``, ``claim_waits``,
-        ``claim_wait_timeouts``, ``evictions``, ``evicted_bytes`` -- plus
-        the backend's drained remote counters when it is networked.
-        """
-        drained = {
-            "corrupt": self.recent_corrupt,
-            "quarantined": self.recent_quarantined,
-            "claims": self.recent_claims,
-            "claim_waits": self.recent_claim_waits,
-            "claim_wait_timeouts": self.recent_claim_wait_timeouts,
-            "evictions": self.recent_evictions,
-            "evicted_bytes": self.recent_evicted_bytes,
-        }
-        self.recent_corrupt = 0
-        self.recent_quarantined = 0
-        self.recent_claims = 0
-        self.recent_claim_waits = 0
-        self.recent_claim_wait_timeouts = 0
-        self.recent_evictions = 0
-        self.recent_evicted_bytes = 0
-        drain_remote = getattr(self.backend, "drain_remote_counters", None)
-        if drain_remote is not None:
-            drained.update(drain_remote())
-        return drained
-
-    @staticmethod
-    def _check_artifact_name(artifact: str) -> str:
-        """Artifact names are single path components -- never traversal."""
-        if Path(artifact).name != artifact or artifact in ("", ".", ".."):
-            raise ValueError(f"invalid artifact name {artifact!r}")
-        return artifact
-
-    @staticmethod
-    def _filename(key: str) -> str:
-        return f"{key}.pkl"
-
-    def _path(self, artifact: str, key: str) -> Path | None:
-        return self.backend.path(self._check_artifact_name(artifact), self._filename(key))
-
-    def exists(self, artifact: str, key: str) -> bool:
-        """Cheap presence probe (no unpickling, no LRU touch)."""
-        return (
-            self.backend.stat(self._check_artifact_name(artifact), self._filename(key))
-            is not None
-        )
-
-    def _quarantine(self, artifact: str, key: str) -> None:
-        """Record + move one corrupt entry to the ``corrupt/`` sidecar dir."""
-        self.recent_corrupt += 1
-        if self.backend.quarantine(artifact, self._filename(key)):
-            self.recent_quarantined += 1
-
-    def get(self, artifact: str, key: str) -> ArtifactEntry | None:
-        """The stored entry, or ``None`` on a miss.
-
-        Corrupt entries (readable bytes that fail to unpickle into a
-        current-schema document) are quarantined rather than silently
-        treated as misses forever; the caller recomputes.
-        """
-        blob = self.backend.get(self._check_artifact_name(artifact), self._filename(key))
-        if blob is None:  # missing or unreadable: a plain miss, not corruption
-            return None
-        try:
-            document = pickle.loads(blob)
-        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError, ValueError):
-            self._quarantine(artifact, key)
-            return None
-        if not isinstance(document, dict) or document.get("schema") != ARTIFACT_SCHEMA_VERSION:
-            self._quarantine(artifact, key)
-            return None
-        try:
-            return ArtifactEntry.from_document(document)
-        except (KeyError, TypeError, ValueError):
-            self._quarantine(artifact, key)
-            return None
-
-    def put(self, key: str, entry: ArtifactEntry) -> Path | None:
-        """Atomically persist one entry; returns its path (``None`` off-disk).
-
-        Clears any fill claim on the address (entry first, claim second)
-        and then enforces the store's byte budget.
-        """
-        artifact = self._check_artifact_name(entry.artifact)
-        filename = self._filename(key)
-        fault_point("artifact.write", key=artifact)
-        blob = pickle.dumps(entry.to_document())
-        self.backend.put(artifact, filename, blob)
-        path = self.backend.path(artifact, filename)
-        fault_point("artifact.written", key=artifact, path=path)
-        self._enforce_budget(artifact, filename)
-        return path
-
-    # -- concurrent-fill claims -----------------------------------------------------
-
-    def claim(self, artifact: str, key: str) -> bool:
-        """Try to win the fill claim for one address (see ``ResultCache.claim``)."""
-        won = self.backend.claim(self._check_artifact_name(artifact), self._filename(key))
-        if not won:
-            return False
-        try:
-            fault_point(self.CLAIM_SITE, key=artifact)
-        except BaseException:
-            self.backend.release(artifact, self._filename(key))
-            raise
-        self.recent_claims += 1
-        return True
-
-    def claim_info(self, artifact: str, key: str) -> ClaimTicket | None:
-        return self.backend.claim_info(self._check_artifact_name(artifact), self._filename(key))
-
-    def release_claim(self, artifact: str, key: str) -> bool:
-        return self.backend.release(self._check_artifact_name(artifact), self._filename(key))
-
-    def break_claim(self, artifact: str, key: str, ticket: ClaimTicket) -> bool:
-        return self.backend.release(
-            self._check_artifact_name(artifact), self._filename(key), owner=ticket
-        )
-
-    def note_wait(self) -> None:
-        self.recent_claim_waits += 1
-
-    def note_wait_timeout(self) -> None:
-        self.recent_claim_wait_timeouts += 1
-
-    # -- bounded store ----------------------------------------------------------------
-
-    def _enforce_budget(self, artifact: str, filename: str) -> None:
-        """LRU-evict past ``max_bytes``, protecting the entry just written."""
-        if not self.max_bytes:
-            return
-
-        def on_evict(namespace: str, name: str) -> None:
-            fault_point(self.EVICT_SITE, key=f"{namespace}/{name}")
-
-        evicted, freed = evict_lru(
-            self.backend,
-            self.max_bytes,
-            keep={(artifact, filename)},
-            on_evict=on_evict,
-        )
-        self.recent_evictions += evicted
-        self.recent_evicted_bytes += freed
-
-    # -- listings ---------------------------------------------------------------------
-
-    def entries(self, artifact: str | None = None) -> Iterator[tuple[str, Path | None]]:
-        """(key, path) pairs of stored entries, sorted for stable listings."""
-        if artifact is not None:
-            self._check_artifact_name(artifact)
-        for namespace, filename in self.backend.iter(artifact):
-            if not filename.endswith(".pkl"):
-                continue
-            yield filename[: -len(".pkl")], self.backend.path(namespace, filename)
-
-    def ls(self, artifact: str | None = None) -> list[dict[str, object]]:
-        """Metadata summary of stored entries.
-
-        Each entry is unpickled to read its provenance -- acceptable while
-        stores hold a handful of artifacts; a metadata sidecar would be the
-        upgrade path if listings ever get hot.
-        """
-        listing = []
-        for namespace, filename in self.backend.iter(artifact):
-            if not filename.endswith(".pkl"):
-                continue
-            key = filename[: -len(".pkl")]
-            entry = self.get(namespace, key)
-            stamp = self.backend.stat(namespace, filename)
-            listing.append(
-                {
-                    "artifact": entry.artifact if entry else namespace,
-                    "key": key,
-                    "elapsed_seconds": entry.elapsed_seconds if entry else None,
-                    "created_unix": entry.provenance.get("created_unix") if entry else None,
-                    "size_bytes": stamp.size_bytes if stamp else 0,
-                }
-            )
-        return listing
-
-    def clear(self, artifact: str | None = None) -> int:
-        """Delete stored entries (optionally of one artifact); returns count."""
-        if artifact is not None:
-            self._check_artifact_name(artifact)
-        removed = 0
-        for namespace, filename in list(self.backend.iter(artifact)):
-            if filename.endswith(".pkl") and self.backend.delete(namespace, filename):
-                removed += 1
-        return removed
+    def decode(self, blob: bytes) -> object:
+        return pickle.loads(blob)
 
 
 # -- active store -------------------------------------------------------------------
@@ -502,12 +268,7 @@ def produce_into(
         provenance=_artifact_provenance(),
     )
     if owns_claim:
-        try:
-            store.put(key, entry)
-        except OSError as error:  # full/read-only disk: degrade to uncached
-            store.release_claim(artifact, key)
-            logger.warning("artifact store write failed for %s (%s); continuing uncached",
-                           artifact, error)
+        store.put_or_release(key, entry)
     return entry
 
 
@@ -536,92 +297,7 @@ def resolve_artifact(
     ).payload
 
 
-# -- hit/miss statistics ------------------------------------------------------------
-
-
-@dataclass
-class StoreStats:
-    """Counters of the result cache and the artifact store.
-
-    Persisted under the shared cache root and reset by ``python -m repro
-    cache clear``.  Deltas are *appended* to ``_stats.jsonl`` (one JSON
-    line per drain, ``O_APPEND``), so concurrent recorders -- several
-    runners sharing one store -- never lose increments; totals are the sum
-    of the legacy ``_stats.json`` snapshot and every logged delta.
-    """
-
-    FIELDS = (
-        "result_hits",
-        "result_misses",
-        "artifact_hits",
-        "artifact_misses",
-        "result_corrupt",
-        "artifact_corrupt",
-        "quarantined",
-        "retried",
-        "result_claims",
-        "artifact_claims",
-        "result_claim_waits",
-        "artifact_claim_waits",
-        "result_evictions",
-        "artifact_evictions",
-        "result_evicted_bytes",
-        "artifact_evicted_bytes",
-        "claim_wait_timeouts",
-        "remote_hits",
-        "remote_errors",
-        "breaker_opens",
-    )
-
-    result_hits: int = 0
-    result_misses: int = 0
-    artifact_hits: int = 0
-    artifact_misses: int = 0
-    #: Corrupt entries detected (and treated as misses) per store.
-    result_corrupt: int = 0
-    artifact_corrupt: int = 0
-    #: Corrupt entries successfully moved into a ``corrupt/`` sidecar dir.
-    quarantined: int = 0
-    #: Execution units re-attempted after a crash or timeout.
-    retried: int = 0
-    #: Fill claims won (exactly-once computes under concurrent writers).
-    result_claims: int = 0
-    artifact_claims: int = 0
-    #: Fills lost to a concurrent winner (waited instead of recomputing).
-    result_claim_waits: int = 0
-    artifact_claim_waits: int = 0
-    #: Entries evicted past the store byte budgets, and the bytes freed.
-    result_evictions: int = 0
-    artifact_evictions: int = 0
-    result_evicted_bytes: int = 0
-    artifact_evicted_bytes: int = 0
-    #: Fill waits that exhausted the hard deadline and computed uncached
-    #: (both stores combined).
-    claim_wait_timeouts: int = 0
-    #: Networked-store traffic (both stores combined): entries served by
-    #: the remote tier, operations that exhausted their retries, and times
-    #: the circuit breaker opened (degradation to local-only).
-    remote_hits: int = 0
-    remote_errors: int = 0
-    breaker_opens: int = 0
-
-    def to_document(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-    def add(self, other: "StoreStats") -> "StoreStats":
-        return StoreStats(
-            **{name: getattr(self, name) + getattr(other, name) for name in self.FIELDS}
-        )
-
-    @classmethod
-    def from_document(cls, document: Mapping[str, object]) -> "StoreStats":
-        return cls(
-            **{
-                name: int(document.get(name, 0))
-                for name in cls.FIELDS
-                if isinstance(document.get(name, 0), int)
-            }
-        )
+# -- persisted statistics -----------------------------------------------------------
 
 
 def load_stats(root: Path | str) -> StoreStats:
@@ -649,12 +325,12 @@ def load_stats(root: Path | str) -> StoreStats:
         except ValueError:  # torn final line from a killed writer
             continue
         if isinstance(delta, dict):
-            total = total.add(StoreStats.from_document(delta))
+            total += StoreStats.from_document(delta)
     return total
 
 
-def record_stats(root: Path | str, delta: StoreStats) -> StoreStats:
-    """Append ``delta`` to the persisted counters; returns the new total.
+def record_stats(root: Path | str, delta: StoreStats) -> None:
+    """Append ``delta`` to the persisted counters (read totals via :func:`load_stats`).
 
     One compact JSON line per call, written with ``O_APPEND`` (well under
     ``PIPE_BUF``, so concurrent appends never interleave): recorders from
@@ -671,7 +347,6 @@ def record_stats(root: Path | str, delta: StoreStats) -> StoreStats:
         os.write(descriptor, line.encode())
     finally:
         os.close(descriptor)
-    return load_stats(root)
 
 
 def reset_stats(root: Path | str) -> None:

@@ -1,13 +1,13 @@
 """Pluggable storage backends for the content-addressed stores.
 
-Both stores (:class:`~repro.runner.cache.ResultCache` and
-:class:`~repro.runner.artifacts.ArtifactStore`) speak one byte-level
-:class:`StoreBackend` protocol: entries are opaque blobs addressed by a
-``(namespace, filename)`` pair (namespace = experiment/artifact name,
-filename = ``<content key> + suffix``).  The stores keep all semantics --
-serialisation, schema checks, corruption quarantine, counters, fault
-sites -- while backends own durability, atomicity and the concurrency
-primitives:
+Both stores are one :class:`~repro.runner.store.ContentStore` in two
+configurations (the JSON result cache and the pickled artifact store),
+and the store speaks one byte-level :class:`StoreBackend` protocol:
+entries are opaque blobs addressed by a ``(namespace, filename)`` pair
+(namespace = experiment/artifact name, filename = ``<content key> +
+suffix``).  The store keeps all semantics -- serialisation, schema
+checks, corruption quarantine, counters, fault sites -- while backends
+own durability, atomicity and the concurrency primitives:
 
 * **first-writer-wins claims** -- ``claim()`` creates a per-entry claim
   ticket with ``O_CREAT | O_EXCL`` (the :mod:`repro.faults` ticket
@@ -28,8 +28,11 @@ primitives:
 Two backends ship here: :class:`DiskBackend` (the default; preserves the
 exact on-disk layout the stores have always used, so existing caches
 stay valid) and :class:`MemoryBackend` (lock-guarded dicts; used by
-tests and the HTTP service's warm-path L1).  A networked/shared backend
-plugs into the same seam later.
+tests and the HTTP service's warm-path L1).  The networked backends of
+:mod:`repro.runner.netstore` plug into the same seam.  The module also
+holds the two small helpers every runner layer shares:
+:func:`env_number` (the one environment-variable parser) and
+:func:`backoff_delay` (exponential backoff with deterministic jitter).
 
 This module deliberately imports only the standard library, so adding it
 to the stores' import closure does not drag the runner package into the
@@ -38,6 +41,7 @@ drivers' code fingerprints.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import socket
@@ -62,50 +66,65 @@ DEFAULT_CLAIM_TTL_SECONDS = 900.0
 ENV_CLAIM_POLL = "REPRO_CLAIM_POLL_SECONDS"
 CLAIM_POLL_SECONDS = 0.05
 
+#: Sidecar directory (under a store root) corrupt entries are moved into.
+QUARANTINE_DIRNAME = "corrupt"
+
 #: Directory names under a store root that iteration/eviction must never
 #: touch: the corruption quarantine, the nested artifact store and the
 #: service's job journal.
-RESERVED_NAMESPACES = frozenset({"corrupt", "artifacts", "jobs"})
+RESERVED_NAMESPACES = frozenset({QUARANTINE_DIRNAME, "artifacts", "jobs"})
 
 _HOST = socket.gethostname()
 
 
-def _env_seconds(name: str, default: float) -> float:
-    value = os.environ.get(name)
-    if not value:
+def env_number(
+    name: str,
+    default,
+    *,
+    cast: Callable[[str], float] = float,
+    accept: Callable[[float], bool] | None = None,
+):
+    """``$name`` parsed with ``cast``, else ``default``.
+
+    Unset, empty and unparsable values give ``default``, and so do parsed
+    values the ``accept`` predicate (when given) rejects -- e.g.
+    ``accept=lambda value: value > 0`` for a strictly positive knob.
+    """
+    text = os.environ.get(name)
+    if not text:
         return default
     try:
-        return float(value)
+        value = cast(text)
     except ValueError:
         return default
+    return value if accept is None or accept(value) else default
+
+
+def backoff_delay(attempt: int, seed: str, *, base: float, cap: float) -> float:
+    """Exponential backoff with deterministic sha256 jitter (seeded, not random).
+
+    Jitter spreads simultaneous retries without sacrificing reproducible
+    runs: the same ``(seed, attempt)`` always waits the same time, in
+    ``[delay / 2, delay]`` for ``delay = min(cap, base * 2 ** (attempt - 1))``.
+    """
+    delay = min(cap, base * (2 ** max(0, attempt - 1)))
+    digest = hashlib.sha256(f"{seed}:{attempt}".encode()).digest()
+    return delay * (0.5 + 0.5 * digest[0] / 255.0)
 
 
 def claim_wait_seconds() -> float:
     """How long a claim loser waits for the winner before computing anyway."""
-    return _env_seconds(ENV_CLAIM_WAIT, DEFAULT_CLAIM_WAIT_SECONDS)
+    return env_number(ENV_CLAIM_WAIT, DEFAULT_CLAIM_WAIT_SECONDS)
 
 
 def claim_ttl_seconds() -> float:
     """Age past which any claim is treated as abandoned."""
-    return _env_seconds(ENV_CLAIM_TTL, DEFAULT_CLAIM_TTL_SECONDS)
+    return env_number(ENV_CLAIM_TTL, DEFAULT_CLAIM_TTL_SECONDS)
 
 
 def claim_poll_seconds() -> float:
     """Poll interval of :func:`wait_for_fill` (``$REPRO_CLAIM_POLL_SECONDS``)."""
-    interval = _env_seconds(ENV_CLAIM_POLL, CLAIM_POLL_SECONDS)
-    return interval if interval > 0 else CLAIM_POLL_SECONDS
-
-
-def env_max_bytes(name: str) -> int | None:
-    """Parse a byte-budget environment variable (unset/empty/invalid/<=0 = None)."""
-    value = os.environ.get(name)
-    if not value:
-        return None
-    try:
-        parsed = int(value)
-    except ValueError:
-        return None
-    return parsed if parsed > 0 else None
+    return env_number(ENV_CLAIM_POLL, CLAIM_POLL_SECONDS, accept=lambda value: value > 0)
 
 
 @dataclass(frozen=True)
@@ -123,6 +142,28 @@ class ClaimTicket:
     pid: int
     host: str
     created_unix: float
+
+    @classmethod
+    def mine(cls) -> "ClaimTicket":
+        """A fresh ticket naming this process."""
+        return cls(pid=os.getpid(), host=_HOST, created_unix=round(time.time(), 3))
+
+    def to_document(self) -> dict[str, object]:
+        return {"pid": self.pid, "host": self.host, "created_unix": self.created_unix}
+
+    @classmethod
+    def from_document(cls, document: object) -> "ClaimTicket":
+        """Parse a ticket document; unreadable ones come back torn (``created_unix`` 0)."""
+        if not isinstance(document, dict):
+            document = {}
+        try:
+            return cls(
+                pid=int(document.get("pid", -1)),
+                host=str(document.get("host", "")),
+                created_unix=float(document.get("created_unix", 0.0)),
+            )
+        except (TypeError, ValueError):
+            return cls(pid=-1, host="", created_unix=0.0)
 
     def is_stale(self, *, ttl_seconds: float | None = None) -> bool:
         """Whether the claiming process is provably (or presumably) gone.
@@ -201,6 +242,13 @@ class DiskBackend:
     def _sidecar(self, namespace: str, filename: str, kind: str) -> Path:
         return self.root / namespace / f".{filename}.{kind}"
 
+    def _drop_sidecars(self, namespace: str, filename: str) -> None:
+        for kind in ("atime", "claim"):
+            try:
+                os.unlink(self._sidecar(namespace, filename, kind))
+            except OSError:
+                pass
+
     def path(self, namespace: str, filename: str) -> Path | None:
         return self._file(namespace, filename)
 
@@ -252,11 +300,7 @@ class DiskBackend:
             removed = True
         except OSError:
             pass
-        for kind in ("atime", "claim"):
-            try:
-                os.unlink(self._sidecar(namespace, filename, kind))
-            except OSError:
-                pass
+        self._drop_sidecars(namespace, filename)
         return removed
 
     def iter(self, namespace: str | None = None) -> Iterator[tuple[str, str]]:
@@ -304,12 +348,8 @@ class DiskBackend:
         # ``owner`` lets a store *server* record the claiming client's
         # identity instead of its own, so staleness probing sees the real
         # owner.
-        if owner is not None:
-            ticket = {"pid": owner.pid, "host": owner.host, "created_unix": owner.created_unix}
-        else:
-            ticket = {"pid": os.getpid(), "host": _HOST, "created_unix": round(time.time(), 3)}
         with os.fdopen(descriptor, "w") as handle:
-            handle.write(json.dumps(ticket))
+            handle.write(json.dumps((owner or ClaimTicket.mine()).to_document()))
         return True
 
     def claim_info(self, namespace: str, filename: str) -> ClaimTicket | None:
@@ -319,19 +359,9 @@ class DiskBackend:
         except OSError:
             return None
         try:
-            document = json.loads(text)
+            ticket = ClaimTicket.from_document(json.loads(text))
         except ValueError:
-            document = {}
-        if not isinstance(document, dict):
-            document = {}
-        try:
-            ticket = ClaimTicket(
-                pid=int(document.get("pid", -1)),
-                host=str(document.get("host", "")),
-                created_unix=float(document.get("created_unix", 0.0)),
-            )
-        except (TypeError, ValueError):
-            ticket = ClaimTicket(pid=-1, host="", created_unix=0.0)
+            ticket = ClaimTicket.from_document(None)
         if ticket.created_unix <= 0:
             # An unreadable ticket is either *mid-write* (``claim`` makes the
             # file visible via O_EXCL before its bytes land) or truly torn by
@@ -359,17 +389,13 @@ class DiskBackend:
 
     def quarantine(self, namespace: str, filename: str) -> bool:
         """Move a corrupt entry under ``<root>/corrupt/``; same-fs ``os.replace``."""
-        destination = self.root / "corrupt" / namespace / filename
+        destination = self.root / QUARANTINE_DIRNAME / namespace / filename
         try:
             destination.parent.mkdir(parents=True, exist_ok=True)
             os.replace(self._file(namespace, filename), destination)
         except OSError:  # lost the race; the entry is gone either way
             return False
-        for kind in ("atime", "claim"):
-            try:
-                os.unlink(self._sidecar(namespace, filename, kind))
-            except OSError:
-                pass
+        self._drop_sidecars(namespace, filename)
         return True
 
 
@@ -444,9 +470,7 @@ class MemoryBackend:
         with self._lock:
             if (namespace, filename) in self._claims:
                 return False
-            self._claims[(namespace, filename)] = owner if owner is not None else ClaimTicket(
-                pid=os.getpid(), host=_HOST, created_unix=round(time.time(), 3)
-            )
+            self._claims[(namespace, filename)] = owner or ClaimTicket.mine()
             return True
 
     def claim_info(self, namespace: str, filename: str) -> ClaimTicket | None:
@@ -524,17 +548,16 @@ def claim_is_owned(store, namespace: str, key: str) -> bool:
 def wait_for_fill(store, namespace: str, key: str, *, poll_seconds: float | None = None):
     """Poll until a concurrent filler's entry lands, or the caller must compute.
 
-    ``store`` is a :class:`~repro.runner.cache.ResultCache` /
-    :class:`~repro.runner.artifacts.ArtifactStore` (anything exposing
-    ``get``/``claim``/``claim_info``/``break_claim``/``release_claim``).
-    Returns the winner's entry when the fill completes.  Returns ``None``
-    when the caller should compute instead -- either it now *owns* the
-    claim (the previous winner died or released without filling) or the
-    wait deadline (``$REPRO_CLAIM_WAIT_SECONDS``) expired, in which case
-    the duplicate fill is wasteful but deterministic, never corrupting.
-    Deadline expiries tally the store's ``note_wait_timeout`` counter when
-    it has one; :func:`claim_is_owned` distinguishes the two ``None``
-    cases for the caller.
+    ``store`` is a :class:`~repro.runner.store.ContentStore` (the result
+    cache or the artifact store).  Returns the winner's entry when the
+    fill completes.  Returns ``None`` when the caller should compute
+    instead -- either it now *owns* the claim (the previous winner died or
+    released without filling) or the wait deadline
+    (``$REPRO_CLAIM_WAIT_SECONDS``) expired, in which case the duplicate
+    fill is wasteful but deterministic, never corrupting.  Deadline
+    expiries tally the store's ``note_wait_timeout`` counter;
+    :func:`claim_is_owned` distinguishes the two ``None`` cases for the
+    caller.
     """
     if poll_seconds is None:
         poll_seconds = claim_poll_seconds()
@@ -571,8 +594,6 @@ def wait_for_fill(store, namespace: str, key: str, *, poll_seconds: float | None
             # than raising or spinning forever.  The caller does NOT own the
             # claim here -- its result lands uncached (the winner's entry,
             # whenever it arrives, stays authoritative).
-            note_timeout = getattr(store, "note_wait_timeout", None)
-            if note_timeout is not None:
-                note_timeout()
+            store.note_wait_timeout()
             return None
         time.sleep(poll_seconds)

@@ -8,111 +8,37 @@ payload carries the rows (serialised through
 :meth:`repro.analysis.sweep.SweepResult.to_jsonable`, so replay is
 bit-identical to a sanitised live run) plus provenance metadata: the exact
 config, the fingerprint, interpreter/numpy/package versions and a creation
-timestamp.  Writes go through a temp file + ``os.replace`` so concurrent
-runners never observe a torn entry.
+timestamp.
 
-Concurrent *writers* coordinate through first-writer-wins fill claims
-(:meth:`ResultCache.claim`): of N processes cold-filling the same content
-address exactly one computes, the rest wait on
-:func:`repro.runner.backends.wait_for_fill` and read the winner's entry.
-A ``max_bytes`` budget (``--cache-max-bytes`` / ``$REPRO_CACHE_MAX_BYTES``)
-bounds the store with LRU eviction after every write; in-flight fills,
-the entry just written and the quarantine sidecar are never evicted.
-
-Corrupt entries (undecodable bytes, invalid JSON, wrong schema, broken
-document shape) are **quarantined**, not silently re-counted as misses:
-the file is moved to ``<root>/corrupt/<experiment>/<key>.json`` for
-forensics, the detection is tallied on the cache's in-memory stat delta
-(drained into the persisted counters by the runner) and the read behaves
-as a miss so the entry is recomputed.  A file that simply vanished
-(raced ``unlink``) stays a plain miss.
-
-The cache root defaults to ``$REPRO_CACHE_DIR`` when set, else
-``~/.cache/dvafs-repro``.
+:class:`ResultCache` is the JSON configuration of the one
+:class:`~repro.runner.store.ContentStore`, which owns atomic writes,
+first-writer-wins fill claims, the LRU byte budget
+(``--cache-max-bytes`` / ``$REPRO_CACHE_MAX_BYTES``) and quarantine of
+corrupt entries to ``<root>/corrupt/<experiment>/``.  The cache root
+defaults to ``$REPRO_CACHE_DIR`` when set, else ``~/.cache/dvafs-repro``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
-import os
 import platform
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from ..analysis.sweep import SweepResult
-from ..faults import fault_point
-from .backends import ClaimTicket, DiskBackend, StoreBackend, env_max_bytes, evict_lru
-
-logger = logging.getLogger(__name__)
+from .store import ContentStore, content_key
 
 #: Bumped when the on-disk entry layout changes; part of every cache key.
 SCHEMA_VERSION = 1
-
-#: Sidecar directory (under a store root) corrupt entries are moved into.
-QUARANTINE_DIRNAME = "corrupt"
 
 #: Size budget (bytes) of the result cache; unset/0 = unbounded.
 ENV_CACHE_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
 
 
-def quarantine_entry(root: Path, path: Path) -> Path | None:
-    """Move a corrupt entry under ``<root>/corrupt/``; ``None`` if it raced away.
-
-    The move is a single ``os.replace`` on the same filesystem, so a
-    concurrent reader either sees the (corrupt) entry or a miss -- never a
-    half-moved file.  Losing the race (another process quarantined or
-    unlinked it first) is fine: the entry is gone either way.
-    """
-    destination = root / QUARANTINE_DIRNAME / path.parent.name / path.name
-    try:
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(path, destination)
-    except OSError:
-        return None
-    return destination
-
-
-def quarantine_summary(root: Path) -> dict[str, int]:
-    """Entry count and byte total of a store's quarantine sidecar."""
-    quarantine = Path(root) / QUARANTINE_DIRNAME
-    entries = 0
-    size = 0
-    if quarantine.is_dir():
-        for path in quarantine.rglob("*"):
-            try:
-                if path.is_file():
-                    entries += 1
-                    size += path.stat().st_size
-            except OSError:  # pragma: no cover - raced deletion
-                continue
-    return {"entries": entries, "bytes": size}
-
-
-def default_cache_root() -> Path:
-    """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/dvafs-repro``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "dvafs-repro"
-
-
 def cache_key(experiment: str, canonical_params_json: str, fingerprint: str) -> str:
     """Content address of one run: experiment + canonical params + code."""
-    blob = json.dumps(
-        {
-            "schema": SCHEMA_VERSION,
-            "experiment": experiment,
-            "params": canonical_params_json,
-            "fingerprint": fingerprint,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return content_key(SCHEMA_VERSION, "experiment", experiment, canonical_params_json, fingerprint)
 
 
 @dataclass
@@ -167,257 +93,29 @@ def run_provenance() -> dict[str, object]:
     }
 
 
-class ResultCache:
-    """Content-addressed store of experiment results over a pluggable backend.
+class ResultCache(ContentStore):
+    """Content-addressed store of experiment results (JSON entries).
 
-    ``backend`` defaults to :class:`~repro.runner.backends.DiskBackend` at
-    ``root`` (or the default cache root); pass a
-    :class:`~repro.runner.backends.MemoryBackend` for an ephemeral store
-    (tests, the service's warm-path L1).  ``max_bytes`` (default
-    ``$REPRO_CACHE_MAX_BYTES``) bounds the store via LRU eviction after
-    every write; ``None``/``0`` leaves it unbounded.
+    See :class:`~repro.runner.store.ContentStore` for the constructor
+    (``root``, ``backend``, ``max_bytes`` defaulting to
+    ``$REPRO_CACHE_MAX_BYTES``) and every operation.
     """
 
-    #: Fault-plan site names of this store's claim/evict hooks.
-    CLAIM_SITE = "cache.claim"
-    EVICT_SITE = "cache.evict"
+    KIND = "experiment"
+    ENTRY = CacheEntry
+    SCHEMA = SCHEMA_VERSION
+    SUFFIX = ".json"
+    SITE_PREFIX = "cache"
+    COUNTER_PREFIX = "result"
+    MAX_BYTES_ENV = ENV_CACHE_MAX_BYTES
 
-    def __init__(
-        self,
-        root: Path | str | None = None,
-        *,
-        backend: StoreBackend | None = None,
-        max_bytes: int | None = None,
-    ):
-        if backend is not None:
-            self.backend = backend
-        else:
-            self.backend = DiskBackend(Path(root) if root is not None else default_cache_root())
-        self.root = self.backend.root
-        self.max_bytes = max_bytes if max_bytes is not None else env_max_bytes(ENV_CACHE_MAX_BYTES)
-        #: Tallies since the last :meth:`drain_stats`; the runner drains
-        #: them into the persisted store counters.
-        self.recent_corrupt = 0
-        self.recent_quarantined = 0
-        self.recent_claims = 0
-        self.recent_claim_waits = 0
-        self.recent_claim_wait_timeouts = 0
-        self.recent_evictions = 0
-        self.recent_evicted_bytes = 0
+    def encode(self, document: dict[str, object]) -> bytes:
+        return json.dumps(document, indent=1).encode()
 
-    def drain_stats(self) -> dict[str, int]:
-        """Counters tallied since the last drain; resets them.
+    def decode(self, blob: bytes) -> object:
+        return json.loads(blob)
 
-        Keys: ``corrupt``, ``quarantined``, ``claims`` (fill claims won),
-        ``claim_waits`` (fills lost to a concurrent winner),
-        ``claim_wait_timeouts`` (waits that exhausted the deadline and
-        degraded to local compute), ``evictions`` and ``evicted_bytes`` --
-        plus, when the backend is networked, its drained remote counters
-        (``remote_hits``/``remote_errors``/``breaker_opens``).
-        """
-        drained = {
-            "corrupt": self.recent_corrupt,
-            "quarantined": self.recent_quarantined,
-            "claims": self.recent_claims,
-            "claim_waits": self.recent_claim_waits,
-            "claim_wait_timeouts": self.recent_claim_wait_timeouts,
-            "evictions": self.recent_evictions,
-            "evicted_bytes": self.recent_evicted_bytes,
-        }
-        self.recent_corrupt = 0
-        self.recent_quarantined = 0
-        self.recent_claims = 0
-        self.recent_claim_waits = 0
-        self.recent_claim_wait_timeouts = 0
-        self.recent_evictions = 0
-        self.recent_evicted_bytes = 0
-        drain_remote = getattr(self.backend, "drain_remote_counters", None)
-        if drain_remote is not None:
-            drained.update(drain_remote())
-        return drained
-
-    @staticmethod
-    def _check_experiment_name(experiment: str) -> str:
-        """Experiment names are single path components -- never traversal."""
-        if Path(experiment).name != experiment or experiment in ("", ".", ".."):
-            raise ValueError(f"invalid experiment name {experiment!r}")
-        return experiment
-
-    @staticmethod
-    def _filename(key: str) -> str:
-        return f"{key}.json"
-
-    def _path(self, experiment: str, key: str) -> Path | None:
-        return self.backend.path(self._check_experiment_name(experiment), self._filename(key))
-
-    def _quarantine(self, experiment: str, key: str) -> None:
-        """Record + move one corrupt entry (read path behaves as a miss)."""
-        self.recent_corrupt += 1
-        if self.backend.quarantine(experiment, self._filename(key)):
-            self.recent_quarantined += 1
-
-    def get(self, experiment: str, key: str) -> CacheEntry | None:
-        """The stored entry, or ``None`` on a miss.
-
-        Corrupt entries (any readable blob that fails to parse into a
-        current-schema document) are quarantined so they stop being
-        re-read on every probe and stay inspectable; the caller simply
-        sees a miss and recomputes.  Reads refresh the entry's LRU stamp.
-        """
-        blob = self.backend.get(self._check_experiment_name(experiment), self._filename(key))
-        if blob is None:  # missing or unreadable: a plain miss, not corruption
-            return None
-        try:
-            document = json.loads(blob)
-        except ValueError:  # non-UTF-8 bytes or invalid JSON
-            self._quarantine(experiment, key)
-            return None
-        if not isinstance(document, dict) or document.get("schema") != SCHEMA_VERSION:
-            self._quarantine(experiment, key)
-            return None
-        try:
-            return CacheEntry.from_document(document)
-        except (KeyError, TypeError, ValueError, AttributeError):
-            self._quarantine(experiment, key)
-            return None
-
-    def put(self, key: str, entry: CacheEntry) -> Path | None:
-        """Atomically persist one entry; returns its path (``None`` off-disk).
-
-        The write clears any fill claim on the address (entry first, claim
-        second -- waiters observing "no claim" are guaranteed the entry)
-        and then enforces the store's byte budget.
-        """
-        experiment = self._check_experiment_name(entry.experiment)
-        filename = self._filename(key)
-        fault_point("cache.write", key=experiment)
-        document = json.dumps(entry.to_document(), indent=1)
-        self.backend.put(experiment, filename, document.encode())
-        path = self.backend.path(experiment, filename)
-        fault_point("cache.written", key=experiment, path=path)
-        self._enforce_budget(experiment, filename)
-        return path
-
-    # -- concurrent-fill claims -----------------------------------------------------
-
-    def claim(self, experiment: str, key: str) -> bool:
-        """Try to win the fill claim for one content address.
-
-        ``True`` means this process computes the entry (and its ``put``
-        clears the claim); ``False`` means a concurrent filler owns it and
-        the caller should wait via
-        :func:`repro.runner.backends.wait_for_fill`.
-        """
-        won = self.backend.claim(self._check_experiment_name(experiment), self._filename(key))
-        if not won:
-            return False
-        try:
-            fault_point(self.CLAIM_SITE, key=experiment)
-        except BaseException:
-            # Never leak a claim: a fault/crash between winning and filling
-            # would otherwise wedge every waiter until the stale-claim TTL.
-            self.backend.release(experiment, self._filename(key))
-            raise
-        self.recent_claims += 1
-        return True
-
-    def claim_info(self, experiment: str, key: str) -> ClaimTicket | None:
-        """The in-flight fill ticket for an address, if any."""
-        return self.backend.claim_info(
-            self._check_experiment_name(experiment), self._filename(key)
-        )
-
-    def release_claim(self, experiment: str, key: str) -> bool:
-        """Drop the claim on an address (no-op if none is held)."""
-        return self.backend.release(self._check_experiment_name(experiment), self._filename(key))
-
-    def break_claim(self, experiment: str, key: str, ticket: ClaimTicket) -> bool:
-        """Remove exactly ``ticket`` (a stale claim); fails if re-claimed."""
-        return self.backend.release(
-            self._check_experiment_name(experiment), self._filename(key), owner=ticket
-        )
-
-    def note_wait(self) -> None:
-        """Tally one fill lost to a concurrent winner (for the drained stats)."""
-        self.recent_claim_waits += 1
-
-    def note_wait_timeout(self) -> None:
-        """Tally one wait that exhausted its deadline and computed locally."""
-        self.recent_claim_wait_timeouts += 1
-
-    # -- bounded store ----------------------------------------------------------------
-
-    def _enforce_budget(self, experiment: str, filename: str) -> None:
-        """LRU-evict past ``max_bytes``, protecting the entry just written."""
-        if not self.max_bytes:
-            return
-
-        def on_evict(namespace: str, name: str) -> None:
-            fault_point(self.EVICT_SITE, key=f"{namespace}/{name}")
-
-        evicted, freed = evict_lru(
-            self.backend,
-            self.max_bytes,
-            keep={(experiment, filename)},
-            on_evict=on_evict,
-        )
-        if evicted:
-            logger.debug(
-                "evicted %d entr%s (%d bytes) past the %d-byte budget",
-                evicted, "y" if evicted == 1 else "ies", freed, self.max_bytes,
-            )
-        self.recent_evictions += evicted
-        self.recent_evicted_bytes += freed
-
-    # -- listings ---------------------------------------------------------------------
-
-    def entries(self, experiment: str | None = None) -> Iterator[tuple[str, Path | None]]:
-        """(key, path) pairs of stored entries, sorted for stable listings."""
-        if experiment is not None:
-            self._check_experiment_name(experiment)
-        for namespace, filename in self.backend.iter(experiment):
-            if not filename.endswith(".json"):
-                continue
-            yield filename[: -len(".json")], self.backend.path(namespace, filename)
-
-    def ls(self, experiment: str | None = None) -> list[dict[str, object]]:
-        """Metadata summary of stored entries (no row payloads, no LRU touch)."""
-        listing = []
-        for namespace, filename in self.backend.iter(experiment):
-            if not filename.endswith(".json"):
-                continue
-            key = filename[: -len(".json")]
-            blob = self.backend.get(namespace, filename, touch=False)
-            try:
-                document = json.loads(blob) if blob is not None else {}
-            except ValueError:
-                document = {}
-            if not isinstance(document, dict):
-                document = {}
-            result = document.get("result")
-            records = result.get("records", []) if isinstance(result, dict) else []
-            provenance = document.get("provenance")
-            if not isinstance(provenance, dict):
-                provenance = {}
-            stamp = self.backend.stat(namespace, filename)
-            listing.append(
-                {
-                    "experiment": document.get("experiment", namespace),
-                    "key": key,
-                    "rows": len(records) if isinstance(records, list) else 0,
-                    "elapsed_seconds": document.get("elapsed_seconds"),
-                    "created_unix": provenance.get("created_unix"),
-                    "size_bytes": stamp.size_bytes if stamp else 0,
-                }
-            )
-        return listing
-
-    def clear(self, experiment: str | None = None) -> int:
-        """Delete stored entries (optionally of one experiment); returns count."""
-        if experiment is not None:
-            self._check_experiment_name(experiment)
-        removed = 0
-        for namespace, filename in list(self.backend.iter(experiment)):
-            if filename.endswith(".json") and self.backend.delete(namespace, filename):
-                removed += 1
-        return removed
+    def _listing_columns(self, document: Mapping[str, object]) -> dict[str, object]:
+        result = document.get("result")
+        records = result.get("records", []) if isinstance(result, dict) else []
+        return {"rows": len(records) if isinstance(records, list) else 0}

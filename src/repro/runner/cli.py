@@ -35,10 +35,11 @@ from pathlib import Path
 
 from ..analysis.reporting import format_table, to_csv
 from .artifacts import ArtifactStore, load_stats, reset_stats
-from .cache import ResultCache, default_cache_root, quarantine_summary
+from .cache import ResultCache
 from .errors import ExecutionError, ParamError, ReproError, UnknownExperimentError
 from .registry import ExperimentSpec
 from .service import ExperimentRunner, RunReport
+from .store import PER_STORE_COUNTERS, ContentStore, default_cache_root, quarantine_summary
 
 #: Stable exit codes (usage errors / validation failures / execution failures).
 USAGE_EXIT, VALIDATION_EXIT, EXECUTION_EXIT = 2, 3, 4
@@ -443,9 +444,17 @@ def _cache_stats_summary(
     cache: ResultCache, store: ArtifactStore, *, store_url: str | None = None
 ) -> dict[str, object]:
     """Entry counts, bytes, hit/miss counters and corruption/recovery tallies."""
-    result_entries = cache.ls()
-    artifact_entries = store.ls()
     counters = load_stats(cache.root)
+
+    def section(content: ContentStore) -> dict[str, object]:
+        entries = content.ls()
+        return {
+            "entries": len(entries),
+            "bytes": sum(int(entry["size_bytes"] or 0) for entry in entries),
+            **{name: counters[f"{content.COUNTER_PREFIX}_{name}"] for name in PER_STORE_COUNTERS},
+            "quarantine": quarantine_summary(content.root),
+        }
+
     remote: dict[str, object] = {
         "hits": counters.remote_hits,
         "errors": counters.remote_errors,
@@ -462,30 +471,8 @@ def _cache_stats_summary(
         probe.close()
     return {
         "cache_root": str(cache.root),
-        "results": {
-            "entries": len(result_entries),
-            "bytes": sum(int(entry["size_bytes"] or 0) for entry in result_entries),
-            "hits": counters.result_hits,
-            "misses": counters.result_misses,
-            "corrupt": counters.result_corrupt,
-            "claims": counters.result_claims,
-            "claim_waits": counters.result_claim_waits,
-            "evictions": counters.result_evictions,
-            "evicted_bytes": counters.result_evicted_bytes,
-            "quarantine": quarantine_summary(cache.root),
-        },
-        "artifacts": {
-            "entries": len(artifact_entries),
-            "bytes": sum(int(entry["size_bytes"] or 0) for entry in artifact_entries),
-            "hits": counters.artifact_hits,
-            "misses": counters.artifact_misses,
-            "corrupt": counters.artifact_corrupt,
-            "claims": counters.artifact_claims,
-            "claim_waits": counters.artifact_claim_waits,
-            "evictions": counters.artifact_evictions,
-            "evicted_bytes": counters.artifact_evicted_bytes,
-            "quarantine": quarantine_summary(store.root),
-        },
+        "results": section(cache),
+        "artifacts": section(store),
         "recovery": {
             "quarantined": counters.quarantined,
             "retried": counters.retried,

@@ -43,7 +43,6 @@ Callables shipped to workers must be picklable, i.e. module-level.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from collections import deque
@@ -54,7 +53,9 @@ from typing import Callable, Iterable, Mapping
 
 from ..analysis.sweep import SweepResult, sweep_grid
 from ..faults import fault_point
+from .backends import backoff_delay
 from .errors import UnitTimeoutError, WorkerCrashError
+from .store import StoreStats
 
 
 @dataclass(frozen=True)
@@ -129,18 +130,6 @@ def _worker_count(jobs: int, tasks: int, *, oversubscribe: bool = False) -> int:
     return min(jobs, tasks, max(1, cpus))
 
 
-def _backoff_delay(policy: ExecutionPolicy, attempt: int, seed: str) -> float:
-    """Exponential backoff with deterministic jitter (seeded, not random).
-
-    Jitter spreads simultaneous retries without sacrificing reproducible
-    runs: the same (seed, attempt) always waits the same time.
-    """
-    base = min(policy.backoff_cap_seconds, policy.backoff_seconds * (2 ** max(0, attempt - 1)))
-    digest = hashlib.sha256(f"{seed}:{attempt}".encode()).digest()
-    jitter = digest[0] / 255.0  # [0, 1], deterministic in the seed
-    return base * (0.5 + 0.5 * jitter)
-
-
 def _teardown_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down even when its workers are hung or already dead.
 
@@ -213,31 +202,31 @@ class _ResilientRun:
         if self.respawns_left < 0:
             return False
         self.outcome.respawns += 1
-        time.sleep(_backoff_delay(self.policy, attempt, seed))
+        time.sleep(
+            backoff_delay(attempt, seed, base=self.policy.backoff_seconds, cap=self.policy.backoff_cap_seconds)
+        )
         return True
 
     def _on_crash(self, victims: list[int]) -> None:
         """A worker died: the whole pool is broken, every in-flight unit with it."""
         self.outcome.crashes += 1
-        for index in victims:
-            self._requeue(index, reason="worker_crashed", penalize=True)
+        self._recover(victims, reason="worker_crashed", seed=f"{self.label}:crash")
+
+    def _on_timeouts(self, expired: list[int]) -> None:
+        """Units blew their wall-clock budget: kill the pool, retry them."""
+        self.outcome.timeouts += len(expired)
+        self._recover(expired, reason="unit_timeout", seed=f"{self.label}:timeout")
+
+    def _recover(self, failed: list[int], *, reason: str, seed: str) -> None:
+        """Requeue the failed units and the pool's bystanders, then replace the pool."""
+        for index in failed:
+            self._requeue(index, reason=reason, penalize=True)
         for _future, (index, _start) in list(self.in_flight.items()):
             # Innocent bystanders of the broken pool: retried without
             # spending their own retry budget.
             self.queue.appendleft(index)
         self.in_flight.clear()
-        if not self._replace_pool(seed=f"{self.label}:crash", attempt=max(self.attempts) or 1):
-            self._degrade()
-
-    def _on_timeouts(self, expired: list[int]) -> None:
-        """Units blew their wall-clock budget: kill the pool, retry them."""
-        self.outcome.timeouts += len(expired)
-        for index in expired:
-            self._requeue(index, reason="unit_timeout", penalize=True)
-        for _future, (index, _start) in list(self.in_flight.items()):
-            self.queue.appendleft(index)
-        self.in_flight.clear()
-        if not self._replace_pool(seed=f"{self.label}:timeout", attempt=max(self.attempts) or 1):
+        if not self._replace_pool(seed=seed, attempt=max(self.attempts) or 1):
             self._degrade()
 
     def _degrade(self) -> None:
@@ -412,7 +401,7 @@ def _build_artifact_store(store_root: str, store_url: str | None):
 
 def _produce_artifact(
     task: tuple[str, str, dict[str, object], str, str, str, str | None],
-) -> tuple[str, float, dict[str, int]]:
+) -> tuple[str, float, StoreStats]:
     """Worker body: compute one artifact unit and persist it into the store.
 
     The store is activated around the producer call so producers that
@@ -444,7 +433,7 @@ def produce_artifacts(
     jobs: int | None = None,
     policy: ExecutionPolicy | None = None,
     outcome: ExecutionOutcome | None = None,
-) -> list[tuple[str, float, dict[str, int]]]:
+) -> list[tuple[str, float, StoreStats]]:
     """Produce artifact units (optionally in parallel); results in input order.
 
     Each task is ``(artifact, producer path, params, key, fingerprint,
@@ -462,7 +451,7 @@ def produce_artifacts(
 def _execute_request(
     task: tuple[str, dict[str, object], str | None, str | None],
     registry: Mapping[str, object] | None = None,
-) -> tuple[list[dict[str, object]], float]:
+) -> tuple[list[dict[str, object]], float, StoreStats]:
     """Worker body: run one experiment with a canonical config.
 
     Imports happen here (inside the worker) so spawned processes build their
@@ -470,7 +459,9 @@ def _execute_request(
     boundary so the parent sees exactly what the cache would store.  The
     artifact store root (``None`` = reuse disabled) is activated around the
     run so driver resolvers load the pre-produced intermediates; with a
-    store URL the store tiers onto the shared networked one.
+    store URL the store tiers onto the shared networked one.  The store's
+    drained counters (a resolver quarantining a corrupt entry and
+    recomputing it, say) travel back with the rows.
     """
     from .artifacts import activated
     from .registry import build_registry
@@ -485,7 +476,8 @@ def _execute_request(
         start = time.perf_counter()
         rows = spec.execute(config)
         elapsed = time.perf_counter() - start
-    return SweepResult(records=rows).to_jsonable(), elapsed
+    drained = store.drain_stats() if store is not None else StoreStats()
+    return SweepResult(records=rows).to_jsonable(), elapsed, drained
 
 
 def execute_requests(
@@ -497,6 +489,7 @@ def execute_requests(
     policy: ExecutionPolicy | None = None,
     outcome: ExecutionOutcome | None = None,
     store_url: str | None = None,
+    stats: StoreStats | None = None,
 ) -> list[tuple[list[dict[str, object]], float]]:
     """Run experiment requests, optionally in parallel; results in input order.
 
@@ -504,10 +497,11 @@ def execute_requests(
     with injected registries (tests, embedders) can execute experiments that
     ``build_registry`` does not know about.  Worker processes always rebuild
     the canonical registry -- custom specs are not shipped across the
-    process boundary.
+    process boundary.  ``stats`` (when given) accumulates the artifact-store
+    counters the executions tallied, like ``outcome`` does for recovery.
     """
     tasks = [(name, config, artifacts_root, store_url) for name, config in requests]
-    return _run_resilient(
+    results = _run_resilient(
         tasks,
         _execute_request,
         jobs=jobs,
@@ -516,3 +510,7 @@ def execute_requests(
         label="experiment",
         serial_worker=lambda task: _execute_request(task, registry),
     )
+    if stats is not None:
+        for _rows, _elapsed, drained in results:
+            stats.update(drained)
+    return [(rows, elapsed) for rows, elapsed, _drained in results]

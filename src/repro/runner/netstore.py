@@ -18,8 +18,9 @@ point of failure demands:
   degrades to the ``REPRO_CLAIM_TTL_SECONDS`` TTL exactly as documented;
 * **client** -- :class:`RemoteBackend`, the same protocol with
   per-operation deadlines (``$REPRO_STORE_TIMEOUT_SECONDS``), bounded
-  retries with deterministic sha256-jittered exponential backoff (the
-  executor's idiom) and a closed -> open -> half-open circuit breaker;
+  retries with the shared deterministic sha256-jittered exponential
+  backoff (:func:`~repro.runner.backends.backoff_delay`) and a
+  closed -> open -> half-open circuit breaker;
 * **tiering** -- :class:`TieredBackend` composes the remote over a local
   :class:`DiskBackend`: writes go through local-first, reads check local
   then remote (remote hits are promoted into the local tier), and while
@@ -34,13 +35,13 @@ request -- an ``exc`` there tears the connection like a crashed server.
 
 This module is deliberately stdlib-only and is imported *lazily* by its
 consumers (CLI, facade, executor workers), never by :mod:`backends`,
-:mod:`cache` or :mod:`artifacts` -- so it stays outside the drivers'
-static import closure and cache/artifact fingerprints do not churn.
+:mod:`store`, :mod:`cache` or :mod:`artifacts` -- so it stays outside the
+drivers' static import closure and cache/artifact fingerprints do not
+churn.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -52,7 +53,7 @@ import time
 from pathlib import Path
 
 from ..faults import FaultInjected, fault_point
-from .backends import ClaimTicket, DiskBackend, EntryStat, evict_lru
+from .backends import ClaimTicket, DiskBackend, EntryStat, backoff_delay, env_number, evict_lru
 
 logger = logging.getLogger(__name__)
 
@@ -88,37 +89,12 @@ DEFAULT_BREAKER_RESET_SECONDS = 10.0
 _BACKOFF_BASE_SECONDS = 0.05
 _BACKOFF_CAP_SECONDS = 0.5
 
-_HOST = socket.gethostname()
-
-
 class StoreProtocolError(RuntimeError):
     """The peer spoke, but not the protocol (torn frame, bad op, error reply)."""
 
 
 class StoreUnavailableError(ConnectionError):
     """The remote store cannot be reached (timeouts/refusals/open circuit)."""
-
-
-def _env_float(name: str, default: float) -> float:
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        parsed = float(value)
-    except ValueError:
-        return default
-    return parsed if parsed > 0 else default
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        parsed = int(value)
-    except ValueError:
-        return default
-    return parsed if parsed >= 0 else default
 
 
 def parse_store_url(url: str) -> tuple[str, int]:
@@ -139,13 +115,6 @@ def parse_store_url(url: str) -> tuple[str, int]:
     if not 0 < port < 65536:
         raise ValueError(f"store url {url!r}: port {port} out of range")
     return host, port
-
-
-def _backoff_delay(attempt: int, seed: str) -> float:
-    """Exponential backoff with deterministic sha256 jitter (executor idiom)."""
-    base = min(_BACKOFF_CAP_SECONDS, _BACKOFF_BASE_SECONDS * (2 ** max(0, attempt - 1)))
-    digest = hashlib.sha256(f"{seed}:{attempt}".encode()).digest()
-    return base * (0.5 + 0.5 * digest[0] / 255.0)
 
 
 # -- framing ------------------------------------------------------------------------
@@ -199,23 +168,9 @@ def read_frame(sock: socket.socket) -> tuple[dict[str, object], bytes]:
 # -- server -------------------------------------------------------------------------
 
 
-def _ticket_document(ticket: ClaimTicket | None) -> dict[str, object] | None:
-    if ticket is None:
-        return None
-    return {"pid": ticket.pid, "host": ticket.host, "created_unix": ticket.created_unix}
-
-
-def _ticket_from_document(document: object) -> ClaimTicket | None:
-    if not isinstance(document, dict):
-        return None
-    try:
-        return ClaimTicket(
-            pid=int(document.get("pid", -1)),
-            host=str(document.get("host", "")),
-            created_unix=float(document.get("created_unix", 0.0)),
-        )
-    except (TypeError, ValueError):
-        return None
+def _owner(document: object) -> ClaimTicket | None:
+    """The claim owner a client sent (``None``: none, i.e. the serving process)."""
+    return ClaimTicket.from_document(document) if isinstance(document, dict) else None
 
 
 class _StoreRequestHandler(socketserver.BaseRequestHandler):
@@ -299,13 +254,12 @@ class _StoreRequestHandler(socketserver.BaseRequestHandler):
         if op == "claim":
             # Server-side claim with the *client's* identity, so staleness
             # probing sees the real owner, not the server process.
-            owner = _ticket_from_document(header.get("owner"))
-            return {"ok": True, "claimed": backend.claim(namespace, filename, owner=owner)}, b""
+            return {"ok": True, "claimed": backend.claim(namespace, filename, owner=_owner(header.get("owner")))}, b""
         if op == "claim_info":
             ticket = backend.claim_info(namespace, filename)
-            return {"ok": True, "ticket": _ticket_document(ticket)}, b""
+            return {"ok": True, "ticket": ticket.to_document() if ticket is not None else None}, b""
         if op == "release":
-            owner = _ticket_from_document(header.get("owner"))
+            owner = _owner(header.get("owner"))
             return {"ok": True, "released": backend.release(namespace, filename, owner=owner)}, b""
         if op == "quarantine":
             return {"ok": True, "quarantined": backend.quarantine(namespace, filename)}, b""
@@ -510,20 +464,21 @@ class RemoteBackend:
         self.host, self.port = parse_store_url(url)
         self.subroot = subroot
         self.root: Path | None = None
-        self.timeout = timeout if timeout is not None else _env_float(
-            ENV_STORE_TIMEOUT, DEFAULT_TIMEOUT_SECONDS
-        )
-        self.retries = retries if retries is not None else _env_int(
-            ENV_STORE_RETRIES, DEFAULT_RETRIES
-        )
-        self.breaker = CircuitBreaker(
-            failures=breaker_failures
-            if breaker_failures is not None
-            else _env_int(ENV_BREAKER_FAILURES, DEFAULT_BREAKER_FAILURES),
-            reset_seconds=breaker_reset_seconds
-            if breaker_reset_seconds is not None
-            else _env_float(ENV_BREAKER_RESET, DEFAULT_BREAKER_RESET_SECONDS),
-        )
+        if timeout is None:
+            timeout = env_number(ENV_STORE_TIMEOUT, DEFAULT_TIMEOUT_SECONDS, accept=lambda value: value > 0)
+        if retries is None:
+            retries = env_number(ENV_STORE_RETRIES, DEFAULT_RETRIES, cast=int, accept=lambda value: value >= 0)
+        if breaker_failures is None:
+            breaker_failures = env_number(
+                ENV_BREAKER_FAILURES, DEFAULT_BREAKER_FAILURES, cast=int, accept=lambda value: value >= 0
+            )
+        if breaker_reset_seconds is None:
+            breaker_reset_seconds = env_number(
+                ENV_BREAKER_RESET, DEFAULT_BREAKER_RESET_SECONDS, accept=lambda value: value > 0
+            )
+        self.timeout = timeout
+        self.retries = retries
+        self.breaker = CircuitBreaker(failures=breaker_failures, reset_seconds=breaker_reset_seconds)
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
         #: Cumulative gauges (``/v1/metrics``) and drainable deltas
@@ -592,7 +547,11 @@ class RemoteBackend:
                     last_error = error
                     self._drop_connection()
                     if attempt <= self.retries:
-                        time.sleep(_backoff_delay(attempt, f"{self.url}:{op}"))
+                        time.sleep(
+                            backoff_delay(
+                                attempt, f"{self.url}:{op}", base=_BACKOFF_BASE_SECONDS, cap=_BACKOFF_CAP_SECONDS
+                            )
+                        )
                     continue
                 if not response.get("ok"):
                     # The server answered coherently: an application error,
@@ -694,11 +653,8 @@ class RemoteBackend:
     def touch(self, namespace: str, filename: str) -> None:
         self._call("touch", namespace=namespace, filename=filename)
 
-    def _identity(self) -> dict[str, object]:
-        return {"pid": os.getpid(), "host": _HOST, "created_unix": round(time.time(), 3)}
-
     def claim(self, namespace: str, filename: str, *, owner: ClaimTicket | None = None) -> bool:
-        document = _ticket_document(owner) if owner is not None else self._identity()
+        document = (owner or ClaimTicket.mine()).to_document()
         response, _payload = self._call(
             "claim", namespace=namespace, filename=filename, owner=document
         )
@@ -706,12 +662,11 @@ class RemoteBackend:
 
     def claim_info(self, namespace: str, filename: str) -> ClaimTicket | None:
         response, _payload = self._call("claim_info", namespace=namespace, filename=filename)
-        return _ticket_from_document(response.get("ticket"))
+        return _owner(response.get("ticket"))
 
     def release(self, namespace: str, filename: str, *, owner: ClaimTicket | None = None) -> bool:
-        response, _payload = self._call(
-            "release", namespace=namespace, filename=filename, owner=_ticket_document(owner)
-        )
+        document = owner.to_document() if owner is not None else None
+        response, _payload = self._call("release", namespace=namespace, filename=filename, owner=document)
         return bool(response.get("released"))
 
     def quarantine(self, namespace: str, filename: str) -> bool:
@@ -749,8 +704,19 @@ class TieredBackend:
 
     # -- degradation helper -----------------------------------------------------------
 
-    def _remote_allowed(self) -> bool:
-        return self.remote.breaker.allow()
+    def _remote_call(self, op: str, *args: object, **kwargs: object) -> tuple[bool, object]:
+        """``(True, result)`` of one remote operation, ``(False, None)`` while degraded.
+
+        Every remote failure is absorbed here: an open circuit skips the
+        call, and an unreachable or incoherent server counts as degraded.
+        """
+        if not self.remote.breaker.allow():
+            return False, None
+        try:
+            return True, getattr(self.remote, op)(*args, **kwargs)
+        except (StoreUnavailableError, StoreProtocolError) as error:
+            logger.debug("remote %s on %s failed (%s); using the local tier", op, self.url, error)
+            return False, None
 
     def health(self) -> dict[str, object]:
         health = self.remote.health()
@@ -784,12 +750,7 @@ class TieredBackend:
         blob = self.local.get(namespace, filename, touch=touch)
         if blob is not None:
             return blob
-        if not self._remote_allowed():
-            return None
-        try:
-            blob = self.remote.get(namespace, filename, touch=touch)
-        except (StoreUnavailableError, StoreProtocolError):
-            return None
+        _reached, blob = self._remote_call("get", namespace, filename, touch=touch)
         if blob is not None:
             # Promote into the local tier so repeat reads stay off the
             # network.  ``put`` clears any local fill claim -- correct: the
@@ -803,12 +764,7 @@ class TieredBackend:
 
     def put(self, namespace: str, filename: str, blob: bytes) -> None:
         self.local.put(namespace, filename, blob)
-        if not self._remote_allowed():
-            return
-        try:
-            self.remote.put(namespace, filename, blob)
-        except (StoreUnavailableError, StoreProtocolError) as error:
-            logger.debug("write-through to %s failed (%s); entry is local-only", self.url, error)
+        self._remote_call("put", namespace, filename, blob)  # write-through, best effort
 
     def delete(self, namespace: str, filename: str) -> bool:
         # Local tier only: eviction under a local byte budget must never
@@ -820,51 +776,29 @@ class TieredBackend:
 
     def stat(self, namespace: str, filename: str) -> EntryStat | None:
         stamp = self.local.stat(namespace, filename)
-        if stamp is not None or not self._remote_allowed():
-            return stamp
-        try:
-            return self.remote.stat(namespace, filename)
-        except (StoreUnavailableError, StoreProtocolError):
-            return None
+        return stamp if stamp is not None else self._remote_call("stat", namespace, filename)[1]
 
     def touch(self, namespace: str, filename: str) -> None:
         self.local.touch(namespace, filename)
 
     def claim(self, namespace: str, filename: str, *, owner: ClaimTicket | None = None) -> bool:
-        if self._remote_allowed():
-            try:
-                return self.remote.claim(namespace, filename, owner=owner)
-            except (StoreUnavailableError, StoreProtocolError):
-                pass
-        return self.local.claim(namespace, filename, owner=owner)
+        reached, won = self._remote_call("claim", namespace, filename, owner=owner)
+        return won if reached else self.local.claim(namespace, filename, owner=owner)
 
     def claim_info(self, namespace: str, filename: str) -> ClaimTicket | None:
-        if self._remote_allowed():
-            try:
-                return self.remote.claim_info(namespace, filename)
-            except (StoreUnavailableError, StoreProtocolError):
-                pass
-        return self.local.claim_info(namespace, filename)
+        reached, ticket = self._remote_call("claim_info", namespace, filename)
+        return ticket if reached else self.local.claim_info(namespace, filename)
 
     def release(self, namespace: str, filename: str, *, owner: ClaimTicket | None = None) -> bool:
-        released = False
-        if self._remote_allowed():
-            try:
-                released = self.remote.release(namespace, filename, owner=owner)
-            except (StoreUnavailableError, StoreProtocolError):
-                pass
-        return self.local.release(namespace, filename, owner=owner) or released
+        _reached, released = self._remote_call("release", namespace, filename, owner=owner)
+        return self.local.release(namespace, filename, owner=owner) or bool(released)
 
     def quarantine(self, namespace: str, filename: str) -> bool:
         quarantined = self.local.quarantine(namespace, filename)
-        if self._remote_allowed():
-            # Quarantine (never silently delete) the shared copy too, so a
-            # corrupt entry stops being re-promoted on every read.
-            try:
-                quarantined = self.remote.quarantine(namespace, filename) or quarantined
-            except (StoreUnavailableError, StoreProtocolError):
-                pass
-        return quarantined
+        # Quarantine (never silently delete) the shared copy too, so a
+        # corrupt entry stops being re-promoted on every read.
+        _reached, shared = self._remote_call("quarantine", namespace, filename)
+        return bool(shared) or quarantined
 
 
 def make_store_backend(

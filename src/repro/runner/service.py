@@ -33,20 +33,14 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .artifacts import (
-    ArtifactStore,
-    StoreStats,
-    artifact_key,
-    load_producer,
-    produce_into,
-    record_stats,
-)
+from .artifacts import ArtifactStore, artifact_key, load_producer, produce_into, record_stats
 from .backends import MemoryBackend, claim_is_owned, wait_for_fill
 from .cache import CacheEntry, ResultCache, cache_key, run_provenance
 from .errors import UnknownExperimentError
 from .executor import ExecutionOutcome, ExecutionPolicy, execute_requests, produce_artifacts
 from .fingerprint import code_fingerprint
 from .registry import ExperimentSpec, build_registry
+from .store import StoreStats
 from ..analysis.sweep import SweepResult, sanitize_value
 
 logger = logging.getLogger(__name__)
@@ -112,6 +106,22 @@ class RunReport:
             compute_seconds=float(document["compute_seconds"]),
             key=document.get("key"),
             fingerprint=document.get("fingerprint"),
+        )
+
+    @classmethod
+    def replayed(
+        cls, name: str, config: dict[str, object], key: str, entry: CacheEntry, start: float
+    ) -> "RunReport":
+        """A cache hit found after a lookup that began at ``start`` (``perf_counter``)."""
+        return cls(
+            name=name,
+            rows=entry.rows,
+            config=config,
+            cached=True,
+            elapsed_seconds=time.perf_counter() - start,
+            compute_seconds=entry.elapsed_seconds,
+            key=key,
+            fingerprint=entry.fingerprint,
         )
 
 
@@ -213,18 +223,7 @@ class ExperimentRunner:
             return None
         start = time.perf_counter()
         entry = self.cache.get(name, key)
-        if entry is None:
-            return None
-        return RunReport(
-            name=name,
-            rows=entry.rows,
-            config=config,
-            cached=True,
-            elapsed_seconds=time.perf_counter() - start,
-            compute_seconds=entry.elapsed_seconds,
-            key=key,
-            fingerprint=entry.fingerprint,
-        )
+        return RunReport.replayed(name, config, key, entry, start) if entry is not None else None
 
     def run(self, name: str, **overrides: object) -> RunReport:
         """Run one experiment (cache-aware).
@@ -301,8 +300,8 @@ class ExperimentRunner:
         for level in levels:
             wave = [unit for unit in units if unit.level == level]
             missing = [unit for unit in wave if not self.artifacts.exists(unit.artifact, unit.key)]
-            stats.artifact_hits += len(wave) - len(missing)
-            stats.artifact_misses += len(missing)
+            stats["artifact_hits"] += len(wave) - len(missing)
+            stats["artifact_misses"] += len(missing)
             if observer is not None:
                 observer(
                     {
@@ -337,18 +336,8 @@ class ExperimentRunner:
                 # Fold worker-side store telemetry (claims won/lost against
                 # concurrent fillers, corruption, evictions, remote traffic)
                 # into the stats the parent persists.
-                for produced_unit in produced:
-                    drained = produced_unit[2] if len(produced_unit) > 2 else {}
-                    stats.artifact_claims += drained.get("claims", 0)
-                    stats.artifact_claim_waits += drained.get("claim_waits", 0)
-                    stats.artifact_corrupt += drained.get("corrupt", 0)
-                    stats.quarantined += drained.get("quarantined", 0)
-                    stats.artifact_evictions += drained.get("evictions", 0)
-                    stats.artifact_evicted_bytes += drained.get("evicted_bytes", 0)
-                    stats.claim_wait_timeouts += drained.get("claim_wait_timeouts", 0)
-                    stats.remote_hits += drained.get("remote_hits", 0)
-                    stats.remote_errors += drained.get("remote_errors", 0)
-                    stats.breaker_opens += drained.get("breaker_opens", 0)
+                for _key, _elapsed, drained in produced:
+                    stats += drained
             if observer is not None:
                 observer({"event": "artifact_wave_done", "level": level, "produced": len(missing)})
         return stats
@@ -363,6 +352,7 @@ class ExperimentRunner:
         fingerprint: str,
         policy: ExecutionPolicy | None,
         outcome: ExecutionOutcome,
+        stats: StoreStats,
     ) -> RunReport:
         """Resolve one cold request whose fill claim a concurrent runner won.
 
@@ -375,54 +365,55 @@ class ExperimentRunner:
         start = time.perf_counter()
         entry = wait_for_fill(self.cache, name, key)
         if entry is not None:
-            return RunReport(
-                name=name,
-                rows=entry.rows,
-                config=config,
-                cached=True,
-                elapsed_seconds=time.perf_counter() - start,
-                compute_seconds=entry.elapsed_seconds,
-                key=key,
-                fingerprint=entry.fingerprint,
-            )
+            return RunReport.replayed(name, config, key, entry, start)
         owns_claim = claim_is_owned(self.cache, name, key)
-        artifacts_root = (
-            str(self.artifacts.root)
-            if self.use_artifacts and self.artifacts.root is not None
-            else None
-        )
         try:
             ((rows, elapsed),) = execute_requests(
                 [(name, config)],
                 jobs=1,
-                artifacts_root=artifacts_root,
+                artifacts_root=self._artifacts_root(),
                 registry=self.registry,
                 policy=policy,
                 outcome=outcome,
                 store_url=self._store_url() if self.use_artifacts else None,
+                stats=stats,
             )
         except BaseException:
             if owns_claim:
                 self.cache.release_claim(name, key)
             raise
-        if owns_claim:
-            try:
-                self.cache.put(
-                    key,
-                    CacheEntry(
-                        experiment=name,
-                        params=json.loads(self.spec(name).canonical_json(config)),
-                        fingerprint=fingerprint,
-                        result=SweepResult(records=rows),
-                        elapsed_seconds=elapsed,
-                        provenance=run_provenance(),
-                    ),
-                )
-            except OSError as error:  # full/read-only disk: serve uncached
-                self.cache.release_claim(name, key)
-                logger.warning(
-                    "result cache write failed for %s (%s); continuing uncached", name, error
-                )
+        return self._computed(name, config, key, fingerprint, rows, elapsed, store=owns_claim)
+
+    def _artifacts_root(self) -> str | None:
+        """The artifact store root workers activate (``None`` = no reuse)."""
+        if self.use_artifacts and self.artifacts.root is not None:
+            return str(self.artifacts.root)
+        return None
+
+    def _computed(
+        self,
+        name: str,
+        config: dict[str, object],
+        key: str,
+        fingerprint: str,
+        rows: list[dict[str, object]],
+        elapsed: float,
+        *,
+        store: bool,
+    ) -> RunReport:
+        """The report of a live run, persisted first when ``store`` (we own the claim)."""
+        if store:
+            self.cache.put_or_release(
+                key,
+                CacheEntry(
+                    experiment=name,
+                    params=json.loads(self.spec(name).canonical_json(config)),
+                    fingerprint=fingerprint,
+                    result=SweepResult(records=rows),
+                    elapsed_seconds=elapsed,
+                    provenance=run_provenance(),
+                ),
+            )
         return RunReport(
             name=name,
             rows=rows,
@@ -467,18 +458,7 @@ class ExperimentRunner:
             lookup_start = time.perf_counter()
             entry = self.cache.get(name, key) if self.use_cache else None
             if entry is not None:
-                prepared.append(
-                    RunReport(
-                        name=name,
-                        rows=entry.rows,
-                        config=config,
-                        cached=True,
-                        elapsed_seconds=time.perf_counter() - lookup_start,
-                        compute_seconds=entry.elapsed_seconds,
-                        key=key,
-                        fingerprint=entry.fingerprint,
-                    )
-                )
+                prepared.append(RunReport.replayed(name, config, key, entry, lookup_start))
             else:
                 prepared.append(None)
                 # Identical cold requests in one call compute only once.
@@ -518,18 +498,13 @@ class ExperimentRunner:
                         waiting.append(item)
             try:
                 if owned:
-                    artifacts_root: str | None = None
                     if self.use_artifacts:
                         units = self._plan_artifacts(
                             [(name, config) for _index, name, config, _key in owned]
                         )
-                        stats = stats.add(
-                            self._ensure_artifacts(
-                                units, jobs=jobs, observer=observer, policy=policy, outcome=outcome
-                            )
+                        stats += self._ensure_artifacts(
+                            units, jobs=jobs, observer=observer, policy=policy, outcome=outcome
                         )
-                        if self.artifacts.root is not None:
-                            artifacts_root = str(self.artifacts.root)
                     if observer is not None:
                         observer(
                             {
@@ -541,47 +516,20 @@ class ExperimentRunner:
                     results = execute_requests(
                         [(name, config) for _index, name, config, _key in owned],
                         jobs=jobs,
-                        artifacts_root=artifacts_root,
+                        artifacts_root=self._artifacts_root(),
                         registry=self.registry,
                         policy=policy,
                         outcome=outcome,
                         store_url=self._store_url() if self.use_artifacts else None,
+                        stats=stats,
                     )
                     for (index, name, config, key), (rows, elapsed) in zip(owned, results):
-                        spec = self.spec(name)
-                        if self.use_cache:
-                            try:
-                                self.cache.put(
-                                    key,
-                                    CacheEntry(
-                                        experiment=name,
-                                        params=json.loads(spec.canonical_json(config)),
-                                        fingerprint=fingerprints[name],
-                                        result=SweepResult(records=rows),
-                                        elapsed_seconds=elapsed,
-                                        provenance=run_provenance(),
-                                    ),
-                                )
-                            except OSError as error:  # full/read-only disk: serve uncached
-                                self.cache.release_claim(name, key)
-                                logger.warning(
-                                    "result cache write failed for %s (%s); continuing uncached",
-                                    name,
-                                    error,
-                                )
-                        prepared[index] = RunReport(
-                            name=name,
-                            rows=rows,
-                            config=config,
-                            cached=False,
-                            elapsed_seconds=elapsed,
-                            compute_seconds=elapsed,
-                            key=key,
-                            fingerprint=fingerprints[name],
+                        prepared[index] = self._computed(
+                            name, config, key, fingerprints[name], rows, elapsed, store=self.use_cache
                         )
                 for index, name, config, key in waiting:
                     prepared[index] = self._resolve_waiting(
-                        name, config, key, fingerprints[name], policy, outcome
+                        name, config, key, fingerprints[name], policy, outcome, stats
                     )
             except BaseException:
                 # Never leak fill claims on the way out: waiters in other
@@ -603,25 +551,8 @@ class ExperimentRunner:
                     key=source.key,
                     fingerprint=source.fingerprint,
                 )
-        result_drained = self.cache.drain_stats()
-        artifact_drained = self.artifacts.drain_stats()
-        stats.result_corrupt += result_drained["corrupt"]
-        stats.artifact_corrupt += artifact_drained["corrupt"]
-        stats.quarantined += result_drained["quarantined"] + artifact_drained["quarantined"]
-        stats.result_claims += result_drained["claims"]
-        stats.result_claim_waits += result_drained["claim_waits"]
-        stats.result_evictions += result_drained["evictions"]
-        stats.result_evicted_bytes += result_drained["evicted_bytes"]
-        stats.artifact_claims += artifact_drained["claims"]
-        stats.artifact_claim_waits += artifact_drained["claim_waits"]
-        stats.artifact_evictions += artifact_drained["evictions"]
-        stats.artifact_evicted_bytes += artifact_drained["evicted_bytes"]
-        for drained in (result_drained, artifact_drained):
-            stats.claim_wait_timeouts += drained.get("claim_wait_timeouts", 0)
-            stats.remote_hits += drained.get("remote_hits", 0)
-            stats.remote_errors += drained.get("remote_errors", 0)
-            stats.breaker_opens += drained.get("breaker_opens", 0)
-        stats.retried += outcome.retries
+        stats += self.cache.drain_stats() + self.artifacts.drain_stats()
+        stats["retried"] += outcome.retries
         if (self.use_cache or self.use_artifacts) and self.cache.root is not None:
             try:
                 record_stats(self.cache.root, stats)

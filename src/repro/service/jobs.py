@@ -229,6 +229,14 @@ class JobManager:
         if self._journal is not None:
             self._restore()
 
+    @staticmethod
+    def _interrupt(record: JobRecord, message: str) -> None:
+        """Mark an unfinished record ``interrupted`` (re-runnable via retry)."""
+        record.state = INTERRUPTED
+        record.finished_unix = record.finished_unix or time.time()
+        record.error = {"code": "interrupted", "message": message}
+        record.progress["phase"] = "interrupted"
+
     def _restore(self) -> None:
         """Replay the journal: finished jobs verbatim, unfinished -> interrupted."""
         for document in self._journal.load():
@@ -238,13 +246,7 @@ class JobManager:
                 logger.warning("skipping malformed journaled job record")
                 continue
             if record.state in (QUEUED, RUNNING):
-                record.state = INTERRUPTED
-                record.finished_unix = record.finished_unix or time.time()
-                record.error = {
-                    "code": "interrupted",
-                    "message": "the service stopped while this job was in flight; retry to re-run",
-                }
-                record.progress["phase"] = "interrupted"
+                self._interrupt(record, "the service stopped while this job was in flight; retry to re-run")
             self._records[record.id] = record
             self._order.append(record.id)
             if record.idempotency_key is not None:
@@ -510,13 +512,7 @@ class JobManager:
         with self._lock:
             for record in self._records.values():
                 if record.state in (QUEUED, RUNNING):
-                    record.state = INTERRUPTED
-                    record.finished_unix = time.time()
-                    record.error = {
-                        "code": "interrupted",
-                        "message": "the service shut down before this job finished; retry to re-run",
-                    }
-                    record.progress["phase"] = "interrupted"
+                    self._interrupt(record, "the service shut down before this job finished; retry to re-run")
                     interrupted += 1
                     self._journal_append(record)
         # cancel_futures drops still-queued work; a genuinely hung running

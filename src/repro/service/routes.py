@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import asyncio
 import math
-import os
 import re
 import time
 from typing import Awaitable, Callable
@@ -33,7 +32,7 @@ from .models import (
 from .server import Request, Response
 from .. import api
 from ..runner.artifacts import load_stats
-from ..runner.backends import MemoryBackend
+from ..runner.backends import MemoryBackend, env_number
 from ..runner.cache import ResultCache
 from ..runner.service import ExperimentRunner, RunReport
 
@@ -43,13 +42,9 @@ DEFAULT_WARM_CACHE_BYTES = 32 * 1024 * 1024
 
 
 def _warm_cache_bytes() -> int:
-    value = os.environ.get(WARM_CACHE_ENV)
-    if not value:
-        return DEFAULT_WARM_CACHE_BYTES
-    try:
-        return max(0, int(value))
-    except ValueError:
-        return DEFAULT_WARM_CACHE_BYTES
+    """``$REPRO_WARM_CACHE_BYTES`` (negative values disable the L1, like 0)."""
+    return max(0, env_number(WARM_CACHE_ENV, DEFAULT_WARM_CACHE_BYTES, cast=int))
+
 
 Handler = Callable[[Request, dict[str, str]], Awaitable[Response]]
 
@@ -92,7 +87,7 @@ class ServiceApp:
         self._routes: list[tuple[str, str, re.Pattern[str], Handler]] = [
             (method, template, _compile(template), handler)
             for method, template, handler in (
-                ("GET", "/v1/health", self.get_health),
+                ("GET", "/v1/health", self.get_health_live),  # legacy alias of /v1/health/live
                 ("GET", "/v1/health/live", self.get_health_live),
                 ("GET", "/v1/health/ready", self.get_health_ready),
                 ("GET", "/v1/experiments", self.get_experiments),
@@ -141,11 +136,7 @@ class ServiceApp:
             route, handler, path_params = self._match(request)
             # Bound-method equality (not identity: each attribute access
             # builds a fresh method object) keeps the health probes exempt.
-            if self.limiter is not None and handler not in (
-                self.get_health,
-                self.get_health_live,
-                self.get_health_ready,
-            ):
+            if self.limiter is not None and handler not in (self.get_health_live, self.get_health_ready):
                 retry_after = self.limiter.check(request.client)
                 if retry_after > 0:
                     raise ServiceError(
@@ -167,9 +158,6 @@ class ServiceApp:
         return response
 
     # -- handlers ----------------------------------------------------------------
-
-    async def get_health(self, request: Request, _params: dict[str, str]) -> Response:
-        return Response(200, {"status": "ok", "request_id": request.request_id})
 
     async def get_health_live(self, request: Request, _params: dict[str, str]) -> Response:
         """Liveness: the process is up and serving its event loop.  Nothing else."""
@@ -237,17 +225,7 @@ class ServiceApp:
                     pass
         if entry is None:
             return None, False
-        report = RunReport(
-            name=name,
-            rows=entry.rows,
-            config=config,
-            cached=True,
-            elapsed_seconds=time.perf_counter() - start,
-            compute_seconds=entry.elapsed_seconds,
-            key=key,
-            fingerprint=entry.fingerprint,
-        )
-        return report, from_memory
+        return RunReport.replayed(name, config, key, entry, start), from_memory
 
     async def post_run(self, request: Request, path_params: dict[str, str]) -> Response:
         """Warm hits answer synchronously; cold configs become jobs."""

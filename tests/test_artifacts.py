@@ -192,8 +192,9 @@ class TestResolve:
         empty = load_stats(tmp_path).to_document()
         assert set(empty) == set(StoreStats.FIELDS)
         assert all(value == 0 for value in empty.values())
-        total = record_stats(tmp_path, StoreStats(result_hits=2, artifact_misses=1))
-        total = record_stats(tmp_path, StoreStats(result_misses=1, artifact_hits=4))
+        assert record_stats(tmp_path, StoreStats(result_hits=2, artifact_misses=1)) is None
+        record_stats(tmp_path, StoreStats(result_misses=1, artifact_hits=4))
+        total = load_stats(tmp_path)
         assert total.result_hits == 2 and total.result_misses == 1
         assert total.artifact_hits == 4 and total.artifact_misses == 1
         assert load_stats(tmp_path).artifact_hits == 4

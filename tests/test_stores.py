@@ -581,7 +581,8 @@ class TestStatsLog:
 
     def test_legacy_snapshot_still_counts(self, tmp_path):
         (tmp_path / "_stats.json").write_text(json.dumps({"result_hits": 5}))
-        total = record_stats(tmp_path, StoreStats(result_hits=2, result_claims=1))
+        record_stats(tmp_path, StoreStats(result_hits=2, result_claims=1))
+        total = load_stats(tmp_path)
         assert total.result_hits == 7
         assert total.result_claims == 1
 
