@@ -36,9 +36,7 @@ JOBS = 4
 def _serial_no_reuse() -> tuple[str, float]:
     """Cold serial `run all`, artifact reuse off: the pre-graph reference."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-serial-") as cache_dir:
-        runner = ExperimentRunner(
-            cache=ResultCache(cache_dir), use_cache=False, use_artifacts=False
-        )
+        runner = ExperimentRunner(cache=ResultCache(cache_dir), use_cache=False)
         start = time.perf_counter()
         reports = runner.run_all(jobs=1)
         elapsed = time.perf_counter() - start

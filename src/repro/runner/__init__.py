@@ -6,13 +6,14 @@ The runner unifies how the reproduction executes (PR 3, extended in PR 5):
   config canonicalization over ``repro.experiments.EXPERIMENTS``, plus the
   drivers' declared ``ARTIFACTS`` bindings;
 * :mod:`repro.runner.fingerprint` -- static import-closure code fingerprints;
-* :mod:`repro.runner.backends` -- the pluggable :class:`StoreBackend`
-  protocol (disk + in-memory), first-writer-wins fill claims and LRU
-  eviction, plus the shared env-parsing and backoff helpers;
+* :mod:`repro.runner.backends` -- the pluggable byte-level
+  :class:`StoreBackend` protocol (disk + in-memory) with its claim tickets
+  and LRU eviction, plus the shared env-parsing and backoff helpers;
 * :mod:`repro.runner.store` -- the one content-addressed
-  :class:`ContentStore` (quarantine, claims, byte budget, listings) and
-  the :class:`StoreStats` counter map; both stores below are
-  configurations of it;
+  :class:`ContentStore` (quarantine, the first-writer-wins
+  :meth:`~ContentStore.fill` / :meth:`~ContentStore.wait_for_fill` path,
+  byte budget, listings) and the :class:`StoreStats` counter map; both
+  stores below are configurations of it;
 * :mod:`repro.runner.cache` -- the JSON result cache
   (key = experiment + canonical params + code fingerprint);
 * :mod:`repro.runner.artifacts` -- the pickled store for shared
@@ -44,7 +45,6 @@ from .backends import (
     MemoryBackend,
     StoreBackend,
     evict_lru,
-    wait_for_fill,
 )
 from .cache import CacheEntry, ResultCache, cache_key
 from .cli import CliError, main
@@ -77,7 +77,6 @@ __all__ = [
     "StoreBackend",
     "StoreStats",
     "evict_lru",
-    "wait_for_fill",
     "activated",
     "active_store",
     "artifact_key",

@@ -30,9 +30,11 @@ Two layers use the store:
 :class:`ArtifactStore` is the pickle configuration of the one
 :class:`~repro.runner.store.ContentStore` the result cache also uses, so
 concurrent fillers (workers in one run, or whole fleets sharing a store)
-coordinate through the same first-writer-wins claims:
-:func:`produce_into` computes only after winning the fill claim, and
-losers wait for the winner's entry instead of duplicating the work.  A
+coordinate through the same first-writer-wins fill path:
+:func:`produce_into` is an entry-building closure handed to
+:meth:`~repro.runner.store.ContentStore.fill`, which computes only after
+winning the fill claim and makes losers wait for the winner's entry
+instead of duplicating the work.  A
 ``max_bytes`` budget (``$REPRO_ARTIFACTS_MAX_BYTES``; deliberately
 separate from the result cache's cap, so a tight result budget cannot
 thrash multi-MB trained networks) bounds the store with LRU eviction.
@@ -59,7 +61,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .backends import claim_is_owned, wait_for_fill
 from .fingerprint import code_fingerprint
 from .store import ContentStore, StoreStats, content_key
 
@@ -167,42 +168,22 @@ class ArtifactStore(ContentStore):
 # -- active store -------------------------------------------------------------------
 #
 # Producer-module resolvers find the store through this process-wide slot:
-# the scheduler activates it around in-process executions, and workers
-# activate it from the store root shipped with their task.  When nothing is
-# active (direct driver calls, tests), resolvers compute inline.
+# the executor activates the runner's store around in-process executions,
+# and workers activate the store they rebuild from its root (and URL).
+# When nothing is active (direct driver calls, tests), resolvers compute
+# inline.
 
-#: Sentinel for "nothing activated": fall through to ``$REPRO_ARTIFACTS_DIR``.
-#: Distinct from ``None``, which means *explicitly disabled* -- the no-reuse
-#: paths (``use_artifacts=False``, workers handed ``artifacts_root=None``)
-#: must stay reuse-free even when the environment variable is set.
-_INHERIT: object = object()
-
-_ACTIVE_STORE: ArtifactStore | None | object = _INHERIT
+_ACTIVE_STORE: ArtifactStore | None = None
 
 
 def active_store() -> ArtifactStore | None:
-    """The store resolvers should use, or ``None`` to compute inline.
-
-    Priority: whatever ``activated`` installed (a store, or ``None`` for an
-    explicit no-reuse scope), else a store at ``$REPRO_ARTIFACTS_DIR`` when
-    that variable is set, else none.
-    """
-    if _ACTIVE_STORE is not _INHERIT:
-        return _ACTIVE_STORE
-    env = os.environ.get("REPRO_ARTIFACTS_DIR")
-    if env:
-        return ArtifactStore(env)
-    return None
+    """The store resolvers should use, or ``None`` to compute inline."""
+    return _ACTIVE_STORE
 
 
 @contextlib.contextmanager
 def activated(store: ArtifactStore | None):
-    """Temporarily make ``store`` the active one (``None`` disables reuse).
-
-    Passing ``None`` is an explicit *no-store* scope: resolvers compute
-    inline even if ``$REPRO_ARTIFACTS_DIR`` is set, so no-reuse runs stay
-    genuinely reuse-free.
-    """
+    """Temporarily make ``store`` the active one (``None`` disables reuse)."""
     global _ACTIVE_STORE
     previous = _ACTIVE_STORE
     _ACTIVE_STORE = store
@@ -229,47 +210,30 @@ def produce_into(
 ) -> ArtifactEntry:
     """Compute one artifact (store active for nested resolvers) and persist it.
 
-    First-writer-wins: losing the fill claim means a concurrent producer is
-    already computing this address, so wait for its entry instead of
-    duplicating the work.  A stale claim (dead producer) is taken over; a
-    blown wait deadline falls back to computing *uncached* -- wasteful but
-    deterministic, never corrupting, and never touching the claim some
-    live producer still owns.
+    Fills through :meth:`~repro.runner.store.ContentStore.fill`: losing the
+    claim to a concurrent producer means waiting for its entry instead of
+    duplicating the work.
     """
     if fingerprint is None:
         fingerprint = code_fingerprint(producer.__module__)
     if key is None:
         key = artifact_key(artifact, params, fingerprint)
-    owns_claim = store.claim(artifact, key)
-    if not owns_claim:
-        store.note_wait()
-        entry = wait_for_fill(store, artifact, key)
-        if entry is not None:
-            return entry
-        # Either we took the claim over (dead producer) or the wait deadline
-        # expired and someone else still owns it; only an owned claim may be
-        # released or cleared by our put.
-        owns_claim = claim_is_owned(store, artifact, key)
-    try:
+
+    def compute() -> ArtifactEntry:
         with activated(store):
             start = time.perf_counter()
             payload = producer(**dict(params))
             elapsed = time.perf_counter() - start
-    except BaseException:
-        if owns_claim:
-            store.release_claim(artifact, key)
-        raise
-    entry = ArtifactEntry(
-        artifact=artifact,
-        params=dict(params),
-        fingerprint=fingerprint,
-        payload=payload,
-        elapsed_seconds=elapsed,
-        provenance=_artifact_provenance(),
-    )
-    if owns_claim:
-        store.put_or_release(key, entry)
-    return entry
+        return ArtifactEntry(
+            artifact=artifact,
+            params=dict(params),
+            fingerprint=fingerprint,
+            payload=payload,
+            elapsed_seconds=elapsed,
+            provenance=_artifact_provenance(),
+        )
+
+    return store.fill(artifact, key, compute)[0]
 
 
 def resolve_artifact(

@@ -12,10 +12,11 @@ own durability, atomicity and the concurrency primitives:
 * **first-writer-wins claims** -- ``claim()`` creates a per-entry claim
   ticket with ``O_CREAT | O_EXCL`` (the :mod:`repro.faults` ticket
   idiom), so exactly one of N processes cold-filling the same content
-  address wins; losers poll :func:`wait_for_fill` and read the winner's
-  entry instead of recomputing.  A claim records ``{pid, host,
-  created_unix}`` so a dead winner (killed mid-fill) is detected and the
-  claim taken over;
+  address wins.  A claim records ``{pid, host, created_unix}`` so a dead
+  winner (killed mid-fill) is detected and the claim taken over.  The
+  fill protocol on top -- claim, compute, put; losers poll for the
+  winner's entry -- is :meth:`~repro.runner.store.ContentStore.fill` and
+  :meth:`~repro.runner.store.ContentStore.wait_for_fill`;
 * **access-time sidecars** -- every read touches a per-entry ``.atime``
   sidecar, giving :func:`evict_lru` an LRU order without rewriting
   entries;
@@ -30,8 +31,8 @@ exact on-disk layout the stores have always used, so existing caches
 stay valid) and :class:`MemoryBackend` (lock-guarded dicts; used by
 tests and the HTTP service's warm-path L1).  The networked backends of
 :mod:`repro.runner.netstore` plug into the same seam.  The module also
-holds the two small helpers every runner layer shares:
-:func:`env_number` (the one environment-variable parser) and
+holds the small helpers every runner layer shares: :func:`env_number`
+(the one environment-variable parser), the claim wait/TTL/poll knobs, and
 :func:`backoff_delay` (exponential backoff with deterministic jitter).
 
 This module deliberately imports only the standard library, so adding it
@@ -61,7 +62,7 @@ DEFAULT_CLAIM_WAIT_SECONDS = 600.0
 ENV_CLAIM_TTL = "REPRO_CLAIM_TTL_SECONDS"
 DEFAULT_CLAIM_TTL_SECONDS = 900.0
 
-#: Poll interval of :func:`wait_for_fill` (override via the environment so
+#: Poll interval of a fill waiter (override via the environment so
 #: claim-contention tests and chaos runs don't sleep full 50 ms ticks).
 ENV_CLAIM_POLL = "REPRO_CLAIM_POLL_SECONDS"
 CLAIM_POLL_SECONDS = 0.05
@@ -123,7 +124,7 @@ def claim_ttl_seconds() -> float:
 
 
 def claim_poll_seconds() -> float:
-    """Poll interval of :func:`wait_for_fill` (``$REPRO_CLAIM_POLL_SECONDS``)."""
+    """Poll interval of a fill waiter (``$REPRO_CLAIM_POLL_SECONDS``)."""
     return env_number(ENV_CLAIM_POLL, CLAIM_POLL_SECONDS, accept=lambda value: value > 0)
 
 
@@ -147,6 +148,10 @@ class ClaimTicket:
     def mine(cls) -> "ClaimTicket":
         """A fresh ticket naming this process."""
         return cls(pid=os.getpid(), host=_HOST, created_unix=round(time.time(), 3))
+
+    def is_mine(self) -> bool:
+        """Whether this ticket names the current process."""
+        return self.pid == os.getpid() and self.host == _HOST
 
     def to_document(self) -> dict[str, object]:
         return {"pid": self.pid, "host": self.host, "created_unix": self.created_unix}
@@ -532,68 +537,3 @@ def evict_lru(
             evicted += 1
             freed += size
     return evicted, freed
-
-
-def claim_is_owned(store, namespace: str, key: str) -> bool:
-    """Whether the current ticket on ``(namespace, key)`` belongs to *us*.
-
-    Callers that got ``None`` from :func:`wait_for_fill` use this to tell
-    a takeover (we own the claim; release/fill it) from a deadline expiry
-    (someone else still owns it; compute without touching the claim).
-    """
-    ticket = store.claim_info(namespace, key)
-    return ticket is not None and ticket.pid == os.getpid() and ticket.host == _HOST
-
-
-def wait_for_fill(store, namespace: str, key: str, *, poll_seconds: float | None = None):
-    """Poll until a concurrent filler's entry lands, or the caller must compute.
-
-    ``store`` is a :class:`~repro.runner.store.ContentStore` (the result
-    cache or the artifact store).  Returns the winner's entry when the
-    fill completes.  Returns ``None`` when the caller should compute
-    instead -- either it now *owns* the claim (the previous winner died or
-    released without filling) or the wait deadline
-    (``$REPRO_CLAIM_WAIT_SECONDS``) expired, in which case the duplicate
-    fill is wasteful but deterministic, never corrupting.  Deadline
-    expiries tally the store's ``note_wait_timeout`` counter;
-    :func:`claim_is_owned` distinguishes the two ``None`` cases for the
-    caller.
-    """
-    if poll_seconds is None:
-        poll_seconds = claim_poll_seconds()
-    deadline = time.monotonic() + claim_wait_seconds()
-    ttl = claim_ttl_seconds()
-    while True:
-        entry = store.get(namespace, key)
-        if entry is not None:
-            return entry
-        ticket = store.claim_info(namespace, key)
-        if ticket is None or ticket.is_stale(ttl_seconds=ttl):
-            # The writer vanished (released without filling) or died
-            # mid-fill.  Entries land before claims clear, so first re-check
-            # for a fill that completed between the ``get`` above and the
-            # ticket read -- claiming in that window would tally a spurious
-            # takeover in the store's claim counters.
-            entry = store.get(namespace, key)
-            if entry is not None:
-                return entry
-            # Break exactly that ticket and take the claim over.
-            if ticket is not None:
-                store.break_claim(namespace, key, ticket)
-            if store.claim(namespace, key):
-                # Re-check once more: a full fill cycle squeezing between the
-                # re-check above and this claim is near-impossible but cheap
-                # to rule out.
-                entry = store.get(namespace, key)
-                if entry is None:
-                    return None  # we own the claim: compute
-                store.release_claim(namespace, key)
-                return entry
-        if time.monotonic() >= deadline:
-            # Hard-deadline exhaustion: degrade to computing locally rather
-            # than raising or spinning forever.  The caller does NOT own the
-            # claim here -- its result lands uncached (the winner's entry,
-            # whenever it arrives, stays authoritative).
-            store.note_wait_timeout()
-            return None
-        time.sleep(poll_seconds)

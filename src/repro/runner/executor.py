@@ -11,8 +11,8 @@ Three fan-out shapes live here:
 
 * :func:`produce_artifacts` -- computes missing sub-experiment artifacts
   (one worker per unit) and persists them into the content-addressed
-  :class:`~repro.runner.artifacts.ArtifactStore`; the service calls it once
-  per topological wave of the producer/consumer DAG.
+  :class:`~repro.runner.artifacts.ArtifactStore` it is handed; the service
+  calls it once per topological wave of the producer/consumer DAG.
 
 * :func:`execute_requests` -- runs ``(experiment, canonical config)``
   requests, one worker process each, used by the runner service and the CLI
@@ -49,13 +49,17 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from ..analysis.sweep import SweepResult, sweep_grid
 from ..faults import fault_point
 from .backends import backoff_delay
 from .errors import UnitTimeoutError, WorkerCrashError
 from .store import StoreStats
+
+if TYPE_CHECKING:
+    from .artifacts import ArtifactStore
+    from .service import ArtifactUnit
 
 
 @dataclass(frozen=True)
@@ -381,75 +385,90 @@ def parallel_sweep(
     return SweepResult(records=records)
 
 
-def _build_artifact_store(store_root: str, store_url: str | None):
-    """Rebuild a worker's artifact store: tiered onto ``store_url`` when set.
+def _store_locator(store: "ArtifactStore | None") -> tuple[str, str | None] | None:
+    """The ``(root, url)`` a worker rebuilds ``store`` from (``None``: no store)."""
+    return None if store is None else (str(store.root), getattr(store.backend, "url", None))
 
-    The netstore import stays inside this function (and this module) so
-    the networked backend never enters the drivers' static import closure
-    -- driver fingerprints are identical with and without a shared store.
+
+def _open_store(store: "ArtifactStore | tuple[str, str | None] | None") -> "ArtifactStore | None":
+    """A unit's artifact store: the object itself in-process, rebuilt from its locator in a worker.
+
+    A locator with a URL rebuilds a store tiered onto it.  The netstore
+    import stays inside this function (and this module) so the networked
+    backend never enters the drivers' static import closure -- driver
+    fingerprints are identical with and without a shared store.
     """
+    if not isinstance(store, tuple):
+        return store
     from .artifacts import ArtifactStore
 
-    if store_url is None:
-        return ArtifactStore(store_root)
+    root, url = store
+    if url is None:
+        return ArtifactStore(root)
     from .netstore import ARTIFACT_SUBROOT, make_store_backend
 
-    return ArtifactStore(
-        backend=make_store_backend(store_root, store_url, subroot=ARTIFACT_SUBROOT)
-    )
+    return ArtifactStore(backend=make_store_backend(root, url, subroot=ARTIFACT_SUBROOT))
 
 
-def _produce_artifact(
-    task: tuple[str, str, dict[str, object], str, str, str, str | None],
-) -> tuple[str, float, StoreStats]:
+def _produce_artifact(task: tuple["ArtifactUnit", object]) -> tuple[str, float, StoreStats]:
     """Worker body: compute one artifact unit and persist it into the store.
 
-    The store is activated around the producer call so producers that
-    themselves resolve earlier-wave artifacts (``after`` dependencies) hit
-    the entries those waves already wrote.  The worker store's drained
-    counters (claims, claim waits, corruption, evictions, remote traffic)
-    travel back with the result so the parent can fold them into the
-    persisted stats.
+    The store is activated around the producer call (by ``produce_into``)
+    so producers that themselves resolve earlier-wave artifacts (``after``
+    dependencies) hit the entries those waves already wrote.  The store's
+    drained counters (claims, claim waits, corruption, evictions, remote
+    traffic) travel back with the result so the parent can fold them into
+    the persisted stats.
     """
     from .artifacts import load_producer, produce_into
 
-    artifact, producer_path, params, key, fingerprint, store_root, store_url = task
-    fault_point("executor.artifact", key=artifact)
-    store = _build_artifact_store(store_root, store_url)
+    unit, store = task
+    fault_point("executor.artifact", key=unit.artifact)
+    store = _open_store(store)
     entry = produce_into(
         store,
-        artifact,
-        params,
-        load_producer(producer_path),
-        key=key,
-        fingerprint=fingerprint,
+        unit.artifact,
+        dict(unit.params),
+        load_producer(unit.producer),
+        key=unit.key,
+        fingerprint=unit.fingerprint,
     )
-    return key, entry.elapsed_seconds, store.drain_stats()
+    return unit.key, entry.elapsed_seconds, store.drain_stats()
 
 
 def produce_artifacts(
-    tasks: list[tuple[str, str, dict[str, object], str, str, str, str | None]],
+    units: list["ArtifactUnit"],
+    store: "ArtifactStore",
     *,
     jobs: int | None = None,
     policy: ExecutionPolicy | None = None,
     outcome: ExecutionOutcome | None = None,
 ) -> list[tuple[str, float, StoreStats]]:
-    """Produce artifact units (optionally in parallel); results in input order.
+    """Produce artifact units into ``store`` (optionally in parallel); input order.
 
-    Each task is ``(artifact, producer path, params, key, fingerprint,
-    store root, store url)``.  Units inside one call must be independent --
-    the service slices the DAG into topological waves and makes one call
-    per wave.  Units that already persisted their entry before a crash are
-    naturally skipped on retry (the store is content-addressed), so a
-    recovered wave never recomputes finished work.
+    Each result is ``(key, elapsed seconds, drained store counters)``.
+    Workers rebuild ``store`` from its root (tiered onto its URL when
+    networked); a store with no disk root is produced in-process.  Units
+    inside one call must be independent -- the service slices the DAG into
+    topological waves and makes one call per wave.  Units that already
+    persisted their entry before a crash are naturally skipped on retry
+    (the store is content-addressed), so a recovered wave never recomputes
+    finished work.
     """
+    locator = _store_locator(store)
     return _run_resilient(
-        tasks, _produce_artifact, jobs=jobs, policy=policy, outcome=outcome, label="artifact"
+        [(unit, locator) for unit in units],
+        _produce_artifact,
+        jobs=1 if store.root is None else jobs,
+        policy=policy,
+        outcome=outcome,
+        label="artifact",
+        serial_worker=lambda task: _produce_artifact((task[0], store)),
     )
 
 
 def _execute_request(
-    task: tuple[str, dict[str, object], str | None, str | None],
+    task: tuple[str, dict[str, object], object],
     registry: Mapping[str, object] | None = None,
 ) -> tuple[list[dict[str, object]], float, StoreStats]:
     """Worker body: run one experiment with a canonical config.
@@ -457,21 +476,18 @@ def _execute_request(
     Imports happen here (inside the worker) so spawned processes build their
     own module state; rows are sanitised before crossing the process
     boundary so the parent sees exactly what the cache would store.  The
-    artifact store root (``None`` = reuse disabled) is activated around the
-    run so driver resolvers load the pre-produced intermediates; with a
-    store URL the store tiers onto the shared networked one.  The store's
+    artifact store (``None`` = reuse disabled) is activated around the run
+    so driver resolvers load the pre-produced intermediates.  The store's
     drained counters (a resolver quarantining a corrupt entry and
     recomputing it, say) travel back with the rows.
     """
     from .artifacts import activated
     from .registry import build_registry
 
-    name, config, artifacts_root, store_url = task
+    name, config, store = task
     fault_point("executor.unit", key=name)
     spec = (registry if registry is not None else build_registry())[name]
-    store = (
-        _build_artifact_store(artifacts_root, store_url) if artifacts_root is not None else None
-    )
+    store = _open_store(store)
     with activated(store):
         start = time.perf_counter()
         rows = spec.execute(config)
@@ -484,15 +500,16 @@ def execute_requests(
     requests: list[tuple[str, dict[str, object]]],
     *,
     jobs: int | None = None,
-    artifacts_root: str | None = None,
+    store: "ArtifactStore | None" = None,
     registry: Mapping[str, object] | None = None,
     policy: ExecutionPolicy | None = None,
     outcome: ExecutionOutcome | None = None,
-    store_url: str | None = None,
     stats: StoreStats | None = None,
 ) -> list[tuple[list[dict[str, object]], float]]:
     """Run experiment requests, optionally in parallel; results in input order.
 
+    ``store`` is the artifact store driver resolvers read (``None`` = no
+    reuse); workers rebuild it as :func:`produce_artifacts` does.
     ``registry`` (when given) resolves specs on the inline path, so runners
     with injected registries (tests, embedders) can execute experiments that
     ``build_registry`` does not know about.  Worker processes always rebuild
@@ -500,15 +517,15 @@ def execute_requests(
     process boundary.  ``stats`` (when given) accumulates the artifact-store
     counters the executions tallied, like ``outcome`` does for recovery.
     """
-    tasks = [(name, config, artifacts_root, store_url) for name, config in requests]
+    locator = _store_locator(store)
     results = _run_resilient(
-        tasks,
+        [(name, config, locator) for name, config in requests],
         _execute_request,
-        jobs=jobs,
+        jobs=1 if store is not None and store.root is None else jobs,
         policy=policy,
         outcome=outcome,
         label="experiment",
-        serial_worker=lambda task: _execute_request(task, registry),
+        serial_worker=lambda task: _execute_request((task[0], task[1], store), registry),
     )
     if stats is not None:
         for _rows, _elapsed, drained in results:

@@ -30,11 +30,11 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
-from .artifacts import ArtifactStore, artifact_key, load_producer, produce_into, record_stats
-from .backends import MemoryBackend, claim_is_owned, wait_for_fill
+from .artifacts import ArtifactStore, artifact_key, record_stats
+from .backends import MemoryBackend
 from .cache import CacheEntry, ResultCache, cache_key, run_provenance
 from .errors import UnknownExperimentError
 from .executor import ExecutionOutcome, ExecutionPolicy, execute_requests, produce_artifacts
@@ -124,6 +124,20 @@ class RunReport:
             fingerprint=entry.fingerprint,
         )
 
+    @classmethod
+    def computed(cls, name: str, config: dict[str, object], key: str, entry: CacheEntry) -> "RunReport":
+        """The report of a live run whose result is ``entry``."""
+        return cls(
+            name=name,
+            rows=entry.rows,
+            config=config,
+            cached=False,
+            elapsed_seconds=entry.elapsed_seconds,
+            compute_seconds=entry.elapsed_seconds,
+            key=key,
+            fingerprint=entry.fingerprint,
+        )
+
 
 @dataclass(frozen=True)
 class ArtifactUnit:
@@ -136,28 +150,14 @@ class ArtifactUnit:
     fingerprint: str
     level: int
 
-    def task(
-        self, store_root: str, store_url: str | None = None
-    ) -> tuple[str, str, dict[str, object], str, str, str, str | None]:
-        return (
-            self.artifact,
-            self.producer,
-            dict(self.params),
-            self.key,
-            self.fingerprint,
-            store_root,
-            store_url,
-        )
-
 
 class ExperimentRunner:
     """Unified, cache-aware front end over the experiment registry.
 
-    ``use_artifacts`` controls the cross-experiment artifact graph; it
-    defaults to ``use_cache`` so ``--no-cache`` style runs stay genuinely
-    reuse-free unless artifacts are enabled explicitly.  The store defaults
-    to ``<cache root>/artifacts`` so isolated cache directories (tests,
-    benchmarks) isolate their artifacts too.
+    ``use_cache`` governs both stores: with it off, runs are genuinely
+    reuse-free (no result replay, no artifact graph).  The artifact store
+    defaults to ``<cache root>/artifacts`` so isolated cache directories
+    (tests, benchmarks) isolate their artifacts too.
     """
 
     def __init__(
@@ -167,7 +167,6 @@ class ExperimentRunner:
         use_cache: bool = True,
         registry: Mapping[str, ExperimentSpec] | None = None,
         artifacts: ArtifactStore | None = None,
-        use_artifacts: bool | None = None,
     ):
         self.registry = dict(registry) if registry is not None else build_registry()
         self.cache = cache if cache is not None else ResultCache()
@@ -180,15 +179,6 @@ class ExperimentRunner:
             # Memory-backed result cache (tests, the service's warm L1):
             # keep the artifact store ephemeral too.
             self.artifacts = ArtifactStore(backend=MemoryBackend())
-        self.use_artifacts = use_cache if use_artifacts is None else use_artifacts
-
-    def _store_url(self) -> str | None:
-        """The networked-store URL workers should tier onto, if any.
-
-        A tiered/remote artifact backend exposes ``url``; plain disk and
-        memory backends do not, and workers then rebuild a local store.
-        """
-        return getattr(self.artifacts.backend, "url", None)
 
     def spec(self, name: str) -> ExperimentSpec:
         try:
@@ -294,8 +284,6 @@ class ExperimentRunner:
     ) -> StoreStats:
         """Produce the missing units, one wave per topological level."""
         stats = StoreStats()
-        store_root = str(self.artifacts.root) if self.artifacts.root is not None else None
-        store_url = self._store_url()
         levels = sorted({unit.level for unit in units})
         for level in levels:
             wave = [unit for unit in units if unit.level == level]
@@ -313,27 +301,9 @@ class ExperimentRunner:
                         "artifacts": sorted({unit.artifact for unit in missing}),
                     }
                 )
-            if missing and store_root is None:
-                # Off-disk (memory-backed) store: workers cannot share it,
-                # so produce inline in the parent.  Counters accrue on the
-                # store itself and are drained by the caller.
-                for unit in missing:
-                    produce_into(
-                        self.artifacts,
-                        unit.artifact,
-                        dict(unit.params),
-                        load_producer(unit.producer),
-                        key=unit.key,
-                        fingerprint=unit.fingerprint,
-                    )
-            elif missing:
-                produced = produce_artifacts(
-                    [unit.task(store_root, store_url) for unit in missing],
-                    jobs=jobs,
-                    policy=policy,
-                    outcome=outcome,
-                )
-                # Fold worker-side store telemetry (claims won/lost against
+            if missing:
+                produced = produce_artifacts(missing, self.artifacts, jobs=jobs, policy=policy, outcome=outcome)
+                # Fold producer-side store telemetry (claims won/lost against
                 # concurrent fillers, corruption, evictions, remote traffic)
                 # into the stats the parent persists.
                 for _key, _elapsed, drained in produced:
@@ -343,87 +313,6 @@ class ExperimentRunner:
         return stats
 
     # -- experiment execution ----------------------------------------------------
-
-    def _resolve_waiting(
-        self,
-        name: str,
-        config: dict[str, object],
-        key: str,
-        fingerprint: str,
-        policy: ExecutionPolicy | None,
-        outcome: ExecutionOutcome,
-        stats: StoreStats,
-    ) -> RunReport:
-        """Resolve one cold request whose fill claim a concurrent runner won.
-
-        Normally the winner's entry lands and this is a (slightly delayed)
-        cache hit.  If the winner died, :func:`wait_for_fill` hands us its
-        claim and we compute; if the wait deadline expired we compute
-        *without* a claim -- duplicated, uncached work, but deterministic
-        and never touching the claim the (slow, live) winner still owns.
-        """
-        start = time.perf_counter()
-        entry = wait_for_fill(self.cache, name, key)
-        if entry is not None:
-            return RunReport.replayed(name, config, key, entry, start)
-        owns_claim = claim_is_owned(self.cache, name, key)
-        try:
-            ((rows, elapsed),) = execute_requests(
-                [(name, config)],
-                jobs=1,
-                artifacts_root=self._artifacts_root(),
-                registry=self.registry,
-                policy=policy,
-                outcome=outcome,
-                store_url=self._store_url() if self.use_artifacts else None,
-                stats=stats,
-            )
-        except BaseException:
-            if owns_claim:
-                self.cache.release_claim(name, key)
-            raise
-        return self._computed(name, config, key, fingerprint, rows, elapsed, store=owns_claim)
-
-    def _artifacts_root(self) -> str | None:
-        """The artifact store root workers activate (``None`` = no reuse)."""
-        if self.use_artifacts and self.artifacts.root is not None:
-            return str(self.artifacts.root)
-        return None
-
-    def _computed(
-        self,
-        name: str,
-        config: dict[str, object],
-        key: str,
-        fingerprint: str,
-        rows: list[dict[str, object]],
-        elapsed: float,
-        *,
-        store: bool,
-    ) -> RunReport:
-        """The report of a live run, persisted first when ``store`` (we own the claim)."""
-        if store:
-            self.cache.put_or_release(
-                key,
-                CacheEntry(
-                    experiment=name,
-                    params=json.loads(self.spec(name).canonical_json(config)),
-                    fingerprint=fingerprint,
-                    result=SweepResult(records=rows),
-                    elapsed_seconds=elapsed,
-                    provenance=run_provenance(),
-                ),
-            )
-        return RunReport(
-            name=name,
-            rows=rows,
-            config=config,
-            cached=False,
-            elapsed_seconds=elapsed,
-            compute_seconds=elapsed,
-            key=key,
-            fingerprint=fingerprint,
-        )
 
     def run_many(
         self,
@@ -484,21 +373,42 @@ class ExperimentRunner:
         if cold:
             # First-writer-wins fill coordination: of N concurrent runners
             # cold-filling one content address, exactly one computes (it
-            # `owns` the claim); the rest wait on the winner's entry.
-            owned = cold
-            waiting: list[tuple[int, str, dict[str, object], str]] = []
+            # `owns` the claim); the rest wait on the winner's entry.  Claims
+            # are taken up front so the owned cells fan out in one batch.
+            store = self.artifacts if self.use_cache else None
+            owned, waiting = cold, []
             if self.use_cache:
                 owned = []
                 for item in cold:
                     _index, name, _config, key = item
-                    if self.cache.claim(name, key):
-                        owned.append(item)
-                    else:
-                        self.cache.note_wait()
-                        waiting.append(item)
+                    (owned if self.cache.claim(name, key) else waiting).append(item)
+
+            def execute(cells: list[tuple[int, str, dict[str, object], str]], jobs: int | None) -> list[CacheEntry]:
+                """Run ``cells`` (one batch over ``jobs``) into their cache entries."""
+                results = execute_requests(
+                    [(name, config) for _index, name, config, _key in cells],
+                    jobs=jobs,
+                    store=store,
+                    registry=self.registry,
+                    policy=policy,
+                    outcome=outcome,
+                    stats=stats,
+                )
+                return [
+                    CacheEntry(
+                        experiment=name,
+                        params=json.loads(self.spec(name).canonical_json(config)),
+                        fingerprint=fingerprints[name],
+                        result=SweepResult(records=rows),
+                        elapsed_seconds=elapsed,
+                        provenance=run_provenance(),
+                    )
+                    for (_index, name, config, _key), (rows, elapsed) in zip(cells, results)
+                ]
+
             try:
                 if owned:
-                    if self.use_artifacts:
+                    if self.use_cache:
                         units = self._plan_artifacts(
                             [(name, config) for _index, name, config, _key in owned]
                         )
@@ -513,23 +423,20 @@ class ExperimentRunner:
                                 "waiting": len(waiting),
                             }
                         )
-                    results = execute_requests(
-                        [(name, config) for _index, name, config, _key in owned],
-                        jobs=jobs,
-                        artifacts_root=self._artifacts_root(),
-                        registry=self.registry,
-                        policy=policy,
-                        outcome=outcome,
-                        store_url=self._store_url() if self.use_artifacts else None,
-                        stats=stats,
+                    for (index, name, config, key), entry in zip(owned, execute(owned, jobs)):
+                        if self.use_cache:
+                            self.cache.put_or_release(key, entry)
+                        prepared[index] = RunReport.computed(name, config, key, entry)
+                for item in waiting:
+                    index, name, config, key = item
+                    start = time.perf_counter()
+                    entry, computed = self.cache.fill(
+                        name, key, lambda: execute([item], 1)[0], claimed=False
                     )
-                    for (index, name, config, key), (rows, elapsed) in zip(owned, results):
-                        prepared[index] = self._computed(
-                            name, config, key, fingerprints[name], rows, elapsed, store=self.use_cache
-                        )
-                for index, name, config, key in waiting:
-                    prepared[index] = self._resolve_waiting(
-                        name, config, key, fingerprints[name], policy, outcome, stats
+                    prepared[index] = (
+                        RunReport.computed(name, config, key, entry)
+                        if computed
+                        else RunReport.replayed(name, config, key, entry, start)
                     )
             except BaseException:
                 # Never leak fill claims on the way out: waiters in other
@@ -541,19 +448,12 @@ class ExperimentRunner:
                 raise
             for index, key in duplicates:
                 source = prepared[cold[cold_position[key]][0]]
-                prepared[index] = RunReport(
-                    name=source.name,
-                    rows=[dict(row) for row in source.rows],
-                    config=dict(source.config),
-                    cached=source.cached,
-                    elapsed_seconds=source.elapsed_seconds,
-                    compute_seconds=source.compute_seconds,
-                    key=source.key,
-                    fingerprint=source.fingerprint,
+                prepared[index] = replace(
+                    source, rows=[dict(row) for row in source.rows], config=dict(source.config)
                 )
         stats += self.cache.drain_stats() + self.artifacts.drain_stats()
         stats["retried"] += outcome.retries
-        if (self.use_cache or self.use_artifacts) and self.cache.root is not None:
+        if self.use_cache and self.cache.root is not None:
             try:
                 record_stats(self.cache.root, stats)
             except OSError as error:  # stats are best-effort observability

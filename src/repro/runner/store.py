@@ -21,6 +21,12 @@ bytes, wrong schema, broken document shape) are **quarantined** to
 ``<root>/corrupt/<name>/`` and tallied, and the read behaves as a miss;
 a file that simply vanished (raced ``unlink``) stays a plain miss.
 
+Fills go through one first-writer-wins path, :meth:`ContentStore.fill`:
+claim the address, compute, put -- or, when a concurrent filler owns the
+claim, :meth:`ContentStore.wait_for_fill` for its entry (taking the claim
+over if the winner died).  Artifact production and cold experiment runs
+both fill through it.
+
 Counters are one :class:`StoreStats` vocabulary: a ``Counter`` keyed by
 the persisted flat names (``result_claims``, ``artifact_corrupt``,
 ``quarantined``, ...) that merges with ``+``.
@@ -38,12 +44,23 @@ import logging
 import os
 import pickle
 import threading
+import time
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from ..faults import fault_point
-from .backends import QUARANTINE_DIRNAME, ClaimTicket, DiskBackend, StoreBackend, env_number, evict_lru
+from .backends import (
+    QUARANTINE_DIRNAME,
+    ClaimTicket,
+    DiskBackend,
+    StoreBackend,
+    claim_poll_seconds,
+    claim_ttl_seconds,
+    claim_wait_seconds,
+    env_number,
+    evict_lru,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -107,11 +124,9 @@ class StoreStats(Counter):
     Keyed by the persisted flat names of :attr:`FIELDS`; merges with
     ``+`` / ``+=`` and reads as attributes (``stats.result_claims``).
     Persisted under the shared cache root as append-only delta lines
-    (see :func:`repro.runner.artifacts.record_stats`).
-
-    A store's drained counters carry its prefix as ``scope``, so they also
-    answer to the short store-local names: ``cache.drain_stats()["claims"]``
-    is ``cache.drain_stats()["result_claims"]``.
+    (see :func:`repro.runner.artifacts.record_stats`).  Only names in
+    :attr:`FIELDS` read as zero when absent; any other name raises
+    ``KeyError``, so a misspelt or short (unprefixed) read fails loudly.
     """
 
     FIELDS = (
@@ -146,14 +161,10 @@ class StoreStats(Counter):
         "breaker_opens",
     )
 
-    def __init__(self, counts: Mapping[str, int] | None = None, /, *, scope: str | None = None, **fields: int):
-        self.scope = scope
-        super().__init__(counts, **fields)
-
     def __missing__(self, key: str) -> int:
-        if self.scope is not None and key in PER_STORE_COUNTERS:
-            return self.get(f"{self.scope}_{key}", 0)
-        return 0
+        if key in self.FIELDS:
+            return 0
+        raise KeyError(key)
 
     def __getattr__(self, name: str) -> int:
         if name in StoreStats.FIELDS:
@@ -218,7 +229,7 @@ class ContentStore:
         self.max_bytes = max_bytes
         #: Tallies since the last :meth:`drain_stats`; worker threads (the
         #: service's warm probes and jobs, concurrent fillers) share them.
-        self._recent = StoreStats(scope=self.COUNTER_PREFIX)
+        self._recent = StoreStats()
         self._recent_lock = threading.Lock()
 
     # -- configuration hooks --------------------------------------------------------
@@ -253,7 +264,7 @@ class ContentStore:
         ``remote_errors`` / ``breaker_opens``).
         """
         with self._recent_lock:
-            drained, self._recent = self._recent, StoreStats(scope=self.COUNTER_PREFIX)
+            drained, self._recent = self._recent, StoreStats()
         drain_remote = getattr(self.backend, "drain_remote_counters", None)
         if drain_remote is not None:
             drained.update(drain_remote())
@@ -353,8 +364,8 @@ class ContentStore:
 
         ``True`` means this process computes the entry (and its ``put``
         clears the claim); ``False`` means a concurrent filler owns it and
-        the caller should wait via
-        :func:`repro.runner.backends.wait_for_fill`.
+        the caller should wait via :meth:`wait_for_fill` (or hand
+        ``claimed=False`` to :meth:`fill`).
         """
         address = self._address(name, key)
         if not self.backend.claim(*address):
@@ -380,6 +391,89 @@ class ContentStore:
     def break_claim(self, name: str, key: str, ticket: ClaimTicket) -> bool:
         """Remove exactly ``ticket`` (a stale claim); fails if re-claimed."""
         return self.backend.release(*self._address(name, key), owner=ticket)
+
+    def wait_for_fill(self, name: str, key: str, *, poll_seconds: float | None = None):
+        """Poll until a concurrent filler's entry lands, or the caller must compute.
+
+        Returns the winner's entry when the fill completes.  Returns
+        ``None`` when the caller should compute instead -- either it now
+        *owns* the claim (the previous winner died or released without
+        filling) or the wait deadline (``$REPRO_CLAIM_WAIT_SECONDS``)
+        expired, in which case the duplicate fill is wasteful but
+        deterministic, never corrupting.  Deadline expiries tally
+        ``claim_wait_timeouts``; :meth:`ClaimTicket.is_mine` on
+        :meth:`claim_info` distinguishes the two ``None`` cases.
+        """
+        if poll_seconds is None:
+            poll_seconds = claim_poll_seconds()
+        deadline = time.monotonic() + claim_wait_seconds()
+        ttl = claim_ttl_seconds()
+        while True:
+            entry = self.get(name, key)
+            if entry is not None:
+                return entry
+            ticket = self.claim_info(name, key)
+            if ticket is None or ticket.is_stale(ttl_seconds=ttl):
+                # The writer vanished (released without filling) or died
+                # mid-fill.  Entries land before claims clear, so first
+                # re-check for a fill that completed between the ``get`` above
+                # and the ticket read -- claiming in that window would tally a
+                # spurious takeover in the claim counters.
+                entry = self.get(name, key)
+                if entry is not None:
+                    return entry
+                # Break exactly that ticket and take the claim over.
+                if ticket is not None:
+                    self.break_claim(name, key, ticket)
+                if self.claim(name, key):
+                    # Re-check once more: a full fill cycle squeezing between
+                    # the re-check above and this claim is near-impossible but
+                    # cheap to rule out.
+                    entry = self.get(name, key)
+                    if entry is None:
+                        return None  # we own the claim: compute
+                    self.release_claim(name, key)
+                    return entry
+            if time.monotonic() >= deadline:
+                # Hard-deadline exhaustion: degrade to computing locally
+                # rather than raising or spinning forever.  The caller does
+                # NOT own the claim here -- its result lands uncached (the
+                # winner's entry, whenever it arrives, stays authoritative).
+                self.note_wait_timeout()
+                return None
+            time.sleep(poll_seconds)
+
+    def fill(self, name: str, key: str, compute: Callable[[], object], *, claimed: bool | None = None):
+        """First-writer-wins load-or-compute of one address: ``(entry, computed)``.
+
+        ``claimed=None`` tries the claim first; ``claimed=False`` means the
+        caller already lost it.  A loser tallies a claim wait and waits for
+        the winner's entry (``computed`` is ``False``).  A dead winner's claim is taken over and the entry
+        computed; a blown wait deadline computes *uncached*, never touching
+        the claim some live filler still owns.  ``compute()`` returns the
+        entry; an owned claim is released if it raises, and on success the
+        entry is stored via :meth:`put_or_release`.
+        """
+        owns_claim = self.claim(name, key) if claimed is None else claimed
+        if not owns_claim:
+            self.note_wait()
+            entry = self.wait_for_fill(name, key)
+            if entry is not None:
+                return entry, False
+            # Either we took the claim over (dead winner) or the deadline
+            # expired and someone else still owns it; only an owned claim
+            # may be released or cleared by our put.
+            ticket = self.claim_info(name, key)
+            owns_claim = ticket is not None and ticket.is_mine()
+        try:
+            entry = compute()
+        except BaseException:
+            if owns_claim:
+                self.release_claim(name, key)
+            raise
+        if owns_claim:
+            self.put_or_release(key, entry)
+        return entry, True
 
     # -- bounded store --------------------------------------------------------------
 

@@ -104,29 +104,6 @@ class SimdProcessor:
             simd_width, word_bits=word_bits, guard_zero_operands=guard_zero_operands
         )
         self.precision_bits = word_bits
-        # One-time decode: opcode -> bound handler.  Replaces the long
-        # if/elif chain so the fetch loop pays one dict lookup per cycle.
-        self._dispatch = {
-            Opcode.NOP: self._op_nop,
-            Opcode.LI: self._op_li,
-            Opcode.ADD: self._op_add,
-            Opcode.ADDI: self._op_addi,
-            Opcode.SUB: self._op_sub,
-            Opcode.MUL: self._op_mul,
-            Opcode.BNE: self._op_bne,
-            Opcode.BLT: self._op_blt,
-            Opcode.JMP: self._op_jmp,
-            Opcode.SETPREC: self._op_setprec,
-            Opcode.VLOAD: self._op_vload,
-            Opcode.VSTORE: self._op_vstore,
-            Opcode.VBCAST: self._op_vbcast,
-            Opcode.VMAC: self._op_vmac,
-            Opcode.VMUL: self._op_vmul,
-            Opcode.VADD: self._op_vadd,
-            Opcode.VRELU: self._op_vrelu,
-            Opcode.VCLR: self._op_vclr,
-            Opcode.VSTACC: self._op_vstacc,
-        }
 
     # -- state management ----------------------------------------------------
 
@@ -185,12 +162,12 @@ class SimdProcessor:
         opcode = instruction.opcode
         if opcode in SCALAR_OPCODES:
             counters.scalar_operations += 1
-        handler = self._dispatch.get(opcode)
+        handler = _DISPATCH.get(opcode)
         if handler is None:
             if opcode in VECTOR_MEMORY_OPCODES or opcode in VECTOR_ALU_OPCODES:
                 raise ExecutionError(f"unhandled vector opcode {opcode.value}")
             raise ExecutionError(f"unhandled opcode {opcode.value}")
-        return handler(instruction.operands, counters, next_pc)
+        return handler(self, instruction.operands, counters, next_pc)
 
     # -- per-opcode handlers (the decode table) --------------------------------
 
@@ -331,6 +308,34 @@ class SimdProcessor:
         if mode.parallelism > 1:
             return self.word_bits
         return self.precision_bits
+
+
+#: One-time decode: opcode -> handler, called as ``handler(processor, operands,
+#: counters, next_pc)``.  Replaces the long if/elif chain so the fetch loop pays
+#: one dict lookup per cycle.  Module-level plain functions, not per-instance
+#: bound methods: a per-instance table would make every processor a reference
+#: cycle, so its memory banks would wait for the cyclic garbage collector.
+_DISPATCH = {
+    Opcode.NOP: SimdProcessor._op_nop,
+    Opcode.LI: SimdProcessor._op_li,
+    Opcode.ADD: SimdProcessor._op_add,
+    Opcode.ADDI: SimdProcessor._op_addi,
+    Opcode.SUB: SimdProcessor._op_sub,
+    Opcode.MUL: SimdProcessor._op_mul,
+    Opcode.BNE: SimdProcessor._op_bne,
+    Opcode.BLT: SimdProcessor._op_blt,
+    Opcode.JMP: SimdProcessor._op_jmp,
+    Opcode.SETPREC: SimdProcessor._op_setprec,
+    Opcode.VLOAD: SimdProcessor._op_vload,
+    Opcode.VSTORE: SimdProcessor._op_vstore,
+    Opcode.VBCAST: SimdProcessor._op_vbcast,
+    Opcode.VMAC: SimdProcessor._op_vmac,
+    Opcode.VMUL: SimdProcessor._op_vmul,
+    Opcode.VADD: SimdProcessor._op_vadd,
+    Opcode.VRELU: SimdProcessor._op_vrelu,
+    Opcode.VCLR: SimdProcessor._op_vclr,
+    Opcode.VSTACC: SimdProcessor._op_vstacc,
+}
 
 
 def _element_range(bits: int) -> tuple[int, int]:

@@ -21,6 +21,7 @@ Covered here:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -32,7 +33,7 @@ import repro.runner.service as service_module
 from repro.core import scaling as scaling_module
 from repro.nn import PrecisionSearch
 from repro.nn.quantization import quantization_scale, quantize
-from repro.runner import ExperimentRunner, ResultCache
+from repro.runner import ExperimentRunner, MemoryBackend, ResultCache
 from repro.runner.artifacts import (
     ArtifactEntry,
     ArtifactStore,
@@ -91,7 +92,7 @@ class TestArtifactStore:
         assert not path.exists()
         assert (tmp_path / "corrupt" / "unit" / f"{key}.pkl").exists()
         drained = store.drain_stats()
-        assert drained["corrupt"] == 1 and drained["quarantined"] == 1
+        assert drained["artifact_corrupt"] == 1 and drained["quarantined"] == 1
         assert not store.exists("unit", key)
 
     def test_wrong_schema_version_is_a_miss(self, tmp_path):
@@ -173,20 +174,6 @@ class TestResolve:
             second = resolve_artifact("demo", {"x": 5}, producer=producer)
         assert calls == [5]
         assert first["doubled"].tobytes() == second["doubled"].tobytes()
-
-    def test_env_variable_activates_store(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACTS_DIR", str(tmp_path))
-        store = active_store()
-        assert store is not None and store.root == tmp_path
-
-    def test_activated_none_disables_env_store(self, tmp_path, monkeypatch):
-        # Explicit no-reuse scopes must stay reuse-free even when the
-        # environment opts into a store -- the serial no-reuse benchmark arm
-        # and `use_artifacts=False` rely on this.
-        monkeypatch.setenv("REPRO_ARTIFACTS_DIR", str(tmp_path))
-        with activated(None):
-            assert active_store() is None
-        assert active_store() is not None  # env fallback restored after
 
     def test_stats_round_trip(self, tmp_path):
         empty = load_stats(tmp_path).to_document()
@@ -314,6 +301,23 @@ class TestColdRunReuse:
         stats = load_stats(runner.cache.root)
         assert stats.artifact_misses == 1 and stats.result_misses == 3
 
+    def test_memory_backed_runner_produces_each_artifact_once(self, monkeypatch):
+        # The wave fills the memory store; the experiment must then read
+        # that same store object, not recompute for want of a disk root.
+        calls = []
+        real = scaling_module.characterization_artifact
+
+        @functools.wraps(real)  # keeps __module__, so the artifact key is unchanged
+        def counting(**params):
+            calls.append(params)
+            return real(**params)
+
+        monkeypatch.setattr(scaling_module, "characterization_artifact", counting)
+        runner = ExperimentRunner(cache=ResultCache(backend=MemoryBackend()))
+        report = runner.run("table1", samples=40)
+        assert not report.cached and report.rows
+        assert calls == [{"samples": 40, "seed": 2017}]
+
     def test_characterization_artifact_not_consumed_by_other_experiments(self):
         registry = build_registry()
         consumers = sorted(
@@ -324,9 +328,7 @@ class TestColdRunReuse:
         assert consumers == ["fig2", "fig3", "table1"]
 
     def test_rows_bit_identical_to_serial_no_reuse(self, tmp_path):
-        no_reuse = ExperimentRunner(
-            cache=ResultCache(tmp_path / "a"), use_cache=False, use_artifacts=False
-        )
+        no_reuse = ExperimentRunner(cache=ResultCache(tmp_path / "a"), use_cache=False)
         graph = ExperimentRunner(cache=ResultCache(tmp_path / "b"))
         serial = no_reuse.run_many([(n, dict(c)) for n, c in CHAR_REQUESTS], jobs=1)
         reused = graph.run_many([(n, dict(c)) for n, c in CHAR_REQUESTS], jobs=1)

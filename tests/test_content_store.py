@@ -137,6 +137,9 @@ class TestStoreStats:
         assert cache.claim("toy", "0" * 64) and store.claim("toy", "1" * 64)
         drained = cache.drain_stats() + store.drain_stats()
         assert drained.result_claims == 1 and drained.artifact_claims == 1
+        assert drained["result_evictions"] == 0  # absent counters read as zero ...
+        with pytest.raises(KeyError):
+            drained["claims"]  # ... but short or misspelt names fail loudly
         assert cache.drain_stats().result_claims == 0  # draining resets
 
     def test_concurrent_tallies_are_never_lost(self, tmp_path):

@@ -351,7 +351,7 @@ class TestStoreRecovery:
         monkeypatch.setattr(os, "replace", racing_replace)
         assert cache.get("toy", "deadbeef") is None
         drained = cache.drain_stats()
-        assert drained["corrupt"] == 1 and drained["quarantined"] == 0
+        assert drained["result_corrupt"] == 1 and drained["quarantined"] == 0
 
     def test_disk_full_cache_write_degrades_to_uncached_success(self, toy_runner):
         with injected("cache.write:disk_full:times=100"):

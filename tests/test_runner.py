@@ -244,7 +244,7 @@ class TestResultCache:
             assert quarantined.exists()
         assert cache.ls() == []  # quarantined entries are out of the listing
         drained = cache.drain_stats()
-        assert drained["corrupt"] == 3 and drained["quarantined"] == 3
+        assert drained["result_corrupt"] == 3 and drained["quarantined"] == 3
         assert all(count == 0 for count in cache.drain_stats().values())  # draining resets
 
     def test_ls_and_clear(self, tmp_path):
@@ -334,11 +334,9 @@ class TestExperimentRunner:
         executed: list[int] = []
         real_execute = service_module.execute_requests
 
-        def counting_execute(requests, *, jobs=None, artifacts_root=None, registry=None, **kwargs):
+        def counting_execute(requests, **kwargs):
             executed.append(len(requests))
-            return real_execute(
-                requests, jobs=jobs, artifacts_root=artifacts_root, registry=registry, **kwargs
-            )
+            return real_execute(requests, **kwargs)
 
         monkeypatch.setattr(service_module, "execute_requests", counting_execute)
         reports = runner.run_many(

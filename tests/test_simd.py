@@ -1,5 +1,8 @@
 """Unit and integration tests for the SIMD processor substrate."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,20 @@ class TestProcessorScalar:
 
         with pytest.raises(ExecutionError):
             processor.run(program, max_cycles=100)
+
+    def test_dropped_processor_is_freed_without_the_cycle_collector(self):
+        # A processor must not reference itself (e.g. through a table of
+        # bound methods): its memory banks are freed by reference counting
+        # the moment the last reference goes, not at the next GC pass.
+        gc.disable()
+        try:
+            processor = SimdProcessor(8)
+            processor.run(assemble("li r1, 3\nvbcast v0, r1\nvclr\nhalt\n"))
+            freed = weakref.ref(processor)
+            del processor
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestProcessorVector:

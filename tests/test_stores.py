@@ -34,7 +34,6 @@ from repro.runner.backends import (
     DiskBackend,
     MemoryBackend,
     evict_lru,
-    wait_for_fill,
 )
 from repro.runner.cache import CacheEntry, ResultCache, cache_key
 from repro.runner.cli import main
@@ -213,7 +212,7 @@ class TestStaleClaims:
         assert ticket is not None and ticket.is_stale(ttl_seconds=60.0)
 
 
-# -- wait_for_fill ------------------------------------------------------------------
+# -- ContentStore.wait_for_fill -----------------------------------------------------
 
 
 class TestWaitForFill:
@@ -229,7 +228,7 @@ class TestWaitForFill:
         filler = threading.Thread(target=fill)
         filler.start()
         try:
-            entry = wait_for_fill(cache, "toy", key)
+            entry = cache.wait_for_fill("toy", key)
         finally:
             filler.join()
         assert entry is not None and entry.rows == [{"winner": 1}]
@@ -247,7 +246,7 @@ class TestWaitForFill:
                 {"pid": _dead_pid(), "host": backends._HOST, "created_unix": time.time()}
             )
         )
-        assert wait_for_fill(cache, "toy", key) is None  # we must compute ...
+        assert cache.wait_for_fill("toy", key) is None  # we must compute ...
         ticket = cache.claim_info("toy", key)
         assert ticket is not None and ticket.pid == os.getpid()  # ... owning the claim
 
@@ -258,7 +257,7 @@ class TestWaitForFill:
         cache = ResultCache(tmp_path)
         key = "c" * 64
         cache.put(key, _result_entry(rows=[{"done": 1}]))
-        entry = wait_for_fill(cache, "toy", key)
+        entry = cache.wait_for_fill("toy", key)
         assert entry is not None and entry.rows == [{"done": 1}]
         assert cache.claim_info("toy", key) is None  # no claim left behind
 
@@ -268,7 +267,7 @@ class TestWaitForFill:
         key = "d" * 64
         assert cache.claim("toy", key)  # a live claim that never fills
         start = time.monotonic()
-        assert wait_for_fill(cache, "toy", key, poll_seconds=0.01) is None
+        assert cache.wait_for_fill("toy", key, poll_seconds=0.01) is None
         assert time.monotonic() - start < 5.0
 
 
@@ -297,8 +296,8 @@ class TestConcurrentFill:
         assert calls == [21]  # exactly one compute
         assert all(entry.payload == {"value": 42} for entry in results)
         drained = store.drain_stats()
-        assert drained["claims"] == 1
-        assert drained["claim_waits"] == 5
+        assert drained["artifact_claims"] == 1
+        assert drained["artifact_claim_waits"] == 5
 
     def test_processes_racing_one_address_compute_once(self, tmp_path):
         root = tmp_path / "store"
@@ -340,7 +339,7 @@ class TestRemoteCoordination:
             cache = ResultCache(backend=RemoteBackend(server.url))
             ticket = cache.claim_info("toy", key)
             assert ticket is not None and ticket.is_stale()  # visible over the wire
-            assert wait_for_fill(cache, "toy", key) is None  # we must compute ...
+            assert cache.wait_for_fill("toy", key) is None  # we must compute ...
             ticket = cache.claim_info("toy", key)
             assert ticket is not None and ticket.pid == os.getpid()  # ... owning the claim
 
@@ -375,8 +374,8 @@ class TestRemoteCoordination:
             assert calls == [21]  # exactly one compute, fleet-wide
             assert all(entry.payload == {"value": 42} for entry in results)
             drained = [store.drain_stats() for store in stores]
-            assert sum(d["claims"] for d in drained) == 1
-            assert sum(d["claim_waits"] for d in drained) == len(stores) - 1
+            assert sum(d["artifact_claims"] for d in drained) == 1
+            assert sum(d["artifact_claim_waits"] for d in drained) == len(stores) - 1
 
 
 def _process_fill(root, side_effects):
@@ -465,8 +464,8 @@ class TestEviction:
         thread.join()
         assert failures == []
         drained = cache.drain_stats()
-        assert drained["evictions"] > 0
-        assert drained["corrupt"] == 0  # a raced read is a miss, never corruption
+        assert drained["result_evictions"] > 0
+        assert drained["result_corrupt"] == 0  # a raced read is a miss, never corruption
 
     def test_result_cache_enforces_budget_with_counters(self, tmp_path):
         cache = ResultCache(tmp_path, max_bytes=1_000)
@@ -478,8 +477,8 @@ class TestEviction:
         assert sum(row["size_bytes"] for row in listing) <= 1_000
         assert keys[-1] in {row["key"] for row in listing}  # newest always kept
         drained = cache.drain_stats()
-        assert drained["evictions"] == 6 - len(listing)
-        assert drained["evicted_bytes"] > 0
+        assert drained["result_evictions"] == 6 - len(listing)
+        assert drained["result_evicted_bytes"] > 0
 
     def test_env_budget_is_wired(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "12345")
