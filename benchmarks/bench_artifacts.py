@@ -16,7 +16,7 @@ of the true cost and the interleaving keeps the thermal state
 comparable -- and
 one full re-measure absorbs shared-runner noise before the gate is
 enforced (the PR 3 pattern).  On a single-core runner the win comes from
-deduplicating shared work and the bit-identical incremental search
+deduplicating shared work and the lockstep incremental search
 (measured ~2x there); multi-core runners add the topological-wave and
 experiment fan-out overlap on top.
 """

@@ -13,11 +13,14 @@ is found that keeps the network at >= 99 % relative accuracy.
 Both searches flow through the cross-experiment artifact graph: the trained
 LeNet is one content-addressed artifact, its per-layer profile a second
 (produced *after* the first -- a two-wave DAG), and the AlexNet profile a
-third.  The artifact producers run the search in ``incremental`` mode
-(baseline prefix activations reused, certified early exit -- see
-:class:`~repro.nn.precision_search.PrecisionSearch`), which is bit-identical
-to the full-forward reference search that direct, store-less driver calls
-keep using as the golden path.
+third.  The artifact producers run the search in ``incremental`` mode:
+baseline prefix activations reused, all per-layer scans advanced in
+lockstep with one merged suffix pass per step, and failures certified
+early (see :mod:`~repro.nn.precision_search`).  It makes the same per-sample
+decisions -- hence the same profile rows -- as the full-forward reference
+search that direct, store-less driver calls keep using as the golden path;
+the logits themselves are not bit-identical, as BLAS rounding depends on
+the batch shape.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ def resolve_alexnet_profiles(
     With an active store (and the standard evaluation-set size) the profile
     resolves from the artifact produced by the scheduler's wave via the
     incremental search; without one, the full-forward reference search runs
-    inline.  The two paths are bit-identical
+    inline.  The two paths yield identical profiles
     (``tests/test_artifacts.py`` gates the equivalence).
     """
     from ..runner.artifacts import active_store, resolve_artifact

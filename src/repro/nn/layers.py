@@ -219,7 +219,11 @@ class Conv2D(Layer):
         return output
 
     def forward_batch(
-        self, inputs: np.ndarray, config: QuantizationConfig | None = None
+        self,
+        inputs: np.ndarray,
+        config: QuantizationConfig | None = None,
+        *,
+        weights: np.ndarray | None = None,
     ) -> np.ndarray:
         """Vectorised convolution of a ``(n, C, H, W)`` batch.
 
@@ -227,6 +231,9 @@ class Conv2D(Layer):
         (sample, output position, filter) product is computed in one
         tensor contraction per group, which is how the batch datapath keeps
         the figure/table reproductions off the per-sample Python loop.
+        ``weights``, when given, stands in for the layer's own weights for
+        this call only (the precision search passes pre-quantised weights
+        this way, so the layer is never mutated).
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 4:
@@ -235,7 +242,7 @@ class Conv2D(Layer):
         self.statistics.observe(inputs)
 
         activations = quantize_per_sample(inputs, config.activation_bits)
-        weights = quantize(self.weights, config.weight_bits)
+        weights = quantize(self.weights if weights is None else weights, config.weight_bits)
 
         out_channels, out_h, out_w = self.output_shape(inputs.shape[1:])
         if self.padding:
@@ -395,8 +402,17 @@ class FullyConnected(Layer):
         return weights @ activations + self.bias
 
     def forward_batch(
-        self, inputs: np.ndarray, config: QuantizationConfig | None = None
+        self,
+        inputs: np.ndarray,
+        config: QuantizationConfig | None = None,
+        *,
+        weights: np.ndarray | None = None,
     ) -> np.ndarray:
+        """Dense layer on a ``(n, features)`` batch.
+
+        ``weights``, when given, stands in for the layer's own weights for
+        this call only, as in :meth:`Conv2D.forward_batch`.
+        """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 2:
             raise ValueError(f"{self.name}: expected a (n, features) batch")
@@ -407,5 +423,5 @@ class FullyConnected(Layer):
         config = config or QuantizationConfig()
         self.statistics.observe(inputs)
         activations = quantize_per_sample(inputs, config.activation_bits)
-        weights = quantize(self.weights, config.weight_bits)
+        weights = quantize(self.weights if weights is None else weights, config.weight_bits)
         return activations @ weights.T + self.bias

@@ -14,15 +14,27 @@ stand-ins whose original training data is unavailable offline).
 Because each probe quantises exactly one layer while everything before it
 stays floating point, the activations entering the probed layer are the
 *baseline* activations -- a reusable intermediate.  ``incremental=True``
-caches those per-layer inputs from one baseline pass and re-runs only the
-suffix of the network per candidate; the results are bit-identical to the
-full-forward reference (the default), which stays as the golden path the
-equivalence tests gate against.
+captures those per-layer inputs in one baseline pass and runs every
+(layer, target) scan in *lockstep*: each step evaluates every unfinished
+scan's probed layer on its pending rows, then pushes all of those rows
+through **one** merged pass over the unquantised suffix, each scan's rows
+joining at the layer after its probed layer.  The large dense layers thus
+stream their weights once per step rather than once per probe.  Failing
+candidates are certified early from a few rows (a leading chunk, then the
+samples seen disagreeing at lower bit widths).
+
+The full-forward reference (the default) stays as the golden path.  The
+incremental path evaluates the same rows in differently-sized batches, and
+BLAS results can differ in the last bits with the batch shape (a one-row
+dense batch runs as a matrix-vector product, for instance), so logits are
+*not* bit-identical to the reference.  The guarantee is decision-level: every
+sample's argmax, and hence every profile row, matches the reference, which
+the equivalence tests and the benchmark's row digests check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +65,30 @@ class LayerPrecisionProfile:
     def required_bits(self) -> int:
         """Datapath precision the layer needs (max of the two profiles)."""
         return max(self.weight_bits, self.activation_bits)
+
+
+@dataclass(eq=False)
+class _Scan:
+    """State of one (weighted layer, target) scan in the lockstep search."""
+
+    #: Position of the probed layer in ``network.layers``.
+    position: int
+    #: ``"weights"`` or ``"activations"``.
+    target: str
+    #: Index of the current candidate in ``candidate_bits``.
+    candidate: int = 0
+    #: Every sample seen disagreeing at this scan's lower candidates
+    #: (``None`` before the first candidate has been decided).
+    suspects: np.ndarray | None = None
+    #: Rows the next step evaluates for the current candidate.
+    pending: np.ndarray = field(default_factory=lambda: np.arange(0))
+    #: Rows evaluated so far for the current candidate, and which missed.
+    probed: np.ndarray = field(default_factory=lambda: np.arange(0))
+    misses: np.ndarray = field(default_factory=lambda: np.arange(0))
+    #: The current candidate's quantised weights (weight scans only).
+    weights: np.ndarray | None = None
+    #: Result, once decided.
+    bits: int | None = None
 
 
 class PrecisionSearch:
@@ -107,12 +143,6 @@ class PrecisionSearch:
         #: scans write into one allocation instead of faulting in a fresh
         #: fc-layer-sized array per candidate.
         self._weight_scratch: dict[str, np.ndarray] = {}
-        #: How often each evaluation sample has disagreed across incremental
-        #: probes.  Samples near decision boundaries disagree under *any*
-        #: layer's corruption, so the frequent offenders seed later scans'
-        #: certification probes (which samples are probed never affects the
-        #: decision, only how quickly failure is certified).
-        self._suspect_counts = np.zeros(self.samples.shape[0], dtype=np.int64)
 
     # -- accuracy evaluation ---------------------------------------------------
 
@@ -170,11 +200,13 @@ class PrecisionSearch:
     def relative_accuracy_incremental(self, layer_name: str, config: QuantizationConfig) -> float:
         """Relative accuracy with exactly one layer quantised, prefix reused.
 
-        All layers before ``layer_name`` run unquantised, so their outputs
-        equal the cached baseline activations bit for bit; only the suffix
-        from the probed layer on is recomputed.  Equivalent to
-        ``relative_accuracy({layer_name: config})`` byte for byte, at a
-        fraction of the arithmetic.
+        All layers before ``layer_name`` run unquantised, so the cached
+        baseline activations stand in for them; only the suffix from the
+        probed layer on is recomputed, on the whole batch.  The score counts
+        per-sample decisions, and those match
+        ``relative_accuracy({layer_name: config})`` (the guarantee is
+        decision-level, see the module docstring), at a fraction of the
+        arithmetic.
         """
         position, tensors = self._layer_prefix_inputs()[layer_name]
         configs = {layer_name: config}
@@ -188,9 +220,9 @@ class PrecisionSearch:
         Every candidate of a weight scan quantises the same matrix, so the
         reduction passes over the (fc-layer-sized) weights are paid once per
         layer instead of once per candidate, and all candidates share one
-        scratch buffer.  The 1-bit binary path scales by the mean magnitude,
-        not ``quantization_scale``, and uses the scratch as its ``|W|``
-        workspace only.
+        scratch buffer, so the result is only valid until the same layer is
+        quantised again.  The 1-bit binary path scales by the mean magnitude,
+        not ``quantization_scale``.
         """
         scratch = self._weight_scratch.get(layer_name)
         if scratch is None or scratch.shape != np.shape(weights):
@@ -212,117 +244,122 @@ class PrecisionSearch:
     #: lower bit widths instead).
     _PROBE_CHUNK = 4
 
-    def _probe_candidate(
-        self,
-        layer_name: str,
-        config: QuantizationConfig,
-        suspects: np.ndarray | None,
-    ) -> tuple[bool, np.ndarray]:
-        """Does quantising one layer keep the accuracy target?  (Early exit.)
+    def _start_candidate(self, scan: _Scan) -> None:
+        """Point ``scan`` at its next candidate's first (cheapest) rows.
+
+        Samples that disagreed at lower bit widths are the cheapest failure
+        certificate (corruption shrinks as bits grow); a scan's first
+        candidate has none yet and probes a small leading chunk, which
+        certifies the grossly-failing low-bit candidates.
+        """
+        count = self.samples.shape[0]
+        if scan.suspects is not None and scan.suspects.size:
+            scan.pending = scan.suspects
+        elif scan.suspects is None and self._PROBE_CHUNK < count:
+            scan.pending = np.arange(self._PROBE_CHUNK)
+        else:
+            scan.pending = np.arange(count)
+        scan.probed = scan.misses = np.arange(0)
+        scan.weights = None
+        if scan.target == "weights":
+            layer = self.network.layers[scan.position]
+            scan.weights = self._quantized_weights(
+                layer.name, layer.weights, self.candidate_bits[scan.candidate]
+            )
+
+    def _probe_outputs(self, scan: _Scan) -> np.ndarray:
+        """The probed layer's output on the scan's pending rows."""
+        layer = self.network.layers[scan.position]
+        rows = self._layer_prefix_inputs()[layer.name][1][scan.pending]
+        if scan.weights is not None:
+            return layer.forward_batch(rows, None, weights=scan.weights)
+        bits = self.candidate_bits[scan.candidate]
+        return layer.forward_batch(rows, QuantizationConfig(activation_bits=bits))
+
+    def _merged_suffix(self, entries: list[tuple[int, np.ndarray]]) -> list[np.ndarray]:
+        """Logits of several probed-layer outputs from one unquantised suffix pass.
+
+        ``entries`` holds ``(position of the probed layer, its output rows)``
+        per scan, ordered by position.  Rows join the stream at the layer
+        after their probed layer, so every suffix layer runs once over
+        everything that has reached it; the logits come back split per entry.
+        """
+        layers = self.network.layers
+        stream = np.empty((0, *entries[0][1].shape[1:]))
+        for position in range(entries[0][0], len(layers)):
+            joining = [rows for at, rows in entries if at == position]
+            if joining:
+                stream = np.concatenate([stream, *joining])
+            if position + 1 < len(layers):
+                stream = layers[position + 1].forward_batch(stream, None)
+        return np.split(stream, np.cumsum([rows.shape[0] for _, rows in entries])[:-1])
+
+    def _lockstep(self, requests: list[tuple[str, str]]) -> list[int]:
+        """Minimum bits of several ``(layer name, target)`` scans, advanced together.
+
+        Each step computes every unfinished scan's probed-layer output on its
+        pending rows, pushes all of them through one merged suffix pass and
+        then applies each scan's decision rule to its own rows:
+
+        * the misses seen so far already push the best-achievable score below
+          the target -- the candidate is certified failing, and the scan
+          moves to its next candidate;
+        * undecided -- the next step evaluates the rows not yet seen;
+        * the whole batch has been evaluated -- the candidate passes or fails
+          on the exact full-batch score, and a pass returns its bits.
 
         The pass/fail decision is a monotone function of the number of
-        correctly-classified (or argmax-agreeing) samples, so any evaluated
-        subset whose disagreements already push the best-achievable score
-        below the target certifies *failure* without touching the rest of
-        the batch.  The probe exploits that twice:
-
-        * ``suspects`` carries every sample index seen disagreeing at the
-          lower-bit candidates of the same scan -- corruption shrinks as
-          bits grow, so previously-disagreeing samples are the cheapest
-          failure certificate available;
-        * a scan's first candidate (no suspects yet) probes a small leading
-          chunk, which certifies the grossly-failing low-bit candidates.
-
-        Undecided probes fall back to one whole-batch evaluation -- the same
-        batch shape and float operations the reference path runs -- so the
-        returned decision is identical to a full evaluation.
-
-        When the probe quantises weights, the probed layer's weights are
-        quantised once up front and temporarily swapped in (with the
-        remaining config stripped of its ``weight_bits``) instead of being
-        re-quantised by every forward call -- ``quantize`` is deterministic,
-        so the arithmetic is unchanged.
-
-        Returns ``(passed, disagreeing sample indices)``; the indices seed
-        the next candidate's ``suspects``.
+        misclassified (or argmax-disagreeing) samples, so it is the one the
+        full-batch reference evaluation makes, provided every sample's
+        prediction is the same however the rows are batched -- which holds
+        at the decision level, not bit for bit (see the module docstring).
         """
-        position, inputs = self._layer_prefix_inputs()[layer_name]
-        probed = self.network.layers[position]
-        count = inputs.shape[0]
-        if self.labels is None:
-            reference = self._baseline_predictions
-            baseline = None
-        else:
-            reference = np.asarray(self.labels)
-            baseline = self.baseline_accuracy()
-            if baseline == 0:
-                raise ValueError("baseline accuracy is zero; cannot compute relative accuracy")
+        prefix = self._layer_prefix_inputs()
+        count = self.samples.shape[0]
+        reference = self._baseline_predictions if self.labels is None else self.labels
+        baseline = self.baseline_accuracy()  # 1.0 in agreement mode: x / 1.0 == x
+        if baseline == 0:
+            raise ValueError("baseline accuracy is zero; cannot compute relative accuracy")
 
-        def score(hits: int) -> float:
+        def meets_target(hits: int) -> bool:
             # Exactly mirrors np.mean over the full batch: sums of 0/1 values
             # are exact integers, so hits/count is the same correctly-rounded
             # float64 the reference metric produces.
             accuracy = float(np.float64(hits) / np.float64(count))
-            return accuracy if baseline is None else accuracy / baseline
+            return accuracy / baseline >= self.relative_accuracy_target
 
-        def certifies_failure(misses: int) -> bool:
-            # Even if every sample not yet seen disagreeing were a hit, the
-            # score could not reach the target.
-            return score(count - misses) < self.relative_accuracy_target
-
-        def predictions(batch: np.ndarray, probed_config: QuantizationConfig | None) -> np.ndarray:
-            tensors = batch
-            for layer in self.network.layers[position:]:
-                tensors = layer.forward_batch(
-                    tensors, probed_config if layer is probed else None
+        scans = [_Scan(position=prefix[name][0], target=target) for name, target in requests]
+        for scan in scans:
+            self._start_candidate(scan)
+        # Ordered by depth: the order the merged suffix pass takes rows in.
+        active = sorted(scans, key=lambda scan: scan.position)
+        while active:
+            outputs = [(scan.position, self._probe_outputs(scan)) for scan in active]
+            for scan, logits in zip(active, self._merged_suffix(outputs)):
+                wrong = np.argmax(logits, axis=1) != reference[scan.pending]
+                scan.misses = np.union1d(scan.misses, scan.pending[wrong])
+                scan.probed = np.union1d(scan.probed, scan.pending)
+                if scan.probed.size == count:
+                    if meets_target(count - scan.misses.size):
+                        scan.bits = self.candidate_bits[scan.candidate]
+                        continue
+                elif meets_target(count - scan.misses.size):
+                    # Undecided: evaluate the rows the early stage skipped.
+                    scan.pending = np.setdiff1d(np.arange(count), scan.probed)
+                    continue
+                # Failed.  Every sample seen disagreeing in this scan stays a
+                # suspect: near-threshold candidates often fail through a
+                # different sample than their predecessor.
+                scan.suspects = (
+                    scan.misses if scan.suspects is None else np.union1d(scan.suspects, scan.misses)
                 )
-            return np.argmax(tensors, axis=1)
-
-        swap_weights = config.weight_bits is not None and probed.has_weights
-        if swap_weights:
-            original_weights = probed.weights
-            probed.weights = self._quantized_weights(layer_name, original_weights, config.weight_bits)
-            probed_config = (
-                QuantizationConfig(activation_bits=config.activation_bits)
-                if config.activation_bits is not None
-                else None
-            )
-        else:
-            probed_config = config
-        try:
-            probed_indices = np.arange(0)
-            disagreeing = np.arange(0)
-            if suspects is not None and suspects.size:
-                probed_indices = suspects
-                disagreeing = suspects[
-                    predictions(inputs[suspects], probed_config) != reference[suspects]
-                ]
-                if certifies_failure(int(disagreeing.size)):
-                    return False, disagreeing
-            elif suspects is None:
-                first = min(self._PROBE_CHUNK, count)
-                if first < count:
-                    probed_indices = np.arange(first)
-                    disagreeing = np.flatnonzero(
-                        predictions(inputs[:first], probed_config) != reference[:first]
-                    )
-                    if certifies_failure(int(disagreeing.size)):
-                        return False, disagreeing
-            # Undecided: evaluate the samples the early stage did not touch
-            # and combine the exact per-sample miss counts (sample results
-            # are independent of how the batch is split).
-            rest = (
-                np.setdiff1d(np.arange(count), probed_indices)
-                if probed_indices.size
-                else np.arange(count)
-            )
-            rest_disagreeing = rest[predictions(inputs[rest], probed_config) != reference[rest]]
-            disagreeing = np.union1d(disagreeing, rest_disagreeing)
-            passed = score(count - int(disagreeing.size)) >= self.relative_accuracy_target
-            return passed, disagreeing
-        finally:
-            if swap_weights:
-                probed.weights = original_weights
+                scan.candidate += 1
+                if scan.candidate == len(self.candidate_bits):
+                    scan.bits = self.candidate_bits[-1]
+                else:
+                    self._start_candidate(scan)
+            active = [scan for scan in active if scan.bits is None]
+        return [scan.bits for scan in scans]
 
     # -- search ------------------------------------------------------------------
 
@@ -332,34 +369,16 @@ class PrecisionSearch:
         """Smallest precision of ``target`` (``"weights"``/``"activations"``) for one layer."""
         if target not in ("weights", "activations"):
             raise ValueError("target must be 'weights' or 'activations'")
-        # Seed the scan with the most frequent offenders of earlier scans
-        # (when there are none, the probe falls back to its leading chunk).
-        ranked = np.argsort(-self._suspect_counts, kind="stable")
-        seed = ranked[self._suspect_counts[ranked] > 0][:3]
-        suspects: np.ndarray | None = np.sort(seed) if seed.size else None
         layer_names = [layer.name for layer in self.network.weighted_layers()]
         if layer_name not in layer_names:
             raise ValueError(f"unknown weighted layer {layer_name!r}")
+        if incremental:
+            return self._lockstep([(layer_name, target)])[0]
         for bits in self.candidate_bits:
             if target == "weights":
                 config = QuantizationConfig(weight_bits=bits)
             else:
                 config = QuantizationConfig(activation_bits=bits)
-            if incremental:
-                passed, disagreeing = self._probe_candidate(layer_name, config, suspects)
-                self._suspect_counts[disagreeing] += 1
-                if passed:
-                    return bits
-                # Accumulate every sample seen disagreeing in this scan:
-                # near-threshold candidates often fail through a different
-                # sample than their predecessor, and the union keeps all of
-                # them on the cheap certification path.
-                suspects = (
-                    disagreeing
-                    if suspects is None
-                    else np.union1d(suspects, disagreeing)
-                )
-                continue
             if self.relative_accuracy({layer_name: config}) >= self.relative_accuracy_target:
                 return bits
         return self.candidate_bits[-1]
@@ -367,26 +386,29 @@ class PrecisionSearch:
     def profile(self, *, incremental: bool = False) -> list[LayerPrecisionProfile]:
         """Per-layer minimum weight and activation precisions (Fig. 6 data).
 
-        ``incremental=True`` reuses the cached baseline prefix activations
-        per probe (bit-identical, much faster); the default full-forward
-        evaluation is the golden reference.
+        ``incremental=True`` advances all the per-layer scans in lockstep
+        over the cached baseline prefix activations (same profile, much
+        faster); the default full-forward evaluation is the golden reference.
         """
-        profiles = []
-        for layer in self.network.weighted_layers():
-            weight_bits = self.minimum_bits_for_layer(
-                layer.name, target="weights", incremental=incremental
+        names = [layer.name for layer in self.network.weighted_layers()]
+        if incremental:
+            bits = self._lockstep(
+                [(name, target) for name in names for target in ("weights", "activations")]
             )
-            activation_bits = self.minimum_bits_for_layer(
-                layer.name, target="activations", incremental=incremental
-            )
-            profiles.append(
+            return [
                 LayerPrecisionProfile(
-                    layer=layer.name,
-                    weight_bits=weight_bits,
-                    activation_bits=activation_bits,
+                    layer=name, weight_bits=bits[2 * index], activation_bits=bits[2 * index + 1]
                 )
+                for index, name in enumerate(names)
+            ]
+        return [
+            LayerPrecisionProfile(
+                layer=name,
+                weight_bits=self.minimum_bits_for_layer(name, target="weights"),
+                activation_bits=self.minimum_bits_for_layer(name, target="activations"),
             )
-        return profiles
+            for name in names
+        ]
 
     def uniform_configs(self, profiles: list[LayerPrecisionProfile]) -> dict[str, QuantizationConfig]:
         """Quantisation configs applying every layer's found precisions at once."""

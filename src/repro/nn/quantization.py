@@ -89,11 +89,10 @@ def quantize(
     magnitude instead).  ``max_abs`` may carry a precomputed
     ``max(|tensor|)``: it feeds the scale computation and lets the clip
     pass be skipped when provably an identity.  ``out``, when given,
-    receives the result for
-    ``bits >= 2`` (same float64 shape as ``tensor``); repeat quantisations of
-    one large weight matrix then reuse a single buffer instead of paying a
-    fresh multi-megabyte allocation per call.  (The 1-bit path uses ``out``
-    only as a ``|tensor|`` workspace -- its result is a fresh array.)
+    receives the result and is returned (same float64 shape as ``tensor``,
+    not aliasing it); repeat quantisations of one large weight matrix then
+    reuse a single buffer instead of paying a fresh multi-megabyte
+    allocation per call.
     """
     if bits is None:
         return np.asarray(tensor, dtype=np.float64)
@@ -101,11 +100,17 @@ def quantize(
     if bits == 1:
         # Binary quantisation (the Courbariaux et al. regime cited in the
         # paper): values become +-scale, with scale set by the mean magnitude.
-        magnitude = np.abs(tensor, out=out) if out is not None else np.abs(tensor)
-        scale = float(np.mean(magnitude)) if tensor.size else 1.0
+        # The |tensor| workspace is overwritten with the result, which is
+        # exactly ``np.where(tensor >= 0.0, scale, -scale)`` (so -0.0 maps to
+        # +scale and NaN to -scale) without a second tensor-sized array.
+        result = np.abs(tensor, out=out)
+        scale = float(np.mean(result)) if tensor.size else 1.0
         if scale == 0.0:
-            return np.zeros_like(tensor)
-        return np.where(tensor >= 0.0, scale, -scale)
+            result.fill(0.0)
+            return result
+        result.fill(-scale)
+        np.copyto(result, scale, where=tensor >= 0.0)
+        return result
     if scale is None:
         scale = quantization_scale(tensor, bits, max_abs=max_abs)
     lo = -(2 ** (bits - 1))

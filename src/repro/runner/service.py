@@ -18,8 +18,8 @@ producers.  The experiments themselves then fan out with the store
 active, so their resolvers replay the intermediates instead of
 recomputing them.  Reports stay in request order and rows stay
 bit-identical to a serial no-reuse run -- producers are deterministic
-functions of their parameters and the incremental search is gated
-bit-identical to the full-forward reference.
+functions of their parameters and the incremental search is gated to
+make the full-forward reference's decisions (same profile rows).
 
 Cached and live paths return identical (sanitised) rows, so downstream
 rendering/export code never needs to know which path produced them.

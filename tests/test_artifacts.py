@@ -14,8 +14,9 @@ Covered here:
 * invalidation chains: an (simulated) edit to ``repro.core.scaling``
   invalidates the characterization artifact and its three consumers' cached
   results while unrelated entries survive;
-* the incremental precision search is bit-identical to the full-forward
-  reference, including the quantisation fast paths it leans on;
+* the incremental (lockstep) precision search yields the same profile rows
+  as the full-forward reference, and runs one merged suffix pass per step;
+  the quantisation fast paths it leans on are bit-identical;
 * ``python -m repro cache stats`` round trips and ``cache clear`` resets.
 """
 
@@ -481,6 +482,72 @@ class TestIncrementalSearch:
         np.testing.assert_array_equal(layer.weights, before)
 
 
+def _lockstep_net(dense_tail):
+    """Agreement-mode test net: two convs, then ``dense_tail`` dense layers."""
+    from repro.nn.layers import Conv2D, Flatten, FullyConnected, MaxPool2D, ReLU
+    from repro.nn.network import Network
+
+    rng = np.random.default_rng(5)
+    layers = [
+        Conv2D(2, 6, 3, padding=1, name="c1", rng=rng),
+        ReLU(name="r1"),
+        MaxPool2D(2, name="p1"),
+        Conv2D(6, 8, 3, name="c2", rng=rng),
+        ReLU(name="r2"),
+        Flatten(name="flat"),
+    ]
+    widths = [8 * 4 * 4, *(24 - 8 * index for index in range(dense_tail - 1)), 10]
+    for index in range(dense_tail):
+        if index:
+            layers.append(ReLU(name=f"r{index + 2}"))
+        layers.append(FullyConnected(widths[index], widths[index + 1], name=f"fc{index + 1}", rng=rng))
+    samples = np.random.default_rng(8).uniform(-1.0, 1.0, size=(10, 2, 12, 12))
+    return Network(layers, (2, 12, 12)), samples
+
+
+class TestLockstepSearch:
+    CANDIDATES = (1, 2, 3, 4, 6, 8, 16)
+
+    def test_lockstep_profile_matches_reference(self):
+        network, samples = _lockstep_net(3)
+        reference = PrecisionSearch(network, samples, candidate_bits=self.CANDIDATES)
+        lockstep = PrecisionSearch(network, samples, candidate_bits=self.CANDIDATES)
+        steps = []
+        merged = lockstep._merged_suffix
+
+        def recording(entries):
+            steps.append([position for position, _ in entries])
+            return merged(entries)
+
+        lockstep._merged_suffix = recording
+        assert lockstep.profile(incremental=True) == reference.profile()
+        # Rows entered the merged stream at three or more depths in one step...
+        assert max(len(set(positions)) for positions in steps) >= 3
+        # ...a weight and an activation scan of one layer shared a step...
+        assert any(len(positions) > len(set(positions)) for positions in steps)
+        # ...and the scans finished at different steps.
+        assert len({len(positions) for positions in steps}) > 2
+
+    @pytest.mark.parametrize("dense_tail", [1, 3])
+    def test_one_suffix_pass_per_step(self, dense_tail):
+        network, samples = _lockstep_net(dense_tail)
+        last = network.layers[-1]
+        passes = []
+        forward = last.forward_batch
+
+        def counting(inputs, config=None, **kwargs):
+            # The last layer's own scans call it with a config or weights;
+            # an unquantised call is a suffix pass (or the prefix capture).
+            if config is None and kwargs.get("weights") is None:
+                passes.append(inputs.shape[0])
+            return forward(inputs, config, **kwargs)
+
+        last.forward_batch = counting
+        search = PrecisionSearch(network, samples, candidate_bits=self.CANDIDATES)
+        search.profile(incremental=True)
+        assert len(passes) <= 2 * len(self.CANDIDATES) + 1
+
+
 class TestFig6ArtifactPath:
     def test_lenet_rows_artifact_path_matches_reference(self, tmp_path):
         from repro.experiments.fig6 import run_lenet
@@ -569,6 +636,19 @@ class TestQuantizeFastPaths:
             baseline = quantize(tensor, bits)
             result = quantize(tensor, bits, out=scratch)
             assert result.tobytes() == baseline.tobytes()
+
+    def test_binary_writes_into_out(self):
+        tensor = np.array([0.0, -0.0, 1.5, -2.0, 3e-320, -3e-320, 0.25])
+        for values in (tensor, np.append(tensor, np.nan), np.array([0.0, -0.0, 0.0])):
+            scale = float(np.mean(np.abs(values)))
+            expected = (
+                np.zeros_like(values) if scale == 0.0 else np.where(values >= 0.0, scale, -scale)
+            )
+            out = np.empty_like(values)
+            result = quantize(values, 1, out=out)
+            assert result is out
+            assert result.tobytes() == expected.tobytes()
+            assert quantize(values, 1).tobytes() == expected.tobytes()
 
     def test_max_abs_hint_matches(self):
         rng = np.random.default_rng(2)
