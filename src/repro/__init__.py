@@ -28,6 +28,9 @@ Subpackages
     The Envision CNN-processor model of Section V.
 ``repro.experiments``
     One driver per table/figure of the paper's evaluation.
+``repro.artifact_hook``
+    The stdlib slot through which producers reach the runner's artifact
+    store, keeping orchestration out of the science's cache keys.
 ``repro.runner``
     Experiment orchestration: typed registry, content-addressed result
     cache, process-parallel execution and the ``python -m repro`` CLI.

@@ -23,6 +23,7 @@ import numpy as np
 from ..arithmetic.fixed_point import signed_range
 from ..arithmetic.multiplier import BoothWallaceMultiplier
 from ..arithmetic.subword import SubwordParallelMultiplier
+from ..artifact_hook import resolve as resolve_artifact
 from ..circuit.technology import TECH_40NM_LP_LVT, Technology
 from ..circuit.voltage_scaling import minimum_voltage_for_period
 from .power_model import ScalingParameters
@@ -305,8 +306,6 @@ def resolve_characterization(
     """
     if characterization is not None:
         return characterization
-    from ..runner.artifacts import resolve_artifact
-
     return resolve_artifact(
         "multiplier_characterization",
         {"samples": samples, "seed": seed},

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.reporting import format_table
+from ..artifact_hook import current as active_store
+from ..artifact_hook import resolve as resolve_artifact
 from ..nn import (
     LayerPrecisionProfile,
     PrecisionSearch,
@@ -172,8 +174,6 @@ def resolve_alexnet_profiles(
     inline.  The two paths yield identical profiles
     (``tests/test_artifacts.py`` gates the equivalence).
     """
-    from ..runner.artifacts import active_store, resolve_artifact
-
     if evaluation_samples == ALEXNET_EVALUATION_SAMPLES and active_store() is not None:
         return list(
             resolve_artifact(
@@ -198,8 +198,6 @@ def run_lenet(
     seed: int = 2017,
 ) -> list[dict[str, object]]:
     """Per-layer minimum precisions of a LeNet-5 trained on synthetic digits."""
-    from ..runner.artifacts import active_store, resolve_artifact
-
     if active_store() is not None:
         data = resolve_artifact(
             "fig6_lenet_profile",

@@ -13,6 +13,7 @@ synthetic data, precisions from the quantisation search defaults).
 from __future__ import annotations
 
 from ..analysis.reporting import format_table
+from ..artifact_hook import resolve as resolve_artifact
 from ..envision import EnvisionScheduler, LayerWorkload, PAPER_TABLE_III_WORKLOADS
 from ..nn import alexnet, lenet5, measure_sparsity, prune_network, synthetic_natural_images, vgg16
 
@@ -102,8 +103,6 @@ def resolve_substrate_workloads(
     *, seed: int = 2017, batch: bool = True
 ) -> dict[str, list[LayerWorkload]]:
     """Load-or-measure the substrate workloads through the artifact store."""
-    from ..runner.artifacts import resolve_artifact
-
     return resolve_artifact(
         "table3_substrate_workloads",
         {"seed": seed, "batch": batch},

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..artifact_hook import resolve as resolve_artifact
 from .datasets import Dataset, synthetic_digits
 from .layers import Conv2D, Flatten, FullyConnected, Layer, MaxPool2D, ReLU
 from .models import lenet5
@@ -87,8 +88,6 @@ def resolve_trained_lenet(
     *, train_samples: int, test_samples: int, image_size: int, epochs: int, seed: int
 ) -> TrainedLeNet:
     """Load-or-train the fig6 LeNet through the active artifact store."""
-    from ..runner.artifacts import resolve_artifact
-
     return resolve_artifact(
         "lenet_state",
         {

@@ -22,10 +22,13 @@ Two layers use the store:
 * the scheduler (:mod:`repro.runner.service`) resolves each driver's
   declared ``ARTIFACTS`` into a producer/consumer DAG and fills the store
   in topological waves over worker processes before cold experiments run;
-* producer modules expose *resolvers* built on :func:`resolve_artifact`:
-  with a store active they load-or-compute (and therefore hit after the
-  scheduler's wave); without one they compute inline, so direct driver
-  calls behave exactly as before the store existed.
+* producer modules expose *resolvers* built on the stdlib-only
+  :mod:`repro.artifact_hook` (re-exported here as :func:`activated`,
+  :func:`active_store` and :func:`resolve_artifact`): with a store
+  installed they load-or-compute through :meth:`ArtifactStore.resolve`
+  (and therefore hit after the scheduler's wave); without one they
+  compute inline, so direct driver calls behave exactly as before the
+  store existed.
 
 :class:`ArtifactStore` is the pickle configuration of the one
 :class:`~repro.runner.store.ContentStore` the result cache also uses, so
@@ -41,17 +44,11 @@ thrash multi-MB trained networks) bounds the store with LRU eviction.
 
 Entries are pickles, which is safe here for the same reason the result
 cache's JSON is trusted: the store root is a local directory owned by the
-user running the experiments.  This module deliberately imports nothing
-from the runner package except :mod:`~repro.runner.fingerprint`,
-:mod:`~repro.runner.store` and the stdlib-only
-:mod:`~repro.runner.backends`, so a driver's lazy
-``from ..runner.artifacts import ...`` keeps the result cache and CLI
-out of its fingerprint closure.
+user running the experiments.
 """
 
 from __future__ import annotations
 
-import contextlib
 import importlib
 import json
 import os
@@ -61,6 +58,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
+from ..artifact_hook import current as active_store  # noqa: F401 - re-exported
+from ..artifact_hook import installed as activated
+from ..artifact_hook import resolve as resolve_artifact  # noqa: F401 - re-exported
 from .fingerprint import code_fingerprint
 from .store import ContentStore, StoreStats, content_key
 
@@ -164,33 +164,20 @@ class ArtifactStore(ContentStore):
     def decode(self, blob: bytes) -> object:
         return pickle.loads(blob)
 
+    def resolve(
+        self, artifact: str, params: Mapping[str, object], *, producer: Callable[..., object]
+    ) -> object:
+        """Load-or-compute one artifact: the stored payload, else :func:`produce_into`.
 
-# -- active store -------------------------------------------------------------------
-#
-# Producer-module resolvers find the store through this process-wide slot:
-# the executor activates the runner's store around in-process executions,
-# and workers activate the store they rebuild from its root (and URL).
-# When nothing is active (direct driver calls, tests), resolvers compute
-# inline.
-
-_ACTIVE_STORE: ArtifactStore | None = None
-
-
-def active_store() -> ArtifactStore | None:
-    """The store resolvers should use, or ``None`` to compute inline."""
-    return _ACTIVE_STORE
-
-
-@contextlib.contextmanager
-def activated(store: ArtifactStore | None):
-    """Temporarily make ``store`` the active one (``None`` disables reuse)."""
-    global _ACTIVE_STORE
-    previous = _ACTIVE_STORE
-    _ACTIVE_STORE = store
-    try:
-        yield store
-    finally:
-        _ACTIVE_STORE = previous
+        :func:`repro.artifact_hook.resolve` calls this while the store is
+        installed (:func:`activated`).
+        """
+        fingerprint = code_fingerprint(producer.__module__)
+        key = artifact_key(artifact, params, fingerprint)
+        entry = self.get(artifact, key)
+        if entry is not None:
+            return entry.payload
+        return produce_into(self, artifact, params, producer, key=key, fingerprint=fingerprint).payload
 
 
 def _artifact_provenance() -> dict[str, object]:
@@ -234,31 +221,6 @@ def produce_into(
         )
 
     return store.fill(artifact, key, compute)[0]
-
-
-def resolve_artifact(
-    artifact: str,
-    params: Mapping[str, object],
-    *,
-    producer: Callable[..., object],
-) -> object:
-    """Load-or-compute one artifact through the active store.
-
-    With no active store the producer runs inline and nothing is persisted
-    -- results are bit-identical either way, because producers are
-    deterministic functions of their parameters.
-    """
-    store = active_store()
-    if store is None:
-        return producer(**dict(params))
-    fingerprint = code_fingerprint(producer.__module__)
-    key = artifact_key(artifact, params, fingerprint)
-    entry = store.get(artifact, key)
-    if entry is not None:
-        return entry.payload
-    return produce_into(
-        store, artifact, params, producer, key=key, fingerprint=fingerprint
-    ).payload
 
 
 # -- persisted statistics -----------------------------------------------------------

@@ -32,12 +32,10 @@ stay valid) and :class:`MemoryBackend` (lock-guarded dicts; used by
 tests and the HTTP service's warm-path L1).  The networked backends of
 :mod:`repro.runner.netstore` plug into the same seam.  The module also
 holds the small helpers every runner layer shares: :func:`env_number`
-(the one environment-variable parser), the claim wait/TTL/poll knobs, and
-:func:`backoff_delay` (exponential backoff with deterministic jitter).
-
-This module deliberately imports only the standard library, so adding it
-to the stores' import closure does not drag the runner package into the
-drivers' code fingerprints.
+(the one environment-variable parser), :func:`path_component` (the one
+name check that keeps store addresses inside their root), the claim
+wait/TTL/poll knobs, and :func:`backoff_delay` (exponential backoff with
+deterministic jitter).
 """
 
 from __future__ import annotations
@@ -99,6 +97,13 @@ def env_number(
     except ValueError:
         return default
     return value if accept is None or accept(value) else default
+
+
+def path_component(name: str, kind: str) -> str:
+    """``name`` when it is a single path component, else ``ValueError`` -- never traversal."""
+    if Path(name).name != name or name in ("", ".", ".."):
+        raise ValueError(f"invalid {kind} name {name!r}")
+    return name
 
 
 def backoff_delay(attempt: int, seed: str, *, base: float, cap: float) -> float:

@@ -33,11 +33,13 @@ Fault sites (see :mod:`repro.faults`): ``net.connect`` / ``net.send`` /
 request (key = operation name); ``net.server`` fires server-side per
 request -- an ``exc`` there tears the connection like a crashed server.
 
-This module is deliberately stdlib-only and is imported *lazily* by its
-consumers (CLI, facade, executor workers), never by :mod:`backends`,
-:mod:`store`, :mod:`cache` or :mod:`artifacts` -- so it stays outside the
-drivers' static import closure and cache/artifact fingerprints do not
-churn.
+Every request's namespace and filename must be a single path component
+(:func:`~repro.runner.backends.path_component`), so no client can address
+a file outside the server root; a rejected name is answered with an
+application error, which costs no retry and never trips the breaker.
+
+Consumers (CLI, facade, executor workers) import this module lazily, so
+runs without a store URL never pay for loading the socket machinery.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import time
 from pathlib import Path
 
 from ..faults import FaultInjected, fault_point
-from .backends import ClaimTicket, DiskBackend, EntryStat, backoff_delay, env_number, evict_lru
+from .backends import ClaimTicket, DiskBackend, EntryStat, backoff_delay, env_number, evict_lru, path_component
 
 logger = logging.getLogger(__name__)
 
@@ -218,9 +220,10 @@ class _StoreRequestHandler(socketserver.BaseRequestHandler):
             }, b""
         namespace = str(header.get("ns", ""))
         filename = str(header.get("fn", ""))
-        if not namespace or not filename:
-            if op != "iter":
-                return {"ok": False, "error": f"op {op!r} needs ns and fn"}, b""
+        # Names must stay inside the root; only ``iter`` may leave them empty.
+        for kind, name in (("ns", namespace), ("fn", filename)):
+            if name or op != "iter":
+                path_component(name, kind)
         if op == "get":
             entry = backend.get(namespace, filename, touch=bool(header.get("touch", True)))
             return {"ok": True, "found": entry is not None}, entry or b""
@@ -801,16 +804,6 @@ class TieredBackend:
         return bool(shared) or quarantined
 
 
-def make_store_backend(
-    root: Path | str,
-    url: str,
-    *,
-    subroot: str = "",
-    timeout: float | None = None,
-    retries: int | None = None,
-) -> TieredBackend:
+def make_store_backend(root: Path | str, url: str, *, subroot: str = "") -> TieredBackend:
     """A tiered backend: local :class:`DiskBackend` at ``root`` over ``url``."""
-    return TieredBackend(
-        DiskBackend(Path(root)),
-        RemoteBackend(url, subroot=subroot, timeout=timeout, retries=retries),
-    )
+    return TieredBackend(DiskBackend(Path(root)), RemoteBackend(url, subroot=subroot))

@@ -30,10 +30,6 @@ both fill through it.
 Counters are one :class:`StoreStats` vocabulary: a ``Counter`` keyed by
 the persisted flat names (``result_claims``, ``artifact_corrupt``,
 ``quarantined``, ...) that merges with ``+``.
-
-This module imports only the standard library, :mod:`repro.faults` and
-the stdlib-only :mod:`~repro.runner.backends`, so it adds exactly one
-module to the drivers' fingerprint closures (via the artifact store).
 """
 
 from __future__ import annotations
@@ -60,6 +56,7 @@ from .backends import (
     claim_wait_seconds,
     env_number,
     evict_lru,
+    path_component,
 )
 
 logger = logging.getLogger(__name__)
@@ -280,20 +277,14 @@ class ContentStore:
 
     # -- addressing -----------------------------------------------------------------
 
-    def _check_name(self, name: str) -> str:
-        """Entry names are single path components -- never traversal."""
-        if Path(name).name != name or name in ("", ".", ".."):
-            raise ValueError(f"invalid {self.KIND} name {name!r}")
-        return name
-
     def _address(self, name: str, key: str) -> tuple[str, str]:
         """``(namespace, filename)`` of one entry."""
-        return self._check_name(name), key + self.SUFFIX
+        return path_component(name, self.KIND), key + self.SUFFIX
 
     def _stored(self, name: str | None = None) -> Iterator[tuple[str, str]]:
         """Stored ``(namespace, filename)`` pairs of this store, sorted."""
         if name is not None:
-            self._check_name(name)
+            path_component(name, self.KIND)
         for namespace, filename in self.backend.iter(name):
             if filename.endswith(self.SUFFIX):
                 yield namespace, filename

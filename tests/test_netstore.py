@@ -33,6 +33,7 @@ from repro.runner.netstore import (
     StoreProtocolError,
     StoreServer,
     StoreUnavailableError,
+    TieredBackend,
     make_store_backend,
     parse_store_url,
     read_frame,
@@ -151,6 +152,32 @@ class TestServerBasics:
         assert remote.breaker_state == "closed"
         assert remote.get("ns", "missing.json") is None
         remote.close()
+
+    def test_traversal_names_are_rejected_over_the_wire(self, tmp_path, server):
+        outside = tmp_path / "outside"
+        addresses = [
+            ("..", "escaped.json"),
+            ("ns", "../escaped.json"),
+            (str(outside), "escaped.json"),
+            ("ns", str(outside / "escaped.json")),
+        ]
+        remote = RemoteBackend(server.url, retries=0)
+        for op, extra in [("get", ()), ("put", (b"x",)), ("delete", ()), ("claim", ()), ("quarantine", ()),
+                          ("stat", ()), ("touch", ()), ("release", ())]:
+            for namespace, filename in addresses:
+                with pytest.raises(StoreProtocolError, match="invalid"):
+                    getattr(remote, op)(namespace, filename, *extra)
+        with pytest.raises(StoreProtocolError, match="invalid ns"):
+            list(remote.iter(".."))
+        # Rejections are coherent answers: no retry, no breaker trip, and
+        # the connection keeps serving legitimate names.
+        assert remote.breaker_state == "closed" and remote.errors_total == 0
+        remote.put("ns", "ok.json", b"fine")
+        assert remote.get("ns", "ok.json") == b"fine"
+        remote.close()
+        assert [path.name for path in tmp_path.iterdir()] == ["server"]
+        assert [path.name for path in server.root.iterdir()] == ["ns"]
+        assert sorted(path.name for path in (server.root / "ns").iterdir()) == [".ok.json.atime", "ok.json"]
 
     def test_artifact_subroot_is_isolated_from_results(self, server):
         results = RemoteBackend(server.url)
@@ -288,8 +315,8 @@ class TestTiered:
         tiered.close()
 
     def test_dead_server_degrades_every_operation_to_local(self, tmp_path):
-        tiered = make_store_backend(
-            tmp_path / "local", _dead_url(), timeout=0.2, retries=0
+        tiered = TieredBackend(
+            DiskBackend(tmp_path / "local"), RemoteBackend(_dead_url(), timeout=0.2, retries=0)
         )
         tiered.remote.breaker.failure_threshold = 1
         tiered.put("ns", "k.json", b"blob")  # write-through failure absorbed
@@ -371,8 +398,8 @@ class TestSharedServer:
         baseline = _toy_runner(spec, ResultCache(tmp_path / "baseline"))
         clean = baseline.run_many(list(requests))
         degraded_cache = ResultCache(
-            backend=make_store_backend(
-                tmp_path / "degraded", _dead_url(), timeout=0.2, retries=0
+            backend=TieredBackend(
+                DiskBackend(tmp_path / "degraded"), RemoteBackend(_dead_url(), timeout=0.2, retries=0)
             )
         )
         degraded = _toy_runner(spec, degraded_cache)

@@ -154,15 +154,16 @@ class TestHealthSplit:
     ):
         import socket as socketlib
 
-        from repro.runner.netstore import make_store_backend
+        from repro.runner.backends import DiskBackend
+        from repro.runner.netstore import RemoteBackend, TieredBackend
 
         probe = socketlib.socket()
         probe.bind(("127.0.0.1", 0))
         dead_url = f"tcp://127.0.0.1:{probe.getsockname()[1]}"
         probe.close()
         runner = _toy_runner(tmp_path, monkeypatch)
-        runner.cache.backend = make_store_backend(
-            tmp_path / "tiered", dead_url, timeout=0.2, retries=0
+        runner.cache.backend = TieredBackend(
+            DiskBackend(tmp_path / "tiered"), RemoteBackend(dead_url, timeout=0.2, retries=0)
         )
         with BackgroundServer(build_app(runner)) as background:
             client = Client(background.port)
