@@ -443,10 +443,17 @@ class ContentStore:
         computed; a blown wait deadline computes *uncached*, never touching
         the claim some live filler still owns.  ``compute()`` returns the
         entry; an owned claim is released if it raises, and on success the
-        entry is stored via :meth:`put_or_release`.
+        entry is stored via :meth:`put_or_release`.  A caller whose miss
+        predates another filler's put can still win a fresh claim, so a won
+        claim first re-checks for the entry and serves it uncomputed.
         """
         owns_claim = self.claim(name, key) if claimed is None else claimed
-        if not owns_claim:
+        if owns_claim:
+            entry = self.get(name, key)
+            if entry is not None:
+                self.release_claim(name, key)
+                return entry, False
+        else:
             self.note_wait()
             entry = self.wait_for_fill(name, key)
             if entry is not None:

@@ -29,6 +29,7 @@ engine accepts every program the interpreter accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,7 +119,7 @@ class BasicBlock:
     end: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoopTrace:
     """One analyzable affine loop: a straight-line vector trace plus its
     induction structure and the per-execution counter deltas.
@@ -199,7 +200,18 @@ def analyze_program(program: Program) -> dict[int, LoopTrace]:
     block, so a candidate loop is a block whose closing conditional branch
     targets a leader at or before it; the region from that leader to the
     branch is then validated as a straight-line affine trace.
+
+    The analysis depends only on the (frozen) instructions, so it is
+    memoised per process on them; execution never mutates a trace, so
+    reruns of one program share its traces.
     """
+    return dict(_analyze_instructions(tuple(program.instructions)))
+
+
+@lru_cache(maxsize=64)
+def _analyze_instructions(instructions: tuple[Instruction, ...]) -> dict[int, LoopTrace]:
+    """Memoised body of :func:`analyze_program` (callers get a copy)."""
+    program = Program(instructions=list(instructions))
     traces: dict[int, LoopTrace] = {}
     for block in basic_blocks(program):
         instruction = program[block.end]
@@ -469,7 +481,9 @@ class TraceEngine:
             addrs = np.asarray(base + instr.operands[2], dtype=np.int64)
             if addrs.ndim == 0:
                 addrs = addrs[None]  # constant address
-            if int(addrs.min()) < 0 or int(addrs.max()) >= memory.words_per_bank:
+            # Affine in the iteration (or constant): the endpoints bound it.
+            low, high = sorted((int(addrs[0]), int(addrs[-1])))
+            if low < 0 or high >= memory.words_per_bank:
                 return None  # interpreter will raise the faithful IndexError
             addresses[position] = addrs
             if position in trace.load_positions:
@@ -521,6 +535,16 @@ class TraceEngine:
         def write(register: int, array: np.ndarray) -> None:
             values[register] = _wrap_array(array, vectors.element_bits)
 
+        # Memory only ever holds words range-checked to ``memory.word_bits``
+        # (write_vector, load_bank, load_banks) or element-wrapped register
+        # values (trace stores), so when elements are at least as wide as
+        # memory words a loaded word is already in the element range and
+        # the wrap the interpreter applies on VLOAD is the identity.
+        loads_in_range = vectors.element_bits >= processor.memory.word_bits
+        # With one subword per word, ``unpack`` is the identity on register
+        # values (always inside the element range) plus a trailing axis.
+        single_subword = unit.mode.parallelism == 1
+
         # Accumulator bookkeeping (see module docstring): products since the
         # last VCLR, whether that segment began at the body start, and every
         # product for the cross-iteration carry chain.
@@ -542,7 +566,10 @@ class TraceEngine:
                 gathered = processor.memory._storage[:, addrs].T  # (n, lanes)
                 if gathered.shape[0] != iterations:  # constant address
                     gathered = np.broadcast_to(gathered[0], shape)
-                write(operands[0], gathered)
+                if loads_in_range:
+                    values[operands[0]] = gathered
+                else:
+                    write(operands[0], gathered)
             elif opcode is Opcode.VSTORE:
                 store_values.append((position, read(operands[0])))
             elif opcode is Opcode.VBCAST:
@@ -554,8 +581,12 @@ class TraceEngine:
                 )
                 write(operands[0], column)
             elif opcode is Opcode.VMAC:
-                sub_a = unit.unpack(read(operands[0]))  # (n, lanes, N) subwords
-                sub_b = unit.unpack(read(operands[1]))
+                if single_subword:
+                    sub_a = read(operands[0])[..., None]  # (n, lanes, 1)
+                    sub_b = read(operands[1])[..., None]
+                else:
+                    sub_a = unit.unpack(read(operands[0]))  # (n, lanes, N) subwords
+                    sub_b = unit.unpack(read(operands[1]))
                 if unit.guard_zero_operands:
                     guarded_total += int(np.sum((sub_a == 0) | (sub_b == 0)))
                 products = (sub_a * sub_b).sum(axis=-1)

@@ -10,12 +10,14 @@ numpy reference for correctness checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .assembler import assemble
 from .engine import TraceEngine
-from .isa import Program
+from .isa import Instruction, Program
 from .processor import ExecutionResult, SimdProcessor
 
 
@@ -57,11 +59,9 @@ class ConvolutionWorkload:
 
     def reference_output(self) -> np.ndarray:
         """Exact convolution result, ``(banks, output_length)``."""
-        banks, _ = self.inputs.shape
-        output = np.zeros((banks, self.output_length), dtype=np.int64)
-        for position in range(self.output_length):
-            window = self.inputs[:, position : position + self.taps]
-            output[:, position] = window @ self.weights
+        inputs = np.asarray(self.inputs, dtype=np.int64)
+        windows = sliding_window_view(inputs, self.taps, axis=1)[:, : self.output_length]
+        output = windows @ np.asarray(self.weights, dtype=np.int64)
         lo, hi = -(1 << 15), (1 << 15) - 1
         return np.clip(output, lo, hi)
 
@@ -96,6 +96,20 @@ def _convolution_source(
         ]
     )
     return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=32)
+def _assembled_convolution(
+    taps: int, output_length: int, bases: tuple[int, int, int]
+) -> tuple[tuple[Instruction, ...], tuple[tuple[str, int], ...]]:
+    """Instructions and labels of one convolution program, assembled once.
+
+    The program text depends only on these arguments, never on the data, so
+    a seed sweep assembles it once per process.  Frozen instructions and a
+    label tuple keep the cached value immutable.
+    """
+    program = assemble(_convolution_source(taps, output_length, *bases))
+    return tuple(program.instructions), tuple(program.labels.items())
 
 
 def convolution_kernel(
@@ -138,12 +152,11 @@ def convolution_kernel(
     weight_base = input_base + input_length
     output_base = weight_base + taps
 
-    source = _convolution_source(
-        taps, output_length, input_base, weight_base, output_base
+    instructions, labels = _assembled_convolution(
+        taps, output_length, (input_base, weight_base, output_base)
     )
-    program = assemble(source)
     return ConvolutionWorkload(
-        program=program,
+        program=Program(instructions=list(instructions), labels=dict(labels)),
         inputs=inputs,
         weights=weights,
         input_base=input_base,
@@ -160,9 +173,8 @@ def load_workload(processor: SimdProcessor, workload: ConvolutionWorkload) -> No
             f"workload was generated for {workload.inputs.shape[0]} banks, "
             f"processor has {processor.simd_width}"
         )
-    for bank in range(processor.simd_width):
-        processor.memory.load_bank(bank, workload.input_base, workload.inputs[bank])
-        processor.memory.load_bank(bank, workload.weight_base, workload.weights)
+    processor.memory.load_banks(workload.input_base, workload.inputs)
+    processor.memory.load_banks(workload.weight_base, workload.weights)
 
 
 def read_outputs(processor: SimdProcessor, workload: ConvolutionWorkload) -> np.ndarray:

@@ -107,12 +107,32 @@ class BankedMemory:
         if not 0 <= bank < self.banks:
             raise IndexError(f"bank {bank} out of range")
         values = np.asarray(values, dtype=np.int64)
-        if address + values.size > self.words_per_bank:
+        self._check_preload(address, values.size, values)
+        self._storage[bank, address : address + values.size] = values
+
+    def load_banks(self, address: int, values: np.ndarray) -> None:
+        """Bulk-initialise every bank starting at ``address`` in one write.
+
+        ``values`` is ``(banks, count)`` -- one row per bank -- or ``(count,)``,
+        the same row in every bank.  Same checks and errors as
+        :meth:`load_bank`, run once for the whole buffer.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        if values.ndim == 2 and values.shape[0] != self.banks:
+            raise ValueError(f"expected one row per bank ({self.banks})")
+        if values.ndim not in (1, 2):
+            raise ValueError("values must be one row or one row per bank")
+        count = values.shape[-1]
+        self._check_preload(address, count, values)
+        self._storage[:, address : address + count] = values
+
+    def _check_preload(self, address: int, count: int, values: np.ndarray) -> None:
+        """Capacity and signed-range checks shared by the preload paths."""
+        if address < 0 or address + count > self.words_per_bank:
             raise IndexError("bank initialisation exceeds bank capacity")
         lo, hi = signed_range(self.word_bits)
-        if np.any(values < lo) or np.any(values > hi):
+        if values.size and (values.min() < lo or values.max() > hi):
             raise ValueError(f"values must fit in {self.word_bits} signed bits")
-        self._storage[bank, address : address + values.size] = values
 
     def dump_bank(self, bank: int, address: int, count: int) -> np.ndarray:
         """Read back ``count`` words of a bank without counting energy."""

@@ -270,3 +270,19 @@ def test_env_knob_accepted_range(variable, read, setting, expected, tmp_path, mo
         monkeypatch.setenv(variable, setting)
     value = read(tmp_path)
     assert value == expected and type(value) is type(expected)
+
+
+def test_package_metadata_and_provenance_share_one_version():
+    """pyproject's version is the one ``repro.__version__`` and every cached
+    entry's provenance record.  A regex, not ``tomllib``: Python 3.10 has none."""
+    import re
+    from pathlib import Path
+
+    import repro
+    from repro.runner.cache import run_provenance
+
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    project = pyproject.partition("[project]")[2].partition("\n[")[0]
+    declared = re.search(r'^version\s*=\s*"([^"]+)"\s*$', project, re.MULTILINE)
+    assert declared is not None
+    assert declared.group(1) == repro.__version__ == run_provenance()["repro"]

@@ -95,15 +95,22 @@ def run_differential(
 # -- randomized loop programs -------------------------------------------------
 
 
+#: The signed 16-bit word range's end points (and their neighbours).
+WORD_EXTREMES = np.array([-(1 << 15), -(1 << 15) + 1, -1, 0, 1, (1 << 15) - 2, (1 << 15) - 1])
+
+
 @st.composite
-def loop_programs(draw):
+def loop_programs(draw, extremes: bool = False):
     """A random (source, simd_width, precision, preload) loop program.
 
     The generator biases toward analyzable affine loops (loads/stores off the
     induction register, MAC/ALU mixes, optional VCLR/VSTACC) but can also
     inject constructs the engine must refuse -- extra scalar writes, a second
     induction update, colliding stores -- exercising the interpreter fallback
-    under the same differential property.
+    under the same differential property.  With ``extremes`` every preloaded
+    word sits at or next to an end of the word range, so induction-indexed
+    and constant-address (``r0``) loads feed the engine's VLOAD and VMAC fast
+    paths the values they are most likely to get wrong.
     """
     simd_width = draw(st.sampled_from([2, 8, 64]))
     precision = draw(st.sampled_from([16, 8, 4]))
@@ -114,7 +121,10 @@ def loop_programs(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
 
     rng = np.random.default_rng(seed)
-    preload = rng.integers(-(1 << 15), 1 << 15, size=(simd_width, INPUT_WORDS))
+    if extremes:
+        preload = rng.choice(WORD_EXTREMES, size=(simd_width, INPUT_WORDS))
+    else:
+        preload = rng.integers(-(1 << 15), 1 << 15, size=(simd_width, INPUT_WORDS))
     preload[rng.random(size=preload.shape) < sparsity] = 0
 
     lines = [
@@ -197,6 +207,40 @@ class TestRandomizedLoops:
         run_differential(
             source, simd_width=simd_width, precision=precision, preload=preload, guard=guard
         )
+
+
+class TestWordRangeExtremes:
+    """Loaded words at -32768 / 32767: the engine skips the VLOAD wrap and,
+    with one subword per word, the VMAC unpack -- it must still match the
+    interpreter bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=loop_programs(extremes=True))
+    def test_engine_matches_interpreter(self, data):
+        source, simd_width, precision, preload = data
+        run_differential(
+            source, simd_width=simd_width, precision=precision, preload=preload
+        )
+
+    @pytest.mark.parametrize("precision", [16, 12, 8, 4])
+    def test_constant_and_induction_loads_at_the_extremes(self, precision):
+        lanes = 4
+        # A checkerboard of -32768 and 32767 over lanes and addresses.
+        parity = np.add.outer(np.arange(lanes), np.arange(INPUT_WORDS)) % 2
+        preload = np.where(parity == 0, WORD_EXTREMES[0], WORD_EXTREMES[-1])
+        source = (
+            "    li r1, 0\n    li r3, 5\nloop:\n    vclr\n"
+            "    vload v0, r1, 0\n    vload v1, r0, 0\n    vload v2, r0, 1\n"
+            "    vmac v0, v1\n    vmac v2, v2\n    vmac v0, v0\n"
+            "    vadd v3, v0, v1\n    vmul v4, v0, v2\n"
+            "    vstacc v5\n    vstore v5, r1, 200\n    vstore v0, r1, 216\n"
+            "    vstore v3, r1, 232\n    vstore v4, r1, 248\n"
+            "    addi r1, r1, 1\n    blt r1, r3, loop\n    halt\n"
+        )
+        program, _ = run_differential(
+            source, simd_width=lanes, precision=precision, preload=preload
+        )
+        assert list(analyze_program(program)) == [2]  # vectorised, not interpreted
 
 
 class TestConvolutionWorkloads:

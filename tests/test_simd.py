@@ -250,3 +250,163 @@ class TestSimdPowerModel:
         model = SimdPowerModel(8)
         with pytest.raises(ValueError):
             model.report(result, technique="DVFS")
+
+
+class TestCompileOnce:
+    """The convolution program is assembled and analysed once per process."""
+
+    def test_table2_sweep_assembles_and_analyses_once(self, monkeypatch):
+        import random
+
+        from repro.experiments import table2
+        from repro.simd import engine, kernels
+
+        calls = {"assemble": 0, "analyze": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(kernels, "assemble", counted("assemble", kernels.assemble))
+        monkeypatch.setattr(engine, "basic_blocks", counted("analyze", engine.basic_blocks))
+        kernels._assembled_convolution.cache_clear()
+        engine._analyze_instructions.cache_clear()
+        try:
+            programs = set()
+            for seed in random.Random("sweep:1").sample(range(1, 1_000_000), 128):
+                table2.run(seed=seed)
+            for simd_width in table2.PARAMS["simd_widths"]:
+                workload = convolution_kernel(simd_width, input_length=48, taps=9)
+                programs.add(tuple(workload.program.instructions))
+        finally:
+            kernels._assembled_convolution.cache_clear()
+            engine._analyze_instructions.cache_clear()
+        # Both SIMD widths run the same program text: the buffer bases
+        # depend on the input length and tap count only.
+        assert len(programs) == 1
+        assert calls == {"assemble": len(programs), "analyze": len(programs)}
+
+    def test_mutating_a_program_does_not_poison_the_next(self):
+        first = convolution_kernel(4, input_length=12, taps=3)
+        pristine = list(first.program.instructions)
+        first.program.instructions.clear()
+        first.program.labels["outer"] = 99
+        second = convolution_kernel(4, input_length=12, taps=3)
+        assert second.program.instructions == pristine
+        assert second.program.labels == {"outer": 2}
+        assert second.program.instructions is not first.program.instructions
+
+    def test_analysis_callers_get_their_own_trace_map(self):
+        from repro.simd import analyze_program
+
+        program = convolution_kernel(4, input_length=12, taps=3).program
+        traces = analyze_program(program)
+        traces.clear()
+        assert list(analyze_program(program)) == [2]
+
+    def test_execution_leaves_the_memoised_traces_untouched(self):
+        import copy
+
+        from repro.simd import TraceEngine, analyze_program
+
+        workload = convolution_kernel(4, input_length=12, taps=3, seed=5)
+        before = copy.deepcopy(analyze_program(workload.program))
+        for precision in (16, 4):
+            processor = SimdProcessor(4)
+            processor.set_precision(precision)
+            run_convolution(processor, workload)
+            TraceEngine(processor).run(workload.program)
+        assert analyze_program(workload.program) == before
+
+    def test_batch_and_interpreted_table2_rows_agree(self):
+        from repro.experiments import table2
+
+        for seed in (3, 2017, 424242):
+            assert table2.run(seed=seed, batch=False) == table2.run(seed=seed, batch=True)
+
+    def test_reference_output_matches_the_windowed_sum(self):
+        workload = convolution_kernel(3, input_length=20, taps=6, seed=9, value_bits=16)
+        expected = np.zeros((3, workload.output_length), dtype=np.int64)
+        for position in range(workload.output_length):
+            window = workload.inputs[:, position : position + workload.taps]
+            expected[:, position] = window @ workload.weights
+        expected = np.clip(expected, -(1 << 15), (1 << 15) - 1)
+        assert (np.abs(expected) >= (1 << 15) - 1).any()  # the clip is exercised
+        assert np.array_equal(workload.reference_output(), expected)
+
+
+class TestPreload:
+    """``load_banks`` keeps ``load_bank``'s checks and errors."""
+
+    @pytest.mark.parametrize(
+        "address, values, error",
+        [
+            (10, np.ones((2, 7), dtype=np.int64), IndexError),  # 10 + 7 > 16
+            (-1, np.ones((2, 3), dtype=np.int64), IndexError),
+            (0, np.full((2, 3), 1 << 15), ValueError),
+            (0, np.full((2, 3), -(1 << 15) - 1), ValueError),
+        ],
+    )
+    def test_same_errors_as_load_bank(self, address, values, error):
+        from repro.simd.memory import BankedMemory
+
+        memory = BankedMemory(2, 16)
+        with pytest.raises(error) as single:
+            memory.load_bank(0, address, values[0])
+        with pytest.raises(error) as bulk:
+            memory.load_banks(address, values)
+        assert str(bulk.value) == str(single.value)
+        assert not memory._storage.any()  # nothing written on failure
+
+    def test_bulk_write_matches_per_bank_writes(self):
+        from repro.simd.memory import BankedMemory
+
+        rows = np.arange(-12, 12).reshape(3, 8)
+        bulk, single = BankedMemory(3, 16), BankedMemory(3, 16)
+        bulk.load_banks(4, rows)
+        bulk.load_banks(12, np.array([-(1 << 15), (1 << 15) - 1]))  # broadcast row
+        for bank in range(3):
+            single.load_bank(bank, 4, rows[bank])
+            single.load_bank(bank, 12, np.array([-(1 << 15), (1 << 15) - 1]))
+        assert np.array_equal(bulk._storage, single._storage)
+
+    def test_row_count_must_match_the_banks(self):
+        from repro.simd.memory import BankedMemory
+
+        with pytest.raises(ValueError):
+            BankedMemory(3, 16).load_banks(0, np.zeros((2, 4), dtype=np.int64))
+
+
+class TestFastPathInvariants:
+    """The invariants the trace engine's VLOAD and VMAC fast paths rely on."""
+
+    def test_every_memory_write_is_range_checked(self):
+        from repro.simd.memory import BankedMemory
+
+        memory = BankedMemory(2, 8)
+        for too_wide in ((1 << 15), -(1 << 15) - 1):
+            with pytest.raises(ValueError):
+                memory.write_vector(0, np.array([0, too_wide]))
+            with pytest.raises(ValueError):
+                memory.load_bank(1, 0, np.array([too_wide]))
+            with pytest.raises(ValueError):
+                memory.load_banks(0, np.array([[0], [too_wide]]))
+        assert not memory._storage.any()
+
+    def test_single_subword_unpack_is_a_trailing_axis(self):
+        processor = SimdProcessor(5)
+        unit = processor.vector_unit
+        for precision in (16, 12):  # 12 b does not divide 16: one subword
+            processor.set_precision(precision)
+            assert unit.mode.parallelism == 1
+            # Register writes wrap into the element range ...
+            processor.vector_registers.write(0, np.array([-(1 << 15), -1, 0, 1 << 15, 70000]))
+            held = processor.vector_registers.read(0)
+            assert held.min() >= -(1 << 15) and held.max() <= (1 << 15) - 1
+            # ... where unpacking one subword changes nothing.
+            extremes = np.array([[-(1 << 15), -1, 0, 1, (1 << 15) - 1]])
+            for values in (extremes, held[None]):
+                assert np.array_equal(unit.unpack(values), values[..., None])

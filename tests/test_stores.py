@@ -353,10 +353,19 @@ class TestRemoteCoordination:
                 ArtifactStore(backend=RemoteBackend(server.url)) for _ in range(6)
             ]
             calls = []
+            # Loser handshake: each contender that loses the claim signals
+            # before it waits, and the winner holds its claim until all five
+            # have, so no contender can reach the server after the fill.
+            waiting = threading.Semaphore(0)
+            handshakes = []
+            for store in stores:
+                store.note_wait = _signalling(store.note_wait, waiting)
 
             def producer(*, x):
                 calls.append(x)
-                time.sleep(0.1)  # hold the claim long enough for losers to wait
+                handshakes.append(
+                    all(waiting.acquire(timeout=30) for _ in range(len(stores) - 1))
+                )
                 return {"value": x * 2}
 
             results = [None] * len(stores)
@@ -372,10 +381,48 @@ class TestRemoteCoordination:
             for thread in threads:
                 thread.join()
             assert calls == [21]  # exactly one compute, fleet-wide
+            assert handshakes == [True]
             assert all(entry.payload == {"value": 42} for entry in results)
             drained = [store.drain_stats() for store in stores]
             assert sum(d["artifact_claims"] for d in drained) == 1
             assert sum(d["artifact_claim_waits"] for d in drained) == len(stores) - 1
+
+    def test_contender_arriving_after_the_fill_serves_the_entry(self, tmp_path):
+        from repro.runner.artifacts import artifact_key
+        from repro.runner.netstore import RemoteBackend, StoreServer
+
+        with StoreServer(tmp_path / "server") as server:
+            early, late = (ArtifactStore(backend=RemoteBackend(server.url)) for _ in range(2))
+            key = artifact_key("demo", {"x": 21}, "f" * 64)
+            calls = []
+
+            def producer(*, x):
+                calls.append(x)
+                return {"value": x * 2}
+
+            # Both contenders miss before either fills; the late one only
+            # reaches its claim after the early one's entry has landed, so it
+            # wins a fresh claim on an address that is already filled.
+            misses = sum(store.get("demo", key) is None for store in (early, late))
+            first = produce_into(early, "demo", {"x": 21}, producer, key=key, fingerprint="f" * 64)
+            second = produce_into(late, "demo", {"x": 21}, producer, key=key, fingerprint="f" * 64)
+            assert calls == [21]
+            assert first.payload == second.payload == {"value": 42}
+            assert late.claim_info("demo", key) is None  # the re-check released its claim
+            drained = [store.drain_stats() for store in (early, late)]
+            claims = sum(d["artifact_claims"] for d in drained)
+            claim_waits = sum(d["artifact_claim_waits"] for d in drained)
+            assert misses == claims + claim_waits == 2
+
+
+def _signalling(note_wait, semaphore):
+    """``note_wait`` that also releases ``semaphore`` once per tallied wait."""
+
+    def wrapper():
+        note_wait()
+        semaphore.release()
+
+    return wrapper
 
 
 def _process_fill(root, side_effects):
