@@ -374,14 +374,22 @@ class ExperimentRunner:
             # First-writer-wins fill coordination: of N concurrent runners
             # cold-filling one content address, exactly one computes (it
             # `owns` the claim); the rest wait on the winner's entry.  Claims
-            # are taken up front so the owned cells fan out in one batch.
+            # are taken up front so the owned cells fan out in one batch, and
+            # each won claim is re-checked: another runner's fill may have
+            # landed since this runner's lookup missed.
             store = self.artifacts if self.use_cache else None
             owned, waiting = cold, []
             if self.use_cache:
                 owned = []
                 for item in cold:
-                    _index, name, _config, key = item
-                    (owned if self.cache.claim(name, key) else waiting).append(item)
+                    index, name, config, key = item
+                    claim_start = time.perf_counter()
+                    if not self.cache.claim(name, key):
+                        waiting.append(item)
+                    elif (entry := self.cache.recheck_claim(name, key)) is not None:
+                        prepared[index] = RunReport.replayed(name, config, key, entry, claim_start)
+                    else:
+                        owned.append(item)
 
             def execute(cells: list[tuple[int, str, dict[str, object], str]], jobs: int | None) -> list[CacheEntry]:
                 """Run ``cells`` (one batch over ``jobs``) into their cache entries."""

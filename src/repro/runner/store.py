@@ -22,10 +22,12 @@ bytes, wrong schema, broken document shape) are **quarantined** to
 a file that simply vanished (raced ``unlink``) stays a plain miss.
 
 Fills go through one first-writer-wins path, :meth:`ContentStore.fill`:
-claim the address, compute, put -- or, when a concurrent filler owns the
-claim, :meth:`ContentStore.wait_for_fill` for its entry (taking the claim
-over if the winner died).  Artifact production and cold experiment runs
-both fill through it.
+claim the address, re-check it (:meth:`ContentStore.recheck_claim`),
+compute, put -- or, when a concurrent filler owns the claim,
+:meth:`ContentStore.wait_for_fill` for its entry (taking the claim over if
+the winner died).  Artifact production and cold experiment runs both fill
+through it; a runner batching its cold cells claims and re-checks them up
+front the same way.
 
 Counters are one :class:`StoreStats` vocabulary: a ``Counter`` keyed by
 the persisted flat names (``result_claims``, ``artifact_corrupt``,
@@ -375,6 +377,18 @@ class ContentStore:
         """The in-flight fill ticket for an address, if any."""
         return self.backend.claim_info(*self._address(name, key))
 
+    def recheck_claim(self, name: str, key: str):
+        """After winning a claim: the entry if it already landed, else ``None``.
+
+        A caller whose miss predates another filler's put can still win a
+        fresh claim (the put cleared the old one), so every won claim checks
+        once more before computing.  A found entry releases the claim.
+        """
+        entry = self.get(name, key)
+        if entry is not None:
+            self.release_claim(name, key)
+        return entry
+
     def release_claim(self, name: str, key: str) -> bool:
         """Drop the claim on an address (no-op if none is held)."""
         return self.backend.release(*self._address(name, key))
@@ -393,7 +407,9 @@ class ContentStore:
         expired, in which case the duplicate fill is wasteful but
         deterministic, never corrupting.  Deadline expiries tally
         ``claim_wait_timeouts``; :meth:`ClaimTicket.is_mine` on
-        :meth:`claim_info` distinguishes the two ``None`` cases.
+        :meth:`claim_info` distinguishes the two ``None`` cases.  Like any
+        won claim, a takeover goes through :meth:`recheck_claim` before
+        computing (:meth:`fill` does this).
         """
         if poll_seconds is None:
             poll_seconds = claim_poll_seconds()
@@ -417,14 +433,7 @@ class ContentStore:
                 if ticket is not None:
                     self.break_claim(name, key, ticket)
                 if self.claim(name, key):
-                    # Re-check once more: a full fill cycle squeezing between
-                    # the re-check above and this claim is near-impossible but
-                    # cheap to rule out.
-                    entry = self.get(name, key)
-                    if entry is None:
-                        return None  # we own the claim: compute
-                    self.release_claim(name, key)
-                    return entry
+                    return None  # we own the claim: re-check, then compute
             if time.monotonic() >= deadline:
                 # Hard-deadline exhaustion: degrade to computing locally
                 # rather than raising or spinning forever.  The caller does
@@ -443,17 +452,11 @@ class ContentStore:
         computed; a blown wait deadline computes *uncached*, never touching
         the claim some live filler still owns.  ``compute()`` returns the
         entry; an owned claim is released if it raises, and on success the
-        entry is stored via :meth:`put_or_release`.  A caller whose miss
-        predates another filler's put can still win a fresh claim, so a won
-        claim first re-checks for the entry and serves it uncomputed.
+        entry is stored via :meth:`put_or_release`.  Every owned claim, won
+        up front or taken over, first goes through :meth:`recheck_claim`.
         """
         owns_claim = self.claim(name, key) if claimed is None else claimed
-        if owns_claim:
-            entry = self.get(name, key)
-            if entry is not None:
-                self.release_claim(name, key)
-                return entry, False
-        else:
+        if not owns_claim:
             self.note_wait()
             entry = self.wait_for_fill(name, key)
             if entry is not None:
@@ -463,6 +466,10 @@ class ContentStore:
             # may be released or cleared by our put.
             ticket = self.claim_info(name, key)
             owns_claim = ticket is not None and ticket.is_mine()
+        if owns_claim:
+            entry = self.recheck_claim(name, key)
+            if entry is not None:
+                return entry, False
         try:
             entry = compute()
         except BaseException:

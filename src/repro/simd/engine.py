@@ -535,12 +535,6 @@ class TraceEngine:
         def write(register: int, array: np.ndarray) -> None:
             values[register] = _wrap_array(array, vectors.element_bits)
 
-        # Memory only ever holds words range-checked to ``memory.word_bits``
-        # (write_vector, load_bank, load_banks) or element-wrapped register
-        # values (trace stores), so when elements are at least as wide as
-        # memory words a loaded word is already in the element range and
-        # the wrap the interpreter applies on VLOAD is the identity.
-        loads_in_range = vectors.element_bits >= processor.memory.word_bits
         # With one subword per word, ``unpack`` is the identity on register
         # values (always inside the element range) plus a trailing axis.
         single_subword = unit.mode.parallelism == 1
@@ -566,10 +560,10 @@ class TraceEngine:
                 gathered = processor.memory._storage[:, addrs].T  # (n, lanes)
                 if gathered.shape[0] != iterations:  # constant address
                     gathered = np.broadcast_to(gathered[0], shape)
-                if loads_in_range:
-                    values[operands[0]] = gathered
-                else:
-                    write(operands[0], gathered)
+                # No wrap: register and memory words share ``word_bits``, and
+                # memory only holds range-checked writes or register values,
+                # so the wrap the interpreter applies on VLOAD is the identity.
+                values[operands[0]] = gathered
             elif opcode is Opcode.VSTORE:
                 store_values.append((position, read(operands[0])))
             elif opcode is Opcode.VBCAST:

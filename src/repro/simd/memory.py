@@ -74,10 +74,13 @@ class BankedMemory:
         values = np.asarray(values, dtype=np.int64)
         if values.shape != (self.banks,):
             raise ValueError(f"expected one value per bank ({self.banks})")
+        self._check_range(values)
+        return values
+
+    def _check_range(self, values: np.ndarray) -> None:
         lo, hi = signed_range(self.word_bits)
         if np.any(values < lo) or np.any(values > hi):
             raise ValueError(f"values must fit in {self.word_bits} signed bits")
-        return values
 
     def read_vector(self, address: int, *, active_bits: int | None = None) -> np.ndarray:
         """Read ``address`` from every bank (one word per lane)."""
@@ -98,41 +101,22 @@ class BankedMemory:
         self.counters.write_bits += self.banks * active
         self._storage[:, address] = values
 
-    def load_bank(self, bank: int, address: int, values: np.ndarray) -> None:
-        """Bulk-initialise a bank starting at ``address`` (no energy counted).
+    def load_banks(self, address: int, values: np.ndarray) -> None:
+        """Bulk-initialise every bank starting at ``address`` (no energy counted).
 
         This models the DMA/preload step that fills the scratchpads before a
         kernel runs; it is not part of the measured kernel energy.
-        """
-        if not 0 <= bank < self.banks:
-            raise IndexError(f"bank {bank} out of range")
-        values = np.asarray(values, dtype=np.int64)
-        self._check_preload(address, values.size, values)
-        self._storage[bank, address : address + values.size] = values
-
-    def load_banks(self, address: int, values: np.ndarray) -> None:
-        """Bulk-initialise every bank starting at ``address`` in one write.
-
-        ``values`` is ``(banks, count)`` -- one row per bank -- or ``(count,)``,
-        the same row in every bank.  Same checks and errors as
-        :meth:`load_bank`, run once for the whole buffer.
+        ``values`` is ``(banks, count)`` -- one row per bank -- or
+        ``(count,)``, the same row in every bank.
         """
         values = np.asarray(values, dtype=np.int64)
-        if values.ndim == 2 and values.shape[0] != self.banks:
-            raise ValueError(f"expected one row per bank ({self.banks})")
-        if values.ndim not in (1, 2):
-            raise ValueError("values must be one row or one row per bank")
+        if values.ndim not in (1, 2) or (values.ndim == 2 and values.shape[0] != self.banks):
+            raise ValueError(f"expected one row, or one row per bank ({self.banks})")
         count = values.shape[-1]
-        self._check_preload(address, count, values)
-        self._storage[:, address : address + count] = values
-
-    def _check_preload(self, address: int, count: int, values: np.ndarray) -> None:
-        """Capacity and signed-range checks shared by the preload paths."""
         if address < 0 or address + count > self.words_per_bank:
             raise IndexError("bank initialisation exceeds bank capacity")
-        lo, hi = signed_range(self.word_bits)
-        if values.size and (values.min() < lo or values.max() > hi):
-            raise ValueError(f"values must fit in {self.word_bits} signed bits")
+        self._check_range(values)
+        self._storage[:, address : address + count] = values
 
     def dump_bank(self, bank: int, address: int, count: int) -> np.ndarray:
         """Read back ``count`` words of a bank without counting energy."""

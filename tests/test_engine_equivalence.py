@@ -38,8 +38,7 @@ def _prepare(simd_width: int, precision: int, preload: np.ndarray, *, guard: boo
     processor = SimdProcessor(simd_width, guard_zero_operands=guard)
     if precision != 16:
         processor.set_precision(precision)
-    for bank in range(simd_width):
-        processor.memory.load_bank(bank, INPUT_BASE, preload[bank])
+    processor.memory.load_banks(INPUT_BASE, preload)
     return processor
 
 

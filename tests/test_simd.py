@@ -107,9 +107,8 @@ class TestProcessorScalar:
 class TestProcessorVector:
     def test_vector_mac_pipeline(self):
         processor = SimdProcessor(4)
-        for bank in range(4):
-            processor.memory.load_bank(bank, 0, np.array([bank + 1, 2]))
-            processor.memory.load_bank(bank, 10, np.array([3, 4]))
+        processor.memory.load_banks(0, np.array([[bank + 1, 2] for bank in range(4)]))
+        processor.memory.load_banks(10, np.array([3, 4]))
         program = assemble(
             """
             vclr
@@ -136,8 +135,7 @@ class TestProcessorVector:
 
     def test_relu_clamps_negative(self):
         processor = SimdProcessor(2)
-        processor.memory.load_bank(0, 0, np.array([-5]))
-        processor.memory.load_bank(1, 0, np.array([7]))
+        processor.memory.load_banks(0, np.array([[-5], [7]]))
         processor.run(assemble("vload v0, r0, 0\nvrelu v1, v0\nvstore v1, r0, 1\nhalt\n"))
         assert int(processor.memory.dump_bank(0, 1, 1)[0]) == 0
         assert int(processor.memory.dump_bank(1, 1, 1)[0]) == 7
@@ -339,49 +337,50 @@ class TestCompileOnce:
 
 
 class TestPreload:
-    """``load_banks`` keeps ``load_bank``'s checks and errors."""
+    """``load_banks`` checks capacity and the signed word range, then writes once."""
 
     @pytest.mark.parametrize(
-        "address, values, error",
+        "address, values, error, message",
         [
-            (10, np.ones((2, 7), dtype=np.int64), IndexError),  # 10 + 7 > 16
-            (-1, np.ones((2, 3), dtype=np.int64), IndexError),
-            (0, np.full((2, 3), 1 << 15), ValueError),
-            (0, np.full((2, 3), -(1 << 15) - 1), ValueError),
+            (10, np.ones((2, 7), dtype=np.int64), IndexError, "exceeds bank capacity"),  # 10 + 7 > 16
+            (-1, np.ones((2, 3), dtype=np.int64), IndexError, "exceeds bank capacity"),
+            (0, np.full((2, 3), 1 << 15), ValueError, "fit in 16 signed bits"),
+            (0, np.full((2, 3), -(1 << 15) - 1), ValueError, "fit in 16 signed bits"),
+            (0, np.zeros((3, 4), dtype=np.int64), ValueError, "one row per bank"),
         ],
     )
-    def test_same_errors_as_load_bank(self, address, values, error):
+    def test_rejects_without_writing(self, address, values, error, message):
         from repro.simd.memory import BankedMemory
 
         memory = BankedMemory(2, 16)
-        with pytest.raises(error) as single:
-            memory.load_bank(0, address, values[0])
-        with pytest.raises(error) as bulk:
+        with pytest.raises(error, match=message):
             memory.load_banks(address, values)
-        assert str(bulk.value) == str(single.value)
         assert not memory._storage.any()  # nothing written on failure
 
-    def test_bulk_write_matches_per_bank_writes(self):
+    def test_rows_per_bank_and_one_broadcast_row(self):
         from repro.simd.memory import BankedMemory
 
         rows = np.arange(-12, 12).reshape(3, 8)
-        bulk, single = BankedMemory(3, 16), BankedMemory(3, 16)
-        bulk.load_banks(4, rows)
-        bulk.load_banks(12, np.array([-(1 << 15), (1 << 15) - 1]))  # broadcast row
-        for bank in range(3):
-            single.load_bank(bank, 4, rows[bank])
-            single.load_bank(bank, 12, np.array([-(1 << 15), (1 << 15) - 1]))
-        assert np.array_equal(bulk._storage, single._storage)
-
-    def test_row_count_must_match_the_banks(self):
-        from repro.simd.memory import BankedMemory
-
-        with pytest.raises(ValueError):
-            BankedMemory(3, 16).load_banks(0, np.zeros((2, 4), dtype=np.int64))
+        extremes = np.array([-(1 << 15), (1 << 15) - 1])
+        memory = BankedMemory(3, 16)
+        memory.load_banks(4, rows)
+        memory.load_banks(12, extremes)
+        expected = np.zeros((3, 16), dtype=np.int64)
+        expected[:, 4:12] = rows
+        expected[:, 12:14] = extremes
+        assert np.array_equal(memory._storage, expected)
 
 
 class TestFastPathInvariants:
     """The invariants the trace engine's VLOAD and VMAC fast paths rely on."""
+
+    def test_registers_and_memory_share_the_word_width(self):
+        # VLOAD skips the element wrap because a loaded word already fits.
+        for word_bits in (16, 12, 8):
+            processor = SimdProcessor(3, word_bits=word_bits)
+            for _ in range(2):
+                assert processor.vector_registers.element_bits == processor.memory.word_bits
+                processor.reset(keep_memory=False)
 
     def test_every_memory_write_is_range_checked(self):
         from repro.simd.memory import BankedMemory
@@ -390,8 +389,6 @@ class TestFastPathInvariants:
         for too_wide in ((1 << 15), -(1 << 15) - 1):
             with pytest.raises(ValueError):
                 memory.write_vector(0, np.array([0, too_wide]))
-            with pytest.raises(ValueError):
-                memory.load_bank(1, 0, np.array([too_wide]))
             with pytest.raises(ValueError):
                 memory.load_banks(0, np.array([[0], [too_wide]]))
         assert not memory._storage.any()

@@ -605,6 +605,26 @@ class TestRunnerUnderPressure:
         assert counters.result_claims == 2
         assert counters.result_claim_waits == 0
 
+    def test_cell_filled_after_the_lookup_is_served_not_recomputed(self, tmp_path, monkeypatch):
+        # Another runner's fill lands between this runner's lookup (a miss)
+        # and its claim, so the claim is won fresh on a filled address.  The
+        # re-check must serve that entry instead of computing it again.
+        runner = _toy_runner(tmp_path, monkeypatch)
+        other = ExperimentRunner(cache=ResultCache(tmp_path / "cache"), registry=runner.registry)
+        claim = runner.cache.claim
+
+        def claim_after_the_other_fill(name, key):
+            (filled,) = other.run_many([("toy", {"x": 3})])
+            assert filled.cached is False
+            return claim(name, key)
+
+        monkeypatch.setattr(runner.cache, "claim", claim_after_the_other_fill)
+        (late,) = runner.run_many([("toy", {"x": 3})])
+        assert late.cached is True and late.rows == [{"x": 3, "y": 9}]
+        assert runner.cache.claim_info("toy", late.key) is None  # the re-check released it
+        counters = load_stats(runner.cache.root)
+        assert counters.result_misses == counters.result_claims == 2
+
 
 # -- stats: append-only log ---------------------------------------------------------
 
