@@ -17,6 +17,7 @@ from __future__ import annotations
 import http.client
 import importlib
 import json
+import socket
 import threading
 import time
 import uuid
@@ -135,6 +136,72 @@ class TestBasics:
         assert response.status == 405
         assert document["error"]["code"] == "method_not_allowed"
         assert "GET, POST" in document["error"]["message"]
+
+
+def _raw_exchange(port, data):
+    """Send raw bytes on a fresh socket; everything the server writes until EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        chunks = []
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:  # a server closing on unread input may reset
+            pass
+    return b"".join(chunks)
+
+
+def _raw_error(port, data):
+    """``(status, error document)`` of the one response to a rejected request."""
+    raw = _raw_exchange(port, data)
+    head, _separator, body = raw.partition(b"\r\n\r\n")
+    status_line = head.split(b"\r\n")[0].decode("latin-1")
+    assert status_line.startswith("HTTP/1.1 "), raw[:200]
+    return int(status_line.split(" ")[1]), json.loads(body)["error"]
+
+
+class TestTransport:
+    """Raw-socket probes of request framing, caps and keep-alive."""
+
+    @pytest.mark.parametrize("request_line", [b"GARBAGE", b"GET / FOO/1.1"])
+    def test_malformed_request_line_is_400(self, server, request_line):
+        status, error = _raw_error(server.port, request_line + b"\r\n\r\n")
+        assert status == 400
+        assert error["code"] == "bad_request"
+
+    def test_non_numeric_content_length_is_400(self, server):
+        status, error = _raw_error(
+            server.port, b"POST /v1/jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n"
+        )
+        assert status == 400
+        assert error["code"] == "bad_request"
+
+    def test_oversized_body_is_refused_before_reading_it(self, server):
+        status, error = _raw_error(
+            server.port, b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 9000000\r\n\r\n"
+        )
+        assert status == 413
+        assert error["code"] == "body_too_large"
+
+    def test_one_oversized_header_line_is_431(self, server):
+        line = b"X-Big: " + b"a" * (70 * 1024) + b"\r\n"
+        status, error = _raw_error(server.port, b"GET /v1/health HTTP/1.1\r\n" + line + b"\r\n")
+        assert status == 431
+        assert error["code"] == "headers_too_large"
+
+    def test_head_over_64_kib_of_short_headers_is_431(self, server):
+        # 80 headers stay under the per-request header count; their sum does not.
+        headers = b"".join(b"X-Pad-%02d: %s\r\n" % (index, b"a" * 1000) for index in range(80))
+        status, error = _raw_error(server.port, b"GET /v1/health HTTP/1.1\r\n" + headers + b"\r\n")
+        assert status == 431
+        assert error["code"] == "headers_too_large"
+
+    def test_pipelined_requests_answer_in_order_then_close(self, server):
+        request = b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n"
+        closing = b"GET /v1/health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        raw = _raw_exchange(server.port, request + request + closing)  # returns at EOF
+        assert raw.count(b"HTTP/1.1 ") == 3
+        assert raw.count(b"HTTP/1.1 200 ") == 3
 
 
 class TestHealthSplit:
