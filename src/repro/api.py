@@ -76,6 +76,7 @@ __all__ = [
     "sweep",
     "validate_grid",
     "validate_params",
+    "validate_sweep",
 ]
 
 
@@ -196,6 +197,32 @@ def validate_grid(
             )
         validated[key] = coerced
     return validated
+
+
+def validate_sweep(
+    name: str,
+    grid: Mapping[str, Sequence[object]],
+    params: Mapping[str, object] | None = None,
+    *,
+    runner: ExperimentRunner | None = None,
+) -> tuple[dict[str, list[object]], dict[str, object]]:
+    """``(validated grid, fixed params)`` of a sweep, or the error it would raise.
+
+    The grid as :func:`validate_grid` coerces it; the fixed params must
+    pass :func:`validate_params` and name no grid axis.
+    """
+    runner = runner if runner is not None else make_runner(use_cache=False)
+    validated_grid = validate_grid(name, grid, runner=runner)
+    fixed = dict(params or {})
+    overlap = set(validated_grid) & set(fixed)
+    if overlap:
+        raise ParamError(
+            f"parameter(s) {sorted(overlap)} appear in both the grid and the fixed params",
+            param=sorted(overlap)[0],
+            expected="each parameter either swept or fixed, not both",
+        )
+    validate_params(name, fixed, runner=runner)
+    return validated_grid, fixed
 
 
 def _policy(
@@ -349,16 +376,7 @@ def sweep(
 ) -> SweepReport:
     """Cartesian grid over one experiment's parameters, each cell cache-aware."""
     runner = make_runner(cache_dir=cache_dir, use_cache=use_cache, runner=runner)
-    validated_grid = validate_grid(name, grid, runner=runner)
-    fixed = dict(params or {})
-    overlap = set(validated_grid) & set(fixed)
-    if overlap:
-        raise ParamError(
-            f"parameter(s) {sorted(overlap)} appear in both the grid and the fixed params",
-            param=sorted(overlap)[0],
-            expected="each parameter either swept or fixed, not both",
-        )
-    validate_params(name, fixed, runner=runner)
+    validated_grid, fixed = validate_sweep(name, grid, params, runner=runner)
     assignments = sweep_grid(validated_grid)
     reports = _execute(
         runner,

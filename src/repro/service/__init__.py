@@ -1,18 +1,18 @@
-"""Reproduction-as-a-service: a stdlib-only asyncio HTTP/1.1 JSON layer.
+"""Reproduction-as-a-service: a stdlib-only HTTP/1.1 JSON layer.
 
 ``python -m repro serve`` puts this package on top of the experiment
 runner: warm-cache hits are answered synchronously from the result store
 (rows bit-identical to the CLI), cold runs and sweeps become background
 jobs on the existing process-pool executor.  No runtime dependency beyond
-the standard library -- the server, routing, models and middleware are all
-hand-rolled asyncio.
+the standard library -- the transport is ``http.server``'s threaded
+server; routing, models and middleware are plain functions on top.
 
 Modules
 -------
 :mod:`~repro.service.server`
-    The asyncio HTTP/1.1 transport: request parsing, keep-alive, the
-    blocking ``serve_forever`` loop and a ``BackgroundServer`` harness for
-    tests/benchmarks.
+    The HTTP/1.1 transport: one thread per connection, keep-alive, JSON
+    transport errors, the blocking ``serve_forever`` loop and a
+    ``BackgroundServer`` harness for tests/benchmarks.
 :mod:`~repro.service.routes`
     :class:`ServiceApp` -- the endpoint handlers behind ``/v1/...``.
 :mod:`~repro.service.models`
@@ -32,7 +32,7 @@ from .metrics import LatencyHistogram, ServiceMetrics
 from .middleware import TokenBucket
 from .models import ServiceError
 from .routes import ServiceApp, build_app
-from .server import BackgroundServer, Request, Response, serve_forever, start_http_server
+from .server import BackgroundServer, Request, Response, serve_forever
 
 __all__ = [
     "BackgroundServer",
@@ -47,5 +47,4 @@ __all__ = [
     "TokenBucket",
     "build_app",
     "serve_forever",
-    "start_http_server",
 ]

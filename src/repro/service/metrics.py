@@ -6,8 +6,8 @@ with its status code and end-to-end latency.  Latencies land in
 fixed-bucket histograms, from which ``/v1/metrics`` reports count/sum and
 p50/p95/max estimates; the benchmark gate reads the same snapshot.
 
-Everything is guarded by one lock: handlers run on the event loop but
-warm-path work and jobs execute on worker threads.
+Everything is guarded by one lock: handlers run on the transport's
+per-connection threads and jobs on worker threads.
 """
 
 from __future__ import annotations

@@ -4,18 +4,17 @@
 route table (method + path template -> handler) and runs every request
 through one pipeline -- request-ID assignment, token-bucket rate
 limiting (``/v1/health`` exempt so load-balancer probes always pass),
-dispatch, error mapping, metrics and the access log.  Handlers stay tiny
-because validation and execution live in :mod:`repro.api`; blocking work
-(cache probes) is pushed off the event loop onto a thread.
+dispatch, error mapping, metrics and the access log.  Handlers are plain
+functions that run on the transport's per-connection thread; they stay
+tiny because validation and execution live in :mod:`repro.api`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import math
 import re
 import time
-from typing import Awaitable, Callable
+from typing import Callable
 
 from .jobs import JobManager
 from .metrics import ServiceMetrics
@@ -46,7 +45,7 @@ def _warm_cache_bytes() -> int:
     return max(0, env_number(WARM_CACHE_ENV, DEFAULT_WARM_CACHE_BYTES, cast=int))
 
 
-Handler = Callable[[Request, dict[str, str]], Awaitable[Response]]
+Handler = Callable[[Request, dict[str, str]], Response]
 
 
 def _compile(template: str) -> re.Pattern[str]:
@@ -126,10 +125,9 @@ class ServiceApp:
             )
         raise ServiceError(404, "unknown_route", f"no route for {request.method} {request.path}")
 
-    async def handle(self, request: Request) -> Response:
+    def handle(self, request: Request) -> Response:
         """One request through the full pipeline; never raises."""
-        loop = asyncio.get_running_loop()
-        start = loop.time()
+        start = time.perf_counter()
         request.request_id = make_request_id(request.header("x-request-id"))
         route = "unmatched"
         try:
@@ -145,25 +143,25 @@ class ServiceApp:
                         f"request rate exceeds {self.limiter.rate:g}/s per client; retry later",
                         retry_after=retry_after,
                     )
-            response = await handler(request, path_params)
+            response = handler(request, path_params)
         except BaseException as error:
             failure = error_from_exception(error)
             response = Response(failure.status, error_body(failure, request.request_id))
             if failure.retry_after is not None:
                 response.headers["retry-after"] = str(max(1, math.ceil(failure.retry_after)))
         response.headers.setdefault("x-request-id", request.request_id)
-        elapsed = loop.time() - start
+        elapsed = time.perf_counter() - start
         self.metrics.record_request(route, response.status, elapsed)
         log_request(request.request_id, request.client, request.method, request.path, response.status, elapsed)
         return response
 
     # -- handlers ----------------------------------------------------------------
 
-    async def get_health_live(self, request: Request, _params: dict[str, str]) -> Response:
-        """Liveness: the process is up and serving its event loop.  Nothing else."""
+    def get_health_live(self, request: Request, _params: dict[str, str]) -> Response:
+        """Liveness: the process is up and accepting requests.  Nothing else."""
         return Response(200, {"status": "ok", "request_id": request.request_id})
 
-    async def get_health_ready(self, request: Request, _params: dict[str, str]) -> Response:
+    def get_health_ready(self, request: Request, _params: dict[str, str]) -> Response:
         """Readiness: liveness plus store-backend reachability.
 
         A tiered store with its circuit open (or an unreachable server)
@@ -174,28 +172,23 @@ class ServiceApp:
         body: dict[str, object] = {"status": "ready", "request_id": request.request_id}
         probe = getattr(self.runner.cache.backend, "health", None)
         if probe is not None:
-            # The probe talks TCP (when the breaker allows): off the loop.
-            health = await asyncio.get_running_loop().run_in_executor(None, probe)
+            health = probe()  # talks TCP when the breaker allows
             body["store_backend"] = health
             if not health.get("reachable") or health.get("breaker_state") != "closed":
                 body["status"] = "degraded"
         return Response(200, body)
 
-    async def get_experiments(self, request: Request, _params: dict[str, str]) -> Response:
-        listing = await asyncio.get_running_loop().run_in_executor(
-            None, lambda: api.list_experiments(runner=self.runner)
-        )
-        return Response(200, experiments_response(listing))
+    def get_experiments(self, request: Request, _params: dict[str, str]) -> Response:
+        return Response(200, experiments_response(api.list_experiments(runner=self.runner)))
 
-    async def get_metrics(self, _request: Request, _params: dict[str, str]) -> Response:
+    def get_metrics(self, _request: Request, _params: dict[str, str]) -> Response:
         snapshot = self.metrics.snapshot()
         root = self.runner.cache.root
         if root is not None:
             # Persisted store counters (hits/claims/evictions across *all*
             # processes sharing the store), distinct from the per-service
             # request counters above.
-            stats = await asyncio.get_running_loop().run_in_executor(None, lambda: load_stats(root))
-            snapshot["stores"] = {"root": str(root), **stats.to_document()}
+            snapshot["stores"] = {"root": str(root), **load_stats(root).to_document()}
         status = getattr(self.runner.cache.backend, "remote_status", None)
         if status is not None:
             # Live networked-store gauges (no TCP probe): breaker state,
@@ -227,13 +220,11 @@ class ServiceApp:
             return None, False
         return RunReport.replayed(name, config, key, entry, start), from_memory
 
-    async def post_run(self, request: Request, path_params: dict[str, str]) -> Response:
+    def post_run(self, request: Request, path_params: dict[str, str]) -> Response:
         """Warm hits answer synchronously; cold configs become jobs."""
         name = path_params["name"]
         body = RunRequest.from_body(request.body)
-        report, from_memory = await asyncio.get_running_loop().run_in_executor(
-            None, lambda: self._warm_lookup(name, body.params)
-        )
+        report, from_memory = self._warm_lookup(name, body.params)
         self.metrics.record_cache(hit=report is not None, warm=from_memory)
         if report is not None:
             return Response(200, run_response(report, request.request_id))
@@ -250,17 +241,11 @@ class ServiceApp:
             headers={"location": f"/v1/jobs/{record.id}"},
         )
 
-    async def post_job(self, request: Request, _params: dict[str, str]) -> Response:
+    def post_job(self, request: Request, _params: dict[str, str]) -> Response:
         body = JobRequest.from_body(request.body)
-        loop = asyncio.get_running_loop()
         if body.grid is not None:
             # Validate before queueing so schema errors are a synchronous 400.
-            await loop.run_in_executor(
-                None, lambda: api.validate_grid(body.experiment, body.grid, runner=self.runner)
-            )
-            await loop.run_in_executor(
-                None, lambda: api.validate_params(body.experiment, body.params, runner=self.runner)
-            )
+            api.validate_sweep(body.experiment, body.grid, body.params, runner=self.runner)
             experiments = [body.experiment]
             kind = "sweep"
         else:
@@ -272,9 +257,7 @@ class ServiceApp:
                     400, "invalid_body", "shared params require a single experiment, not 'all'"
                 )
             for target in experiments:
-                await loop.run_in_executor(
-                    None, lambda t=target: api.validate_params(t, body.params, runner=self.runner)
-                )
+                api.validate_params(target, body.params, runner=self.runner)
             kind = "run"
         record, created = self.jobs.submit(
             kind=kind,
@@ -291,13 +274,13 @@ class ServiceApp:
             headers={"location": f"/v1/jobs/{record.id}"},
         )
 
-    async def get_jobs(self, _request: Request, _params: dict[str, str]) -> Response:
+    def get_jobs(self, _request: Request, _params: dict[str, str]) -> Response:
         return Response(200, {"jobs": self.jobs.listing()})
 
-    async def get_job(self, _request: Request, path_params: dict[str, str]) -> Response:
+    def get_job(self, _request: Request, path_params: dict[str, str]) -> Response:
         return Response(200, self.jobs.get(path_params["id"]).to_jsonable())
 
-    async def post_job_retry(self, request: Request, path_params: dict[str, str]) -> Response:
+    def post_job_retry(self, request: Request, path_params: dict[str, str]) -> Response:
         """Re-queue an interrupted/failed job (202) under its original id."""
         record = self.jobs.resubmit(path_params["id"], request_id=request.request_id)
         return Response(

@@ -1,44 +1,34 @@
-"""Minimal asyncio HTTP/1.1 transport for the reproduction service.
+"""HTTP/1.1 transport of the reproduction service on ``http.server``.
 
-Hand-rolled on ``asyncio.start_server`` because the repo's policy is zero
-runtime dependencies beyond numpy: requests are parsed from the raw
-stream (request line + headers + ``Content-Length`` body), responses are
-JSON with explicit lengths, and HTTP/1.1 keep-alive is honoured so a
-client can pipeline warm-cache hits over one connection.
+``ThreadingHTTPServer`` serves one thread per connection -- the model the
+store server (:mod:`repro.runner.netstore`) uses too.  The handler turns
+each request into a :class:`Request`, hands it to an *app* exposing
+``handle(request) -> Response`` (see
+:class:`repro.service.routes.ServiceApp`) and writes back JSON with an
+explicit length, so HTTP/1.1 keep-alive lets a client pipeline warm-cache
+hits over one connection.  Transport rejections (malformed framing,
+oversized heads or bodies) carry the service's JSON error body too.
 
-The transport knows nothing about experiments -- it hands
-:class:`Request` objects to an *app* exposing ``async handle(request) ->
-Response`` (see :class:`repro.service.routes.ServiceApp`) and writes
-whatever comes back.  :class:`BackgroundServer` runs the same loop on a
-daemon thread for tests and benchmarks.
+:class:`BackgroundServer` runs the server on a daemon thread for tests
+and benchmarks; the blocking :func:`serve_forever` behind ``python -m
+repro serve`` reuses it.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import signal
 import threading
 from dataclasses import dataclass, field
-from urllib.parse import parse_qsl, unquote, urlsplit
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import unquote, urlsplit
 
 #: Hard caps keeping a misbehaving client from ballooning memory.
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
-_REASONS = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    431: "Request Header Fields Too Large",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+#: Error codes of transport rejections; any other status is ``bad_request``.
+_TRANSPORT_CODES = {413: "body_too_large", 431: "headers_too_large"}
 
 
 @dataclass
@@ -47,7 +37,6 @@ class Request:
 
     method: str
     path: str
-    query: dict[str, str]
     headers: dict[str, str]
     body: bytes
     client: str = ""
@@ -65,131 +54,105 @@ class Response:
     payload: object = None
     headers: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def reason(self) -> str:
-        return _REASONS.get(self.status, "Unknown")
 
-    def encode(self, *, keep_alive: bool) -> bytes:
-        body = json.dumps(self.payload, indent=1).encode() + b"\n" if self.payload is not None else b""
-        lines = [f"HTTP/1.1 {self.status} {self.reason}"]
-        headers = {
-            "content-type": "application/json",
-            "content-length": str(len(body)),
-            "connection": "keep-alive" if keep_alive else "close",
-            **self.headers,
-        }
-        lines.extend(f"{name}: {value}" for name, value in headers.items())
-        return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive
+    default_request_version = "HTTP/1.1"  # a malformed request line still gets a status line
+    # Headers and body leave in separate writes; with Nagle on, the body waits out the client's delayed ACK.
+    disable_nagle_algorithm = True
 
+    def __getattr__(self, name: str):
+        # Every method (GET, POST, DELETE, ...) goes through the app's route table.
+        if name.startswith("do_"):
+            return self._dispatch
+        raise AttributeError(name)
 
-class _BadRequest(Exception):
-    """Malformed transport-level input; carries the response to send."""
-
-    def __init__(self, response: Response):
-        super().__init__(response.status)
-        self.response = response
-
-
-def _parse_head(blob: bytes) -> tuple[str, str, str, dict[str, str]]:
-    """``(method, target, version, headers)`` from the raw request head."""
-    try:
-        text = blob.decode("latin-1")
-    except UnicodeDecodeError:  # pragma: no cover - latin-1 decodes all bytes
-        raise _BadRequest(_error_response(400, "bad_request", "undecodable request head")) from None
-    lines = text.split("\r\n")
-    parts = lines[0].split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-        raise _BadRequest(_error_response(400, "bad_request", f"malformed request line {lines[0]!r}"))
-    method, target, version = parts
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, separator, value = line.partition(":")
-        if not separator:
-            raise _BadRequest(_error_response(400, "bad_request", f"malformed header line {line!r}"))
-        headers[name.strip().lower()] = value.strip()
-    return method.upper(), target, version, headers
-
-
-def _error_response(status: int, code: str, message: str) -> Response:
-    return Response(status, {"error": {"code": code, "message": message}})
-
-
-async def _read_request(reader: asyncio.StreamReader, client: str) -> Request | None:
-    """The next request on the connection, or ``None`` when the peer closed."""
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError:
-        return None
-    except asyncio.LimitOverrunError:
-        raise _BadRequest(_error_response(431, "headers_too_large", "request head exceeds 64 KiB")) from None
-    method, target, _version, headers = _parse_head(head[:-4])
-    length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise _BadRequest(_error_response(400, "bad_request", f"invalid Content-Length {length_text!r}")) from None
-    if length > MAX_BODY_BYTES:
-        raise _BadRequest(_error_response(413, "body_too_large", "request body exceeds 8 MiB"))
-    body = b""
-    if length:
+    def _dispatch(self) -> None:
+        # The stdlib caps single header lines and the header count; this caps their sum.
+        head_bytes = len(self.requestline) + sum(len(name) + len(value) + 4 for name, value in self.headers.items())
+        if head_bytes > MAX_HEADER_BYTES:
+            self.send_error(431, "request head exceeds 64 KiB")
+            return
+        length_text = self.headers.get("content-length", "0")
         try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            return None
-    split = urlsplit(target)
-    return Request(
-        method=method,
-        path=unquote(split.path),
-        query=dict(parse_qsl(split.query)),
-        headers=headers,
-        body=body,
-        client=client,
-    )
+            length = int(length_text)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.send_error(400, f"invalid Content-Length {length_text!r}")
+            return
+        if length > MAX_BODY_BYTES:
+            self.send_error(413, "request body exceeds 8 MiB")
+            return
+        request = Request(
+            method=self.command.upper(),
+            path=unquote(urlsplit(self.path).path),
+            headers={name.lower(): value for name, value in self.headers.items()},
+            body=self.rfile.read(length),
+            client=self.client_address[0],
+        )
+        self._send(self.server.app.handle(request))
+
+    def _send(self, response: Response) -> None:
+        body = json.dumps(response.payload, indent=1).encode() + b"\n" if response.payload is not None else b""
+        self.send_response(response.status)
+        self.send_header("content-type", "application/json")
+        self.send_header("content-length", str(len(body)))
+        for name, value in response.headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """A transport rejection: the JSON error body, then the connection closes."""
+        error = {"code": _TRANSPORT_CODES.get(code, "bad_request"), "message": message or self.responses[code][0]}
+        self._send(Response(code, {"error": error}, headers={"connection": "close"}))
+
+    def log_message(self, format: str, *args: object) -> None:
+        """Silent: the app writes the access log."""
 
 
-async def _serve_connection(app, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-    peer = writer.get_extra_info("peername")
-    client = peer[0] if isinstance(peer, tuple) else str(peer or "")
-    try:
-        while True:
-            keep_alive = False
-            try:
-                request = await _read_request(reader, client)
-                if request is None:
-                    break
-                keep_alive = request.header("connection", "keep-alive").lower() != "close"
-                response = await app.handle(request)
-            except _BadRequest as bad:
-                response = bad.response
-            writer.write(response.encode(keep_alive=keep_alive))
-            await writer.drain()
-            if not keep_alive:
-                break
-    except asyncio.CancelledError:
-        pass  # server shutdown cancelled this connection mid-read; close quietly
-    except (ConnectionResetError, BrokenPipeError):  # pragma: no cover - client vanished
-        pass
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (asyncio.CancelledError, ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass  # shutdown can cancel the close waiter itself
+class _Server(ThreadingHTTPServer):
+    # socketserver's default backlog of 5 resets connections in a 32-way burst.
+    request_queue_size = 100
+
+    def __init__(self, address: tuple[str, int], app):
+        self.app = app
+        super().__init__(address, _Handler)
 
 
-async def start_http_server(app, host: str = "127.0.0.1", port: int = 0) -> asyncio.base_events.Server:
-    """Bind and start serving ``app``; ``port=0`` picks an ephemeral port."""
+class BackgroundServer:
+    """The server on a daemon thread; closing it also closes the app.
 
-    async def on_connection(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        await _serve_connection(app, reader, writer)
+    Usage::
 
-    return await asyncio.start_server(on_connection, host, port, limit=MAX_HEADER_BYTES)
+        with BackgroundServer(app) as server:
+            http.client.HTTPConnection("127.0.0.1", server.port)
+    """
 
+    def __init__(self, app, host: str = "127.0.0.1", port: int = 0):
+        self.app = app
+        self._server = _Server((host, port), app)
+        self.port: int = self._server.server_address[1]
+        self._thread = threading.Thread(
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            name="repro-service",
+            daemon=True,
+        )
+        self._thread.start()
 
-def bound_port(server: asyncio.base_events.Server) -> int:
-    return server.sockets[0].getsockname()[1]
+    def close(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=10)
+        self.app.close()
+
+    def __enter__(self) -> "BackgroundServer":
+        return self
+
+    def __exit__(self, *_exc_info: object) -> None:
+        self.close()
 
 
 def serve_forever(app, *, host: str = "127.0.0.1", port: int = 8080) -> int:
@@ -201,98 +164,14 @@ def serve_forever(app, *, host: str = "127.0.0.1", port: int = 8080) -> int:
     whatever could not finish as ``interrupted`` -- so an orchestrator's
     ordinary stop signal never silently loses work.
     """
-
-    async def main() -> None:
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        installed: list[signal.Signals] = []
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-                installed.append(signum)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover - non-Unix
-                pass
-        server = await start_http_server(app, host, port)
-        actual = bound_port(server)
-        print(f"serving the reproduction on http://{host}:{actual} (Ctrl-C to stop)", flush=True)
-        try:
-            async with server:
-                if installed:
-                    await stop.wait()
-                    print("shutdown signal received; draining jobs", flush=True)
-                else:  # pragma: no cover - platforms without signal handlers
-                    await server.serve_forever()
-        finally:
-            for signum in installed:
-                loop.remove_signal_handler(signum)
-
+    stop = threading.Event()
+    previous = {signum: signal.signal(signum, lambda *_: stop.set()) for signum in (signal.SIGTERM, signal.SIGINT)}
     try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        pass
+        with BackgroundServer(app, host, port) as server:
+            print(f"serving the reproduction on http://{host}:{server.port} (Ctrl-C to stop)", flush=True)
+            stop.wait()
+            print("shutdown signal received; draining jobs", flush=True)
     finally:
-        app.close()
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     return 0
-
-
-class BackgroundServer:
-    """The same server on a daemon thread -- the test/benchmark harness.
-
-    Usage::
-
-        with BackgroundServer(app) as server:
-            http.client.HTTPConnection("127.0.0.1", server.port)
-    """
-
-    def __init__(self, app, host: str = "127.0.0.1", port: int = 0):
-        self.app = app
-        self.host = host
-        self.port: int | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._requested_port = port
-        self._thread = threading.Thread(target=self._run, name="repro-service", daemon=True)
-        self._thread.start()
-        self._ready.wait(timeout=30)
-        if self._startup_error is not None:
-            raise RuntimeError("service failed to start") from self._startup_error
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            server = loop.run_until_complete(start_http_server(self.app, self.host, self._requested_port))
-        except BaseException as error:  # pragma: no cover - bind failure
-            self._startup_error = error
-            self._ready.set()
-            loop.close()
-            return
-        self.port = bound_port(server)
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            server.close()
-            loop.run_until_complete(server.wait_closed())
-            # Keep-alive connections may still have reader tasks parked on
-            # the stream; cancel them so the loop closes without warnings.
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
-            loop.close()
-
-    def close(self) -> None:
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
-        self.app.close()
-
-    def __enter__(self) -> "BackgroundServer":
-        return self
-
-    def __exit__(self, *_exc_info: object) -> None:
-        self.close()

@@ -169,9 +169,10 @@ class TestTransport:
         assert status == 400
         assert error["code"] == "bad_request"
 
-    def test_non_numeric_content_length_is_400(self, server):
+    @pytest.mark.parametrize("length", [b"abc", b"-1"])
+    def test_invalid_content_length_is_400(self, server, length):
         status, error = _raw_error(
-            server.port, b"POST /v1/jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n"
+            server.port, b"POST /v1/jobs HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n"
         )
         assert status == 400
         assert error["code"] == "bad_request"
@@ -409,6 +410,11 @@ class TestJobs:
             "POST", "/v1/jobs", body={"experiment": "all", "grid": {"x": [1]}}
         )
         assert response.status == 400
+        response, document = client.request(
+            "POST", "/v1/jobs", body={"experiment": "toy", "grid": {"x": [1, 2]}, "params": {"x": 3}}
+        )
+        assert response.status == 400
+        assert document["error"]["code"] == "invalid_param"
 
     def test_idempotency_key_collapses_duplicates(self, client):
         submission = {"experiment": "toy", "params": {"x": 11}}
