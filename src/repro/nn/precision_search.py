@@ -15,13 +15,18 @@ Because each probe quantises exactly one layer while everything before it
 stays floating point, the activations entering the probed layer are the
 *baseline* activations -- a reusable intermediate.  ``incremental=True``
 captures those per-layer inputs in one baseline pass and runs every
-(layer, target) scan in *lockstep*: each step evaluates every unfinished
-scan's probed layer on its pending rows, then pushes all of those rows
-through **one** merged pass over the unquantised suffix, each scan's rows
-joining at the layer after its probed layer.  The large dense layers thus
-stream their weights once per step rather than once per probe.  Failing
-candidates are certified early from a few rows (a leading chunk, then the
-samples seen disagreeing at lower bit widths).
+(layer, target) scan in *lockstep*: each step pushes every unfinished
+scan's pending rows through **one** merged unquantised pass.  An activation
+scan's rows are quantised per sample and join the stream *at* its probed
+layer; a weight scan's rows run through its probed layer with the
+candidate's weights and join *after* it.  Every layer thus runs one
+unquantised pass per step, and a dense layer's weights are read once per
+step for the stream, plus once for its own weight probe.  That probe
+quantises the matrix a block of output rows at a time into one small
+buffer, so no weight-sized array is allocated (conv weights, at most a few
+megabytes, are quantised once per candidate into a reused buffer).
+Failing candidates are certified early from a few rows (a leading chunk,
+then the samples seen disagreeing at lower bit widths).
 
 The full-forward reference (the default) stays as the golden path.  The
 incremental path evaluates the same rows in differently-sized batches, and
@@ -39,8 +44,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.metrics import classification_accuracy, top1_agreement
+from .layers import FullyConnected, Layer
 from .network import Network
-from .quantization import QuantizationConfig, quantize
+from .quantization import QuantizationConfig, quantize, quantize_per_sample
+
+#: Output rows of a dense weight matrix a weight probe quantises at a time:
+#: 32 rows x 4096 inputs x 8 B = 1 MiB, which stays in cache.
+_DENSE_BLOCK_ROWS = 32
+
+
+def _mean_magnitude(weights: np.ndarray) -> float:
+    """``float(np.mean(np.abs(weights)))``, without a weights-sized float temporary.
+
+    The sign bits are saved in a boolean mask (one byte per weight), |W| is
+    taken in place, and the signs are OR-ed back in afterwards, block by
+    block (``-0.0`` and NaN signs included), so the weights end
+    bit-identical.  The mean reduces the same values in the same layout as
+    ``np.mean(np.abs(weights))``, so it is bit-identical too.  The weights
+    hold |W| while the mean runs: nothing else may read them meanwhile.
+    """
+    if not (weights.flags.writeable and weights.flags.c_contiguous and weights.dtype == np.float64):
+        return float(np.mean(np.abs(np.asarray(weights, dtype=np.float64))))
+    negative = np.signbit(weights).reshape(-1)
+    np.abs(weights, out=weights)
+    try:
+        return float(np.mean(weights))
+    finally:
+        words = weights.reshape(-1).view(np.uint64)
+        # 8192 sign words (64 KiB) per pass: a masked np.negative over the
+        # whole matrix runs ~10x slower than these unmasked block passes.
+        signs = np.empty(min(words.size, 8192), dtype=np.uint64)
+        for start in range(0, words.size, signs.size):
+            block = signs[: min(signs.size, words.size - start)]
+            np.left_shift(negative[start : start + block.size], np.uint64(63), out=block, dtype=np.uint64)
+            words[start : start + block.size] |= block
 
 
 @dataclass(frozen=True)
@@ -85,7 +122,8 @@ class _Scan:
     #: Rows evaluated so far for the current candidate, and which missed.
     probed: np.ndarray = field(default_factory=lambda: np.arange(0))
     misses: np.ndarray = field(default_factory=lambda: np.arange(0))
-    #: The current candidate's quantised weights (weight scans only).
+    #: The current candidate's quantised weights (conv weight scans only: a
+    #: dense layer's probe quantises its weights block by block).
     weights: np.ndarray | None = None
     #: Result, once decided.
     bits: int | None = None
@@ -136,12 +174,13 @@ class PrecisionSearch:
         #: Lazily captured baseline inputs of each weighted layer
         #: (layer name -> (position in network.layers, activation batch)).
         self._prefix_inputs: dict[str, tuple[int, np.ndarray]] | None = None
-        #: Lazily computed max(|weights|) per probed layer (the weight-scan
-        #: candidates all share one weight matrix).
+        #: Lazily computed max(|weights|) and, for the 1-bit candidate,
+        #: mean(|weights|) per probed layer (the weight-scan candidates all
+        #: share one weight matrix).
         self._weight_max_abs: dict[str, float] = {}
-        #: Reusable quantisation buffer per probed layer -- repeat weight
-        #: scans write into one allocation instead of faulting in a fresh
-        #: fc-layer-sized array per candidate.
+        self._weight_mean_abs: dict[str, float] = {}
+        #: Reusable quantisation buffer per probed conv layer -- its repeat
+        #: weight scans write into one allocation.
         self._weight_scratch: dict[str, np.ndarray] = {}
 
     # -- accuracy evaluation ---------------------------------------------------
@@ -214,30 +253,48 @@ class PrecisionSearch:
             tensors = layer.forward_batch(tensors, configs.get(layer.name))
         return self._score(tensors)
 
-    def _quantized_weights(self, layer_name: str, weights: np.ndarray, bits: int) -> np.ndarray:
-        """``quantize(weights, bits)`` with the per-layer ``max(|W|)`` cached.
+    def _quantize_weights(
+        self, layer: Layer, weights: np.ndarray, bits: int, out: np.ndarray
+    ) -> np.ndarray:
+        """``quantize(layer.weights, bits)`` restricted to ``weights``, written into ``out``.
 
-        Every candidate of a weight scan quantises the same matrix, so the
-        reduction passes over the (fc-layer-sized) weights are paid once per
-        layer instead of once per candidate, and all candidates share one
-        scratch buffer, so the result is only valid until the same layer is
-        quantised again.  The 1-bit binary path scales by the mean magnitude,
-        not ``quantization_scale``.
+        ``weights`` is the layer's weights or a block of their rows.  The
+        scale comes from the whole matrix -- max(|W|), or mean(|W|) for the
+        1-bit binary path -- computed once per layer, so every block
+        quantises elementwise identically to the same rows of the whole.
         """
-        scratch = self._weight_scratch.get(layer_name)
-        if scratch is None or scratch.shape != np.shape(weights):
-            scratch = np.empty_like(np.asarray(weights, dtype=np.float64))
-            self._weight_scratch[layer_name] = scratch
         if bits == 1:
-            return quantize(weights, bits, out=scratch)
-        max_abs = self._weight_max_abs.get(layer_name)
+            scale = self._weight_mean_abs.get(layer.name)
+            if scale is None:
+                scale = self._weight_mean_abs[layer.name] = _mean_magnitude(layer.weights)
+            return quantize(weights, bits, scale=scale, out=out)
+        max_abs = self._weight_max_abs.get(layer.name)
         if max_abs is None:
-            tensor = np.asarray(weights, dtype=np.float64)
             # Same value quantization_scale computes: max(|W|) via the two
             # reductions, no |W|-sized temporary.
-            max_abs = max(float(np.max(tensor)), -float(np.min(tensor))) if tensor.size else 0.0
-            self._weight_max_abs[layer_name] = max_abs
-        return quantize(weights, bits, max_abs=max_abs, out=scratch)
+            max_abs = max(float(np.max(layer.weights)), -float(np.min(layer.weights)))
+            self._weight_max_abs[layer.name] = max_abs
+        return quantize(weights, bits, max_abs=max_abs, out=out)
+
+    def _dense_weight_probe(self, layer: FullyConnected, rows: np.ndarray, bits: int) -> np.ndarray:
+        """``layer.forward_batch(rows, QuantizationConfig(weight_bits=bits))``, block by block.
+
+        Each block of ``_DENSE_BLOCK_ROWS`` output rows of the weights is
+        quantised into one small buffer and multiplied by ``rows`` before the
+        next block is, so no weight-sized array is allocated.  The products
+        run in differently shaped BLAS calls, so the outputs match the
+        layer's own pass to rounding, not bit for bit.
+        """
+        weights = layer.weights
+        layer.statistics.observe(rows)
+        outputs = np.empty((rows.shape[0], weights.shape[0]))
+        block = np.empty((min(_DENSE_BLOCK_ROWS, weights.shape[0]), weights.shape[1]))
+        for start in range(0, weights.shape[0], _DENSE_BLOCK_ROWS):
+            stop = min(start + _DENSE_BLOCK_ROWS, weights.shape[0])
+            quantized = self._quantize_weights(layer, weights[start:stop], bits, block[: stop - start])
+            outputs[:, start:stop] = rows @ quantized.T
+        outputs += layer.bias
+        return outputs
 
     #: Samples evaluated by the leading certification probe of a scan's first
     #: candidate (later candidates re-probe the samples that disagreed at
@@ -261,45 +318,59 @@ class PrecisionSearch:
             scan.pending = np.arange(count)
         scan.probed = scan.misses = np.arange(0)
         scan.weights = None
-        if scan.target == "weights":
-            layer = self.network.layers[scan.position]
-            scan.weights = self._quantized_weights(
-                layer.name, layer.weights, self.candidate_bits[scan.candidate]
+        layer = self.network.layers[scan.position]
+        if scan.target == "weights" and not isinstance(layer, FullyConnected):
+            scratch = self._weight_scratch.get(layer.name)
+            if scratch is None:
+                scratch = self._weight_scratch[layer.name] = np.empty(np.shape(layer.weights))
+            scan.weights = self._quantize_weights(
+                layer, layer.weights, self.candidate_bits[scan.candidate], scratch
             )
 
-    def _probe_outputs(self, scan: _Scan) -> np.ndarray:
-        """The probed layer's output on the scan's pending rows."""
-        layer = self.network.layers[scan.position]
-        rows = self._layer_prefix_inputs()[layer.name][1][scan.pending]
-        if scan.weights is not None:
-            return layer.forward_batch(rows, None, weights=scan.weights)
-        bits = self.candidate_bits[scan.candidate]
-        return layer.forward_batch(rows, QuantizationConfig(activation_bits=bits))
+    def _step(self, scans: list[_Scan]) -> list[np.ndarray]:
+        """Logits of every scan's pending rows, from one merged unquantised pass.
 
-    def _merged_suffix(self, entries: list[tuple[int, np.ndarray]]) -> list[np.ndarray]:
-        """Logits of several probed-layer outputs from one unquantised suffix pass.
-
-        ``entries`` holds ``(position of the probed layer, its output rows)``
-        per scan, ordered by position.  Rows join the stream at the layer
-        after their probed layer, so every suffix layer runs once over
-        everything that has reached it; the logits come back split per entry.
+        An activation scan's rows are quantised per sample and enter the
+        stream at its probed layer; a weight scan's rows run through its
+        probed layer with the candidate's weights and enter after it.  Every
+        layer from the shallowest entry on then runs once, unquantised, over
+        everything that has reached it; the logits come back split per scan.
         """
         layers = self.network.layers
-        stream = np.empty((0, *entries[0][1].shape[1:]))
-        for position in range(entries[0][0], len(layers)):
-            joining = [rows for at, rows in entries if at == position]
+        prefix = self._layer_prefix_inputs()
+        # (position of the layer the rows enter at, scan index, rows)
+        entries = []
+        for index, scan in enumerate(scans):
+            layer = layers[scan.position]
+            rows = prefix[layer.name][1][scan.pending]
+            bits = self.candidate_bits[scan.candidate]
+            if scan.target == "activations":
+                entries.append((scan.position, index, quantize_per_sample(rows, bits)))
+            elif isinstance(layer, FullyConnected):
+                entries.append((scan.position + 1, index, self._dense_weight_probe(layer, rows, bits)))
+            else:
+                outputs = layer.forward_batch(rows, None, weights=scan.weights)
+                entries.append((scan.position + 1, index, outputs))
+        entries.sort(key=lambda entry: entry[0])
+        stream = None
+        for position in range(entries[0][0], len(layers) + 1):
+            joining = [rows for at, _, rows in entries if at == position]
             if joining:
-                stream = np.concatenate([stream, *joining])
-            if position + 1 < len(layers):
-                stream = layers[position + 1].forward_batch(stream, None)
-        return np.split(stream, np.cumsum([rows.shape[0] for _, rows in entries])[:-1])
+                stream = np.concatenate(joining if stream is None else [stream, *joining])
+            if position < len(layers):
+                stream = layers[position].forward_batch(stream, None)
+        logits: list[np.ndarray] = [np.empty(0)] * len(scans)
+        sizes = np.cumsum([rows.shape[0] for _, _, rows in entries])[:-1]
+        for (_, index, _), part in zip(entries, np.split(stream, sizes)):
+            logits[index] = part
+        return logits
 
     def _lockstep(self, requests: list[tuple[str, str]]) -> list[int]:
         """Minimum bits of several ``(layer name, target)`` scans, advanced together.
 
-        Each step computes every unfinished scan's probed-layer output on its
-        pending rows, pushes all of them through one merged suffix pass and
-        then applies each scan's decision rule to its own rows:
+        Each step pushes every unfinished scan's pending rows through one
+        merged pass (:meth:`_step`) and then applies each scan's decision
+        rule to its own rows:
 
         * the misses seen so far already push the best-achievable score below
           the target -- the candidate is certified failing, and the scan
@@ -331,11 +402,9 @@ class PrecisionSearch:
         scans = [_Scan(position=prefix[name][0], target=target) for name, target in requests]
         for scan in scans:
             self._start_candidate(scan)
-        # Ordered by depth: the order the merged suffix pass takes rows in.
-        active = sorted(scans, key=lambda scan: scan.position)
+        active = scans
         while active:
-            outputs = [(scan.position, self._probe_outputs(scan)) for scan in active]
-            for scan, logits in zip(active, self._merged_suffix(outputs)):
+            for scan, logits in zip(active, self._step(active)):
                 wrong = np.argmax(logits, axis=1) != reference[scan.pending]
                 scan.misses = np.union1d(scan.misses, scan.pending[wrong])
                 scan.probed = np.union1d(scan.probed, scan.pending)

@@ -84,15 +84,16 @@ def quantize(
     """Quantise ``tensor`` to ``bits``-bit fixed point (returns dequantised floats).
 
     ``bits=None`` returns the tensor unchanged (floating-point reference).
-    ``scale`` may carry a precomputed ``quantization_scale(tensor, bits)``
-    (it is ignored by the 1-bit binary path, which scales by the mean
-    magnitude instead).  ``max_abs`` may carry a precomputed
-    ``max(|tensor|)``: it feeds the scale computation and lets the clip
-    pass be skipped when provably an identity.  ``out``, when given,
-    receives the result and is returned (same float64 shape as ``tensor``,
-    not aliasing it); repeat quantisations of one large weight matrix then
-    reuse a single buffer instead of paying a fresh multi-megabyte
-    allocation per call.
+    ``scale`` may carry a precomputed ``quantization_scale(tensor, bits)``,
+    or at ``bits=1`` a precomputed mean magnitude ``mean(|tensor|)`` (the
+    binary path's scale); the precision search passes the whole matrix's
+    scale while it quantises one block of rows at a time.  ``max_abs`` may
+    carry a precomputed ``max(|tensor|)``: it feeds the scale computation
+    and lets the clip pass be skipped when provably an identity.  ``out``,
+    when given, receives the result and is returned (same float64 shape as
+    ``tensor``, not aliasing it); repeat quantisations of one large weight
+    matrix then reuse a single buffer instead of paying a fresh
+    multi-megabyte allocation per call.
     """
     if bits is None:
         return np.asarray(tensor, dtype=np.float64)
@@ -100,11 +101,15 @@ def quantize(
     if bits == 1:
         # Binary quantisation (the Courbariaux et al. regime cited in the
         # paper): values become +-scale, with scale set by the mean magnitude.
-        # The |tensor| workspace is overwritten with the result, which is
-        # exactly ``np.where(tensor >= 0.0, scale, -scale)`` (so -0.0 maps to
-        # +scale and NaN to -scale) without a second tensor-sized array.
-        result = np.abs(tensor, out=out)
-        scale = float(np.mean(result)) if tensor.size else 1.0
+        # Without a given scale, the |tensor| workspace that yields it is
+        # overwritten with the result, which is exactly ``np.where(tensor >=
+        # 0.0, scale, -scale)`` (so -0.0 maps to +scale and NaN to -scale)
+        # without a second tensor-sized array.
+        if scale is None:
+            result = np.abs(tensor, out=out)
+            scale = float(np.mean(result)) if tensor.size else 1.0
+        else:
+            result = np.empty_like(tensor) if out is None else out
         if scale == 0.0:
             result.fill(0.0)
             return result
@@ -169,13 +174,20 @@ def quantize_per_sample(tensor: np.ndarray, bits: int | None) -> np.ndarray:
 
 
 def quantize_to_codes(tensor: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
-    """Quantise and return ``(integer codes, scale)`` for integer pipelines."""
+    """Quantise and return ``(integer codes, scale)`` for integer pipelines.
+
+    ``codes * scale`` equals ``quantize(tensor, bits)``; at ``bits=1`` the
+    codes are the binary +-1 and the scale is the mean magnitude.
+    """
     if bits < 1:
         raise ValueError("bits must be positive")
     tensor = np.asarray(tensor, dtype=np.float64)
+    if bits == 1:
+        scale = float(np.mean(np.abs(tensor))) if tensor.size else 1.0
+        return np.where(tensor >= 0.0, 1, -1).astype(np.int64), scale
     scale = quantization_scale(tensor, bits)
     lo = -(2 ** (bits - 1))
-    hi = max(1, 2 ** (bits - 1) - 1)
+    hi = 2 ** (bits - 1) - 1
     codes = np.clip(np.round(tensor / scale), lo, hi).astype(np.int64)
     return codes, scale
 

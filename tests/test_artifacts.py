@@ -15,16 +15,20 @@ Covered here:
   invalidates the characterization artifact and its three consumers' cached
   results while unrelated entries survive;
 * the incremental (lockstep) precision search yields the same profile rows
-  as the full-forward reference, and runs one merged suffix pass per step;
-  the quantisation fast paths it leans on are bit-identical;
+  as the full-forward reference, runs one merged unquantised pass per step,
+  leaves every layer's weights bit-identical, probes dense layers block by
+  block without a weight-sized allocation, and the quantisation fast paths
+  it leans on are bit-identical;
 * ``python -m repro cache stats`` round trips and ``cache clear`` resets.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +37,8 @@ import repro.runner.artifacts as artifacts_module
 import repro.runner.service as service_module
 from repro.core import scaling as scaling_module
 from repro.nn import PrecisionSearch
-from repro.nn.quantization import quantization_scale, quantize
+from repro.nn.precision_search import _mean_magnitude
+from repro.nn.quantization import QuantizationConfig, quantization_scale, quantize
 from repro.runner import ExperimentRunner, MemoryBackend, ResultCache
 from repro.runner.artifacts import (
     ArtifactEntry,
@@ -456,8 +461,6 @@ class TestIncrementalSearch:
         assert reference.profile() == incremental.profile(incremental=True)
 
     def test_relative_accuracy_incremental_equivalence(self, trained_lenet, digit_dataset):
-        from repro.nn.quantization import QuantizationConfig
-
         network, _history = trained_lenet
         search = PrecisionSearch(
             network, digit_dataset.test_images[:16], labels=digit_dataset.test_labels[:16]
@@ -472,14 +475,53 @@ class TestIncrementalSearch:
                 ) == search.relative_accuracy({layer.name: config})
 
     def test_probe_restores_weights(self, trained_lenet, digit_dataset):
-        network, _history = trained_lenet
+        # Every weighted layer (conv and dense), from the 1-bit candidate on,
+        # with signed zeros planted: the 1-bit scale takes |W| in place.
+        network = copy.deepcopy(trained_lenet[0])
+        layers = network.weighted_layers()
+        for layer in layers:
+            layer.weights.reshape(-1)[:4] = [0.0, -0.0, -0.0, 0.0]
+        before = {layer.name: layer.weights.copy() for layer in layers}
         search = PrecisionSearch(
             network, digit_dataset.test_images[:8], labels=digit_dataset.test_labels[:8]
         )
-        layer = network.weighted_layers()[0]
-        before = layer.weights.copy()
-        search.minimum_bits_for_layer(layer.name, target="weights", incremental=True)
-        np.testing.assert_array_equal(layer.weights, before)
+        assert search.candidate_bits[0] == 1
+        for layer in layers:
+            search.minimum_bits_for_layer(layer.name, target="weights", incremental=True)
+            assert layer.weights.tobytes() == before[layer.name].tobytes(), layer.name
+            np.testing.assert_array_equal(np.signbit(layer.weights), np.signbit(before[layer.name]))
+        assert set(search._weight_mean_abs) == {layer.name for layer in layers}
+
+    def test_mean_magnitude_is_exact_and_restores_signs(self):
+        # 16899 weights: the signs go back over three blocks, the last partial.
+        rng = np.random.default_rng(4)
+        tensor = rng.normal(0.0, 0.5, size=(131, 129))
+        tensor.reshape(-1)[:5] = [0.0, -0.0, 5e-324, -5e-324, -1e-310]
+        tensor.reshape(-1)[-2:] = [-0.0, -3.5]
+        before = tensor.tobytes()
+        assert _mean_magnitude(tensor) == float(np.mean(np.abs(tensor)))
+        assert tensor.tobytes() == before
+        tensor.reshape(-1)[5] = -np.nan
+        before = tensor.tobytes()
+        assert np.isnan(_mean_magnitude(tensor))
+        assert tensor.tobytes() == before
+
+    def test_blocked_dense_probe_matches_layer(self):
+        from repro.nn.layers import FullyConnected, ReLU
+        from repro.nn.network import Network
+
+        # 70 outputs: two full 32-row blocks and a partial one.
+        rng = np.random.default_rng(6)
+        layer = FullyConnected(50, 70, name="fc", rng=rng)
+        layer.bias = rng.normal(0.0, 0.1, size=70)
+        network = Network([ReLU(name="r"), layer], (50,))
+        search = PrecisionSearch(network, rng.normal(size=(9, 50)))
+        rows = rng.normal(size=(9, 50))
+        for bits in search.candidate_bits:
+            blocked = search._dense_weight_probe(layer, rows, bits)
+            full = layer.forward_batch(rows, QuantizationConfig(weight_bits=bits))
+            np.testing.assert_allclose(blocked, full, rtol=1e-12)
+            np.testing.assert_array_equal(np.argmax(blocked, axis=1), np.argmax(full, axis=1))
 
 
 def _lockstep_net(dense_tail):
@@ -513,20 +555,22 @@ class TestLockstepSearch:
         reference = PrecisionSearch(network, samples, candidate_bits=self.CANDIDATES)
         lockstep = PrecisionSearch(network, samples, candidate_bits=self.CANDIDATES)
         steps = []
-        merged = lockstep._merged_suffix
+        step = lockstep._step
 
-        def recording(entries):
-            steps.append([position for position, _ in entries])
-            return merged(entries)
+        def recording(scans):
+            steps.append([(scan.position, scan.target) for scan in scans])
+            return step(scans)
 
-        lockstep._merged_suffix = recording
+        lockstep._step = recording
         assert lockstep.profile(incremental=True) == reference.profile()
-        # Rows entered the merged stream at three or more depths in one step...
-        assert max(len(set(positions)) for positions in steps) >= 3
+        # Rows entered the merged stream at three or more depths in one step
+        # (an activation scan's rows at its probed layer, a weight scan's
+        # after it)...
+        assert max(len({at + (target == "weights") for at, target in scans}) for scans in steps) >= 3
         # ...a weight and an activation scan of one layer shared a step...
-        assert any(len(positions) > len(set(positions)) for positions in steps)
+        assert any(len(scans) > len({at for at, _ in scans}) for scans in steps)
         # ...and the scans finished at different steps.
-        assert len({len(positions) for positions in steps}) > 2
+        assert len({len(scans) for scans in steps}) > 2
 
     @pytest.mark.parametrize("dense_tail", [1, 3])
     def test_one_suffix_pass_per_step(self, dense_tail):
@@ -546,6 +590,37 @@ class TestLockstepSearch:
         search = PrecisionSearch(network, samples, candidate_bits=self.CANDIDATES)
         search.profile(incremental=True)
         assert len(passes) <= 2 * len(self.CANDIDATES) + 1
+
+
+class TestSearchMemory:
+    def test_no_weight_sized_allocation(self):
+        # Agreement mode with an 8 MiB dense layer: the lockstep search's
+        # traced peak must stay well below one copy of that matrix.
+        from repro.nn.layers import Flatten, FullyConnected, ReLU
+        from repro.nn.network import Network
+
+        rng = np.random.default_rng(9)
+        network = Network(
+            [
+                Flatten(name="flat"),
+                FullyConnected(48, 1024, name="fc1", rng=rng),
+                ReLU(name="r1"),
+                FullyConnected(1024, 1024, name="fc2", rng=rng),
+                ReLU(name="r2"),
+                FullyConnected(1024, 10, name="fc3", rng=rng),
+            ],
+            (3, 4, 4),
+        )
+        largest = max(layer.weights.nbytes for layer in network.weighted_layers())
+        search = PrecisionSearch(network, rng.uniform(-1.0, 1.0, size=(10, 3, 4, 4)))
+        search._layer_prefix_inputs()
+        tracemalloc.start()
+        try:
+            search.profile(incremental=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < largest / 2, (peak, largest)
 
 
 class TestFig6ArtifactPath:

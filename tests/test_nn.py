@@ -18,6 +18,7 @@ from repro.nn import (
     prune_network,
     quantization_error,
     quantize,
+    quantize_to_codes,
     synthetic_digits,
     synthetic_natural_images,
     vgg16,
@@ -48,6 +49,15 @@ class TestQuantization:
 
         scale = quantization_scale(values, 6)
         assert np.allclose(quantized / scale, np.round(quantized / scale))
+
+    def test_codes_match_quantize(self):
+        values = np.array([0.0, -0.0, 0.3, -0.45, 0.11, -1.7, 2.25, 5e-3])
+        for bits in range(1, 17):
+            codes, scale = quantize_to_codes(values, bits)
+            assert codes.dtype == np.int64
+            np.testing.assert_array_equal(codes * scale, quantize(values, bits))
+        codes, _scale = quantize_to_codes(values, 1)
+        assert set(codes.tolist()) == {-1, 1}
 
     def test_config_required_bits(self):
         assert QuantizationConfig(weight_bits=5, activation_bits=9).required_bits == 9
