@@ -20,6 +20,10 @@ behaviourally: its arithmetic error is *measured* on random operand streams
 fraction of the partial-product array it keeps active, together with the
 voltage headroom its fixed-frequency operation allows.  The energy axis is
 relative to the scheme's own exact implementation, exactly as in the paper.
+
+Every scheme's ``multiply`` takes Python ints or int64 operand arrays of any
+matching shape (whole-array shifts, masks and ``np.where``), so a design's
+RMSE is one call over the whole operand stream.  Scalars come back as ints.
 """
 
 from __future__ import annotations
@@ -31,13 +35,42 @@ import numpy as np
 
 from .fixed_point import signed_range
 
+#: Widest operand whose products and shifted partial products fit in int64.
+MAX_WIDTH = 31
+
+
 #: Full-scale value of a signed ``width``-bit operand interpreted as Q1.(w-1).
 def _full_scale(width: int) -> float:
     return float(1 << (width - 1))
 
 
+def _check_width(width: int) -> None:
+    if not 1 <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be in [1, {MAX_WIDTH}]")
+
+
+def _magnitudes(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sign of the product (+1/-1) and the operands' magnitudes, as int64."""
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    return np.where((x < 0) != (y < 0), -1, 1), np.abs(x), np.abs(y)
+
+
+def _signed(sign: np.ndarray, magnitude: np.ndarray):
+    """Apply ``sign``; a 0-d result comes back as a Python int."""
+    product = sign * magnitude
+    return int(product) if np.ndim(product) == 0 else product
+
+
+def _ones_through_leading_bit(values: np.ndarray) -> np.ndarray:
+    """``(1 << v.bit_length()) - 1`` per element (0 stays 0), for v < 2**63."""
+    for shift in (1, 2, 4, 8, 16, 32):
+        values = values | (values >> shift)
+    return values
+
+
 def measure_relative_rmse(
-    multiply: Callable[[int, int], int],
+    multiply: Callable[[np.ndarray, np.ndarray], np.ndarray],
     width: int,
     *,
     samples: int = 2000,
@@ -48,18 +81,15 @@ def measure_relative_rmse(
     Operands are drawn uniformly over the signed ``width``-bit range and
     interpreted as Q1.(width-1) fractions, so the exact product lies in
     [-1, 1); the returned RMSE is therefore directly comparable with the
-    1e-6 .. 1e-2 axis of Fig. 3b.
+    1e-6 .. 1e-2 axis of Fig. 3b.  ``multiply`` is called once, on the two
+    int64 operand arrays.
     """
     rng = np.random.default_rng(seed)
     lo, hi = signed_range(width)
     xs = rng.integers(lo, hi + 1, size=samples)
     ys = rng.integers(lo, hi + 1, size=samples)
     scale = _full_scale(width) ** 2
-    errors = np.empty(samples, dtype=np.float64)
-    for index, (x, y) in enumerate(zip(xs, ys)):
-        exact = int(x) * int(y)
-        approx = multiply(int(x), int(y))
-        errors[index] = (approx - exact) / scale
+    errors = (multiply(xs, ys) - xs * ys) / scale
     return float(np.sqrt(np.mean(errors**2)))
 
 
@@ -108,13 +138,12 @@ class KulkarniUnderdesignedMultiplier:
     def __init__(self, width: int = 16):
         if width < 2 or width & (width - 1):
             raise ValueError("width must be a power of two >= 2")
+        _check_width(width)
         self.width = width
 
-    def _multiply_unsigned(self, a: int, b: int, width: int) -> int:
+    def _multiply_unsigned(self, a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
         if width == 2:
-            if a == 3 and b == 3:
-                return 7
-            return a * b
+            return np.where((a == 3) & (b == 3), 7, a * b)
         half = width // 2
         mask = (1 << half) - 1
         a_lo, a_hi = a & mask, a >> half
@@ -126,10 +155,10 @@ class KulkarniUnderdesignedMultiplier:
             + (self._multiply_unsigned(a_hi, b_hi, half) << width)
         )
 
-    def multiply(self, x: int, y: int) -> int:
+    def multiply(self, x, y):
         """Approximate signed product (sign-magnitude around the unsigned core)."""
-        sign = -1 if (x < 0) != (y < 0) else 1
-        return sign * self._multiply_unsigned(abs(x), abs(y), self.width)
+        sign, a, b = _magnitudes(x, y)
+        return _signed(sign, self._multiply_unsigned(a, b, self.width))
 
     def design_points(self) -> list[BaselinePoint]:
         """Single fixed design point of the scheme."""
@@ -164,13 +193,13 @@ class KyawErrorTolerantMultiplier:
     def __init__(self, width: int = 16, split: int = 8):
         if not 1 <= split < width:
             raise ValueError("split must be in [1, width)")
+        _check_width(width)
         self.width = width
         self.split = split
 
-    def multiply(self, x: int, y: int) -> int:
+    def multiply(self, x, y):
         """Approximate signed product."""
-        sign = -1 if (x < 0) != (y < 0) else 1
-        a, b = abs(x), abs(y)
+        sign, a, b = _magnitudes(x, y)
         mask = (1 << self.split) - 1
         a_lo, a_hi = a & mask, a >> self.split
         b_lo, b_hi = b & mask, b >> self.split
@@ -178,13 +207,8 @@ class KyawErrorTolerantMultiplier:
         exact_part += ((a_hi * b_lo) + (a_lo * b_hi)) << self.split
         # Error-tolerant estimation of the LSB x LSB contribution: all output
         # bits below the leading active column are set to one.
-        combined = a_lo | b_lo
-        if combined == 0:
-            approx_low = 0
-        else:
-            leading = combined.bit_length()
-            approx_low = (1 << leading) - 1
-        return sign * (exact_part + approx_low)
+        approx_low = _ones_through_leading_bit(a_lo | b_lo)
+        return _signed(sign, exact_part + approx_low)
 
     def relative_energy(self) -> float:
         """Energy vs. the exact multiplier: the LSB x LSB quadrant is removed."""
@@ -229,14 +253,14 @@ class LiuPartialErrorRecoveryMultiplier:
     def __init__(self, width: int = 16, recovery_columns: int = 16, *, voltage_scaled: bool = False):
         if recovery_columns < 0 or recovery_columns > 2 * width:
             raise ValueError("recovery_columns must be in [0, 2*width]")
+        _check_width(width)
         self.width = width
         self.recovery_columns = recovery_columns
         self.voltage_scaled = voltage_scaled
 
-    def multiply(self, x: int, y: int) -> int:
+    def multiply(self, x, y):
         """Approximate signed product."""
-        sign = -1 if (x < 0) != (y < 0) else 1
-        a, b = abs(x), abs(y)
+        sign, a, b = _magnitudes(x, y)
         product_bits = 2 * self.width
         boundary = product_bits - self.recovery_columns
         boundary = max(0, min(product_bits, boundary))
@@ -244,15 +268,13 @@ class LiuPartialErrorRecoveryMultiplier:
 
         # Exact contribution of every partial product above the boundary,
         # approximate (carry-free OR accumulation) below it.
-        exact_sum = 0
-        approx_or = 0
+        exact_sum = np.zeros_like(a)
+        approx_or = np.zeros_like(a)
         for bit in range(self.width):
-            if not (b >> bit) & 1:
-                continue
-            row = a << bit
+            row = np.where((b >> bit) & 1, a << bit, 0)
             exact_sum += row & ~low_mask
             approx_or |= row & low_mask
-        return sign * (exact_sum + approx_or)
+        return _signed(sign, exact_sum + approx_or)
 
     def relative_energy(self) -> float:
         """Energy vs. the exact multiplier for this recovery configuration."""
@@ -308,6 +330,7 @@ class SolazTruncatedMultiplier:
     def __init__(self, width: int = 16, truncation_column: int = 0):
         if not 0 <= truncation_column <= 2 * width - 2:
             raise ValueError("truncation_column out of range")
+        _check_width(width)
         self.width = width
         self.truncation_column = truncation_column
 
@@ -317,21 +340,17 @@ class SolazTruncatedMultiplier:
             raise ValueError("truncation column out of range")
         self.truncation_column = column
 
-    def multiply(self, x: int, y: int) -> int:
+    def multiply(self, x, y):
         """Approximate signed product with truncated partial products."""
-        sign = -1 if (x < 0) != (y < 0) else 1
-        a, b = abs(x), abs(y)
+        sign, a, b = _magnitudes(x, y)
         column = self.truncation_column
-        total = 0
+        total = np.zeros_like(a)
         for bit in range(self.width):
-            if not (b >> bit) & 1:
-                continue
-            row = a << bit
-            total += row & ~((1 << column) - 1)
+            total += np.where((b >> bit) & 1, a << bit, 0) & ~((1 << column) - 1)
         if column > 0:
             # Constant compensation: half of the expected dropped weight.
             total += 1 << (column - 1)
-        return sign * total
+        return _signed(sign, total)
 
     def relative_energy(self) -> float:
         """Energy vs. full operation at the current truncation setting."""

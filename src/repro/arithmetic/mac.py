@@ -17,7 +17,7 @@ import numpy as np
 
 from ..circuit.technology import TECH_40NM_LP_LVT, Technology
 from .fixed_point import wrap_signed
-from .gates import cell_cost, popcount, to_bits
+from .gates import cell_cost, popcount
 from .multiplier import ActivityReport
 from .subword import SubwordMode, SubwordParallelMultiplier
 
@@ -285,15 +285,3 @@ def _take_multiplier_activity(multiplier: SubwordParallelMultiplier) -> Activity
     report = multiplier.activity
     multiplier.activity = ActivityReport()
     return report
-
-
-def count_zero_bits(values: list[int], width: int) -> int:
-    """Total number of zero bits across ``values`` at ``width`` bits each.
-
-    Utility used by the sparsity analyses to estimate data-dependent activity.
-    """
-    zeros = 0
-    for value in values:
-        pattern = value & ((1 << width) - 1)
-        zeros += width - sum(to_bits(pattern, width))
-    return zeros

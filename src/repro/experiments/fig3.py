@@ -13,7 +13,6 @@ import numpy as np
 from ..analysis.reporting import format_table
 from ..arithmetic.baselines import all_baseline_curves
 from ..arithmetic.fixed_point import quantization_rmse
-from ..core.pareto import TradeoffPoint, pareto_front
 from ..core.scaling import (
     MultiplierCharacterization,
     multiplier_energy_curves,
@@ -100,25 +99,6 @@ def run_fig3b(
                 }
             )
     return rows
-
-
-def dvafs_dominance(rows: list[dict[str, object]]) -> float:
-    """Fraction of baseline points dominated by the DVAFS curve (Fig. 3b claim)."""
-    dvafs = [
-        TradeoffPoint(float(r["rmse"]), float(r["relative_energy"]), str(r["configuration"]))
-        for r in rows
-        if r["scheme"] == "DVAFS"
-    ]
-    others = [
-        TradeoffPoint(float(r["rmse"]), float(r["relative_energy"]), str(r["configuration"]))
-        for r in rows
-        if r["scheme"] != "DVAFS"
-    ]
-    if not others:
-        return 0.0
-    front = pareto_front(dvafs + others)
-    dvafs_on_front = sum(1 for point in front if any(point is d for d in dvafs))
-    return dvafs_on_front / len(front)
 
 
 def run(

@@ -323,11 +323,33 @@ class MaxPool2D(Layer):
         if inputs.ndim != 4:
             raise ValueError(f"{self.name}: expected a (n, C, H, W) batch")
         self.statistics.observe(inputs)
-        count, channels, height, width = inputs.shape
-        out_h, out_w = height // self.size, width // self.size
-        trimmed = inputs[:, :, : out_h * self.size, : out_w * self.size]
-        reshaped = trimmed.reshape(count, channels, out_h, self.size, out_w, self.size)
-        return reshaped.max(axis=(3, 5))
+        return window_max(inputs, self.size)[0]
+
+
+def window_max(inputs: np.ndarray, size: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Max over the non-overlapping ``size x size`` windows of a (n, C, H, W) batch.
+
+    Returns the max and the ``size * size`` strided views it was taken over:
+    view ``i * size + j`` holds row ``i``, column ``j`` of every window (the
+    row-major order of a flattened window), with H and W trimmed to multiples
+    of ``size``.  Folding the views with ``np.maximum`` in that order gives
+    the same bits as the reshape-and-reduce ``max(axis=(3, 5))``, NaNs
+    included, in whole-array passes instead of a reduction over short strided
+    axes (one of numpy's slowest patterns).  The one value the order can
+    change is the sign of a zero max in a window of mixed-sign zeros: the
+    fold keeps ``np.maximum``'s pick, while the reduction's order depends on
+    numpy's loop layout; at size 2, every model's pool size, the two agree.
+    """
+    out_h, out_w = inputs.shape[2] // size, inputs.shape[3] // size
+    windows = [
+        inputs[:, :, row : out_h * size : size, col : out_w * size : size]
+        for row in range(size)
+        for col in range(size)
+    ]
+    output = windows[0].copy()
+    for window in windows[1:]:
+        np.maximum(output, window, out=output)
+    return output, windows
 
 
 class Flatten(Layer):

@@ -13,8 +13,10 @@ loss.  It is deliberately simple: small networks, small images, a few epochs
 -- enough to reach high accuracy on the synthetic digits within seconds.
 
 Both passes run whole mini-batches at once by default (``vectorized=True``):
-batched im2col forward, col2im via ``np.add.at``, pooling backward via fancy
-indexing.  The original per-sample loops are kept as the reference path
+batched im2col forward, col2im via a weighted ``np.bincount``, max pooling as
+strided whole-array passes, pooling backward via fancy indexing; the batched
+backward pass stops at the lowest weighted layer, whose input gradient nothing
+consumes.  The original per-sample loops are kept as the reference path
 (``vectorized=False``); the two agree to float rounding (gradients are summed
 across the batch in a different order).
 """
@@ -27,7 +29,7 @@ import numpy as np
 
 from ..artifact_hook import resolve as resolve_artifact
 from .datasets import Dataset, synthetic_digits
-from .layers import Conv2D, Flatten, FullyConnected, Layer, MaxPool2D, ReLU
+from .layers import Conv2D, Flatten, FullyConnected, Layer, MaxPool2D, ReLU, window_max
 from .models import lenet5
 from .network import Network
 
@@ -241,9 +243,18 @@ class Trainer:
         caches: list[dict],
         gradients: dict[int, dict[str, np.ndarray]],
     ) -> None:
-        """Whole-batch backward pass; sums parameter gradients over the batch."""
+        """Whole-batch backward pass; sums parameter gradients over the batch.
+
+        The pass stops after the lowest weighted layer's parameter gradients:
+        no layer below it has parameters, so the gradient w.r.t. its input
+        (for a first convolution, a column matmul plus a col2im scatter per
+        batch) would only be thrown away.
+        """
+        weighted = self.network.weighted_layers()
+        lowest = weighted[0] if weighted else None
         for cache in reversed(caches):
             layer: Layer = cache["layer"]
+            input_gradient = layer is not lowest
             if isinstance(layer, FullyConnected):
                 entry = gradients.setdefault(
                     id(layer),
@@ -251,7 +262,8 @@ class Trainer:
                 )
                 entry["weights"] += gradient.T @ cache["input"]
                 entry["bias"] += gradient.sum(axis=0)
-                gradient = gradient @ layer.weights
+                if input_gradient:
+                    gradient = gradient @ layer.weights
             elif isinstance(layer, Flatten):
                 gradient = gradient.reshape(cache["shape"])
             elif isinstance(layer, ReLU):
@@ -263,9 +275,13 @@ class Trainer:
                     id(layer),
                     {"weights": np.zeros_like(layer.weights), "bias": np.zeros_like(layer.bias)},
                 )
-                gradient = _conv_backward_batch(layer, gradient, cache, entry)
+                gradient = _conv_backward_batch(
+                    layer, gradient, cache, entry, input_gradient=input_gradient
+                )
             else:  # pragma: no cover - forward already rejects unknown layers
                 raise TypeError(f"trainer does not support layer type {type(layer).__name__}")
+            if not input_gradient:
+                break
 
     # -- optimisation -------------------------------------------------------------
 
@@ -442,11 +458,18 @@ def _conv_forward_batch(
 
 
 def _conv_backward_batch(
-    layer: Conv2D, gradient: np.ndarray, cache: dict, entry: dict[str, np.ndarray]
-) -> np.ndarray:
-    """Batched col2im backward: the per-position Python loop becomes one
-    ``np.add.at`` scatter (overlapping patches of strided convolutions need
-    the unbuffered accumulation)."""
+    layer: Conv2D,
+    gradient: np.ndarray,
+    cache: dict,
+    entry: dict[str, np.ndarray],
+    *,
+    input_gradient: bool = True,
+) -> np.ndarray | None:
+    """Batched conv backward: accumulates the parameter gradients into
+    ``entry`` and returns the input gradient (``None`` when
+    ``input_gradient`` is false).  col2im turns the per-position Python loop
+    into one weighted ``np.bincount`` scatter, which accumulates the
+    overlapping patches of strided convolutions exactly."""
     batch, out_channels, out_h, out_w = gradient.shape
     gradient_matrix = gradient.reshape(batch, out_channels, -1).transpose(0, 2, 1)
     columns = cache["columns"]  # (batch, positions, C*k*k)
@@ -454,6 +477,8 @@ def _conv_backward_batch(
         gradient_matrix, columns, axes=([0, 1], [0, 1])
     ).reshape(layer.weights.shape)
     entry["bias"] += gradient.sum(axis=(0, 2, 3))
+    if not input_gradient:
+        return None
 
     kernel_matrix = layer.weights.reshape(out_channels, -1)
     column_gradients = gradient_matrix @ kernel_matrix  # (batch, positions, C*k*k)
@@ -491,16 +516,23 @@ def _conv_backward_batch(
 
 
 def _pool_forward_batch(layer: MaxPool2D, tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    batch, channels, height, width = tensors.shape
-    size = layer.size
-    out_h, out_w = height // size, width // size
-    trimmed = tensors[:, :, : out_h * size, : out_w * size]
-    windows = trimmed.reshape(batch, channels, out_h, size, out_w, size).transpose(
-        0, 1, 2, 4, 3, 5
-    )
-    flat = windows.reshape(batch, channels, out_h, out_w, size * size)
-    argmax = flat.argmax(axis=-1)
-    output = flat.max(axis=-1)
+    """Window max plus each window's flat argmax, exactly as ``argmax`` picks it.
+
+    The argmax is the first window index whose value equals the max, i.e. the
+    last index minus the number of leading views (all but the last) that
+    already hold a match.  A NaN max equals nothing, so NaNs count as matches:
+    a window holding NaNs selects its first NaN, which is ``argmax``'s pick.
+    """
+    output, windows = window_max(tensors, layer.size)
+    last = len(windows) - 1
+    argmax = np.full(output.shape, last, dtype=np.intp)
+    found = np.zeros(output.shape, dtype=bool)
+    has_nan = bool(np.isnan(output).any())
+    for window in windows[:last]:
+        found |= window == output
+        if has_nan:
+            found |= np.isnan(window)
+        argmax -= found
     return output, argmax
 
 

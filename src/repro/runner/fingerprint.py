@@ -137,8 +137,15 @@ def _is_type_checking_guard(node: ast.AST) -> bool:
     return isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
 
 
+#: The fields that hold nested statements (``handlers`` holds ``except``
+#: clauses, ``cases`` holds ``match`` arms).  Imports are statements, so the
+#: walk never needs to descend into expressions.
+_STATEMENT_FIELDS = ("body", "orelse", "finalbody", "handlers", "cases")
+
+
 def _walk_importable(tree: ast.AST):
-    """``ast.walk`` that skips ``__main__``-guard and ``TYPE_CHECKING`` bodies.
+    """Every statement of ``tree``, skipping ``__main__``-guard and
+    ``TYPE_CHECKING`` bodies.
 
     Imports under those guards (the drivers' CLI shims, annotation-only type
     imports) never execute when the module is imported by the runner, so they
@@ -152,7 +159,8 @@ def _walk_importable(tree: ast.AST):
         if _is_main_guard(node) or _is_type_checking_guard(node):
             pending.extend(node.orelse)  # the else branch *does* run on import
             continue
-        pending.extend(ast.iter_child_nodes(node))
+        for field in _STATEMENT_FIELDS:
+            pending.extend(getattr(node, field, ()))
 
 
 def module_closure(module_name: str, *, root: str = "repro") -> list[str]:

@@ -464,8 +464,9 @@ class TestTrainerVectorization:
             np.testing.assert_allclose(ours.bias, theirs.bias, rtol=1e-6, atol=1e-9)
 
     def test_strided_padded_conv_backward(self):
-        """col2im via np.add.at must accumulate overlapping patches exactly
-        like the per-position reference loop (stride < kernel overlaps)."""
+        """col2im via a weighted np.bincount must accumulate overlapping
+        patches exactly like the per-position reference loop (stride < kernel
+        overlaps)."""
         from repro.nn.layers import Conv2D
         from repro.nn.training import (
             _conv_backward,

@@ -15,16 +15,26 @@ The contracts gated here:
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.sweep import SweepResult, parameter_sweep, sweep_grid
 from repro.runner import service as service_module
 from repro.runner.cache import CacheEntry, ResultCache, cache_key, run_provenance
 from repro.runner.cli import main
 from repro.runner.executor import parallel_sweep
-from repro.runner.fingerprint import code_fingerprint, module_closure
+from repro.runner.fingerprint import (
+    _is_main_guard,
+    _is_type_checking_guard,
+    _parse_source,
+    _walk_importable,
+    code_fingerprint,
+    module_closure,
+)
 from repro.runner.registry import ParamSpec, build_registry
 from repro.runner.service import ExperimentRunner
 
@@ -90,7 +100,93 @@ class TestRegistry:
             ParamSpec("b", bool, True).parse("maybe")
 
 
+def reference_walk_importable(tree):
+    """The full ``ast.walk`` (expressions included) with the same guard skips."""
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        yield node
+        if _is_main_guard(node) or _is_type_checking_guard(node):
+            pending.extend(node.orelse)
+            continue
+        pending.extend(ast.iter_child_nodes(node))
+
+
+def _import_nodes(walk, tree):
+    return {id(node) for node in walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))}
+
+
+NESTED_IMPORTS = """
+import a
+from . import b
+def f():
+    import c
+    class Inner:
+        from .d import e
+async def g():
+    async with h() as i:
+        import j
+    async for k in l():
+        import m
+class C:
+    import n
+try:
+    import o
+except ImportError:
+    import p
+else:
+    import r
+finally:
+    import s
+with t() as u:
+    import v
+for w in x:
+    import y
+else:
+    import z
+while cond:
+    import aa
+else:
+    import bb
+match value:
+    case 1:
+        import cc
+    case _:
+        from .dd import ee
+if __name__ == "__main__":
+    import dead_main
+else:
+    import ff
+if TYPE_CHECKING:
+    import dead_typing
+if typing.TYPE_CHECKING:
+    import dead_typing2
+else:
+    import gg
+lam = lambda: __import__("not_a_statement")
+"""
+
+
 class TestFingerprint:
+    def test_statement_walk_finds_every_import_the_full_walk_does(self):
+        trees = [
+            _parse_source(path.read_text())
+            for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+        ]
+        nested = _parse_source(NESTED_IMPORTS)
+        for tree in trees + [nested]:
+            found = _import_nodes(_walk_importable, tree)
+            assert found == _import_nodes(reference_walk_importable, tree)
+        names = {
+            alias.name
+            for node in _walk_importable(nested)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        }
+        assert names >= {"a", "c", "j", "m", "n", "o", "p", "r", "s", "v", "y", "z"}
+        assert names >= {"aa", "bb", "cc", "ff", "gg"}
+        assert not names & {"dead_main", "dead_typing", "dead_typing2"}
+
     def test_closure_tracks_static_imports(self, tmp_path, monkeypatch):
         package = tmp_path / "fakepkg"
         package.mkdir()
