@@ -1,9 +1,9 @@
 """Fig. 4: SIMD-processor energy per word vs. precision (SW = 8 and 64).
 
 Runs the convolution benchmark on the SIMD processor model -- through the
-trace-compiled execution engine by default (``batch=True``), which produces
-counters bit-identical to the cycle-level interpreter -- calibrates the
-power model to the published full-precision reference point, and sweeps
+trace-compiled execution engine, which produces counters bit-identical to
+the cycle-level interpreter -- calibrates the power model to the
+published full-precision reference point, and sweeps
 DAS / DVAS / DVAFS across the 16 / 12 / 8 / 4 b precisions at constant
 throughput, normalising to the 1 x 16 b point of the same SW.
 """
@@ -22,7 +22,6 @@ PARAMS = {
     "input_length": 48,
     "taps": 9,
     "seed": 2017,
-    "batch": True,
 }
 
 
@@ -33,14 +32,13 @@ def run(
     input_length: int = 48,
     taps: int = 9,
     seed: int = 2017,
-    batch: bool = True,
 ) -> list[dict[str, object]]:
     """One record per (SW, technique, precision) with relative energy per word."""
     rows: list[dict[str, object]] = []
     for simd_width in simd_widths:
         processor = SimdProcessor(simd_width)
         workload = convolution_kernel(simd_width, input_length=input_length, taps=taps, seed=seed)
-        outputs, execution = run_convolution(processor, workload, batch=batch)
+        outputs, execution = run_convolution(processor, workload)
         if not np.array_equal(outputs, workload.reference_output()):
             raise AssertionError("SIMD convolution output mismatch")
         model = SimdPowerModel(simd_width)

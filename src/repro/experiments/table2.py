@@ -3,8 +3,8 @@
 For SW = 8 and SW = 64 and the modes 1x16b, 1x8b, 1x4b (DVAS) and 2x8b,
 4x4b (DVAFS), reports the supplies, the mem / nas / as percentage split and
 the total power, next to the values published in the paper.  The convolution
-counters come from the trace-compiled execution engine by default
-(``batch=True``); they are bit-identical to the cycle-level interpreter.
+counters come from the trace-compiled execution engine; they are
+bit-identical to the cycle-level interpreter.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ PARAMS = {
     "input_length": 48,
     "taps": 9,
     "seed": 2017,
-    "batch": True,
 }
 
 #: Modes of Table II as (technique, precision) pairs, in row order.
@@ -53,14 +52,13 @@ def run(
     input_length: int = 48,
     taps: int = 9,
     seed: int = 2017,
-    batch: bool = True,
 ) -> list[dict[str, object]]:
     """One record per Table II row."""
     rows: list[dict[str, object]] = []
     for simd_width in simd_widths:
         processor = SimdProcessor(simd_width)
         workload = convolution_kernel(simd_width, input_length=input_length, taps=taps, seed=seed)
-        outputs, execution = run_convolution(processor, workload, batch=batch)
+        outputs, execution = run_convolution(processor, workload)
         if not np.array_equal(outputs, workload.reference_output()):
             raise AssertionError("SIMD convolution output mismatch")
         model = SimdPowerModel(simd_width)

@@ -18,14 +18,14 @@ from ..envision import EnvisionScheduler, LayerWorkload, PAPER_TABLE_III_WORKLOA
 from ..nn import alexnet, lenet5, measure_sparsity, prune_network, synthetic_natural_images, vgg16
 
 #: Cacheable run() parameters (name -> default); the runner registry's schema.
-PARAMS = {"from_substrate": False, "seed": 2017, "batch": True}
+PARAMS = {"from_substrate": False, "seed": 2017}
 #: Shared sub-experiment intermediates; the substrate workloads (MAC counts
 #: + measured sparsity) are only derived -- and only produced -- when
 #: ``from_substrate`` is set.
 ARTIFACTS = {
     "table3_substrate_workloads": (
         "repro.experiments.table3:substrate_workloads",
-        ("seed", "batch"),
+        ("seed",),
         {"when": "from_substrate"},
     ),
 }
@@ -50,16 +50,14 @@ PAPER_TABLE_III_TOTALS = {
 }
 
 
-def substrate_workloads(*, seed: int = 2017, batch: bool = True) -> dict[str, list[LayerWorkload]]:
+def substrate_workloads(*, seed: int = 2017) -> dict[str, list[LayerWorkload]]:
     """Layer workloads regenerated from the CNN substrate itself.
 
     MAC counts come from the full-resolution topology builders; weight
     sparsity from magnitude pruning at the paper's reported levels is
     approximated with a uniform 30 % prune; input sparsity is measured by
     running synthetic inputs through (reduced-resolution) instances; the
-    precision requirements use the paper's per-network ranges.  ``batch``
-    selects the vectorised batched forward for the sparsity probes (the
-    default) or the per-sample reference path.
+    precision requirements use the paper's per-network ranges.
     """
     workloads: dict[str, list[LayerWorkload]] = {}
     precision_defaults = {"VGG16": (5, 6), "AlexNet": (8, 8), "LeNet-5": (3, 5)}
@@ -77,10 +75,7 @@ def substrate_workloads(*, seed: int = 2017, batch: bool = True) -> dict[str, li
             probe = builder(input_size=probe_size)
             samples = synthetic_natural_images(samples=2, size=probe_size, seed=seed)
         prune_network(probe, 0.3)
-        sparsity = {
-            s.name: s
-            for s in measure_sparsity(probe, samples.train_images, batch=batch)
-        }
+        sparsity = {s.name: s for s in measure_sparsity(probe, samples.train_images)}
         weight_bits, activation_bits = precision_defaults[name]
         layer_workloads = []
         for summary in conv_summaries:
@@ -99,27 +94,19 @@ def substrate_workloads(*, seed: int = 2017, batch: bool = True) -> dict[str, li
     return workloads
 
 
-def resolve_substrate_workloads(
-    *, seed: int = 2017, batch: bool = True
-) -> dict[str, list[LayerWorkload]]:
+def resolve_substrate_workloads(*, seed: int = 2017) -> dict[str, list[LayerWorkload]]:
     """Load-or-measure the substrate workloads through the artifact store."""
     return resolve_artifact(
         "table3_substrate_workloads",
-        {"seed": seed, "batch": batch},
+        {"seed": seed},
         producer=substrate_workloads,
     )
 
 
-def run(
-    *, from_substrate: bool = False, seed: int = 2017, batch: bool = True
-) -> list[dict[str, object]]:
+def run(*, from_substrate: bool = False, seed: int = 2017) -> list[dict[str, object]]:
     """One record per Table III row plus a total row per network."""
     scheduler = EnvisionScheduler()
-    workloads = (
-        resolve_substrate_workloads(seed=seed, batch=batch)
-        if from_substrate
-        else PAPER_TABLE_III_WORKLOADS
-    )
+    workloads = resolve_substrate_workloads(seed=seed) if from_substrate else PAPER_TABLE_III_WORKLOADS
     rows: list[dict[str, object]] = []
     for network_name, layer_workloads in workloads.items():
         schedule = scheduler.schedule_network(network_name, layer_workloads)

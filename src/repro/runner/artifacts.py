@@ -49,9 +49,9 @@ user running the experiments.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import json
-import os
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -62,6 +62,7 @@ from ..artifact_hook import current as active_store  # noqa: F401 - re-exported
 from ..artifact_hook import installed as activated
 from ..artifact_hook import resolve as resolve_artifact  # noqa: F401 - re-exported
 from .fingerprint import code_fingerprint
+from .journal import Journal
 from .store import ContentStore, StoreStats, content_key
 
 #: Bumped when the on-disk artifact layout changes; part of every key.
@@ -71,22 +72,20 @@ ARTIFACT_SCHEMA_VERSION = 1
 #: Still read for totals; new deltas land in :data:`STATS_LOG_FILENAME`.
 STATS_FILENAME = "_stats.json"
 
-#: Append-only counter log: one JSON delta per line, written with
-#: ``O_APPEND`` so concurrent recorders never lose increments (the old
-#: read-modify-write snapshot dropped updates under contention).
+#: Append-only counter log: one JSON delta per line (a :class:`Journal`),
+#: so concurrent recorders never lose increments.
 STATS_LOG_FILENAME = "_stats.jsonl"
+
+#: Lines past which :func:`load_stats` compacts the log to one total line.
+STATS_COMPACT_LINES = 256
 
 #: Size budget (bytes) of the artifact store; unset/0 = unbounded.
 ENV_ARTIFACTS_MAX_BYTES = "REPRO_ARTIFACTS_MAX_BYTES"
 
 
 def canonical_params_json(params: Mapping[str, object]) -> str:
-    """Deterministic JSON form of artifact parameters (tuples as arrays)."""
-    return json.dumps(
-        {key: list(value) if isinstance(value, tuple) else value for key, value in params.items()},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    """Deterministic JSON form of artifact parameters (tuples serialise as arrays)."""
+    return json.dumps(dict(params), sort_keys=True, separators=(",", ":"))
 
 
 def artifact_key(artifact: str, params: Mapping[str, object], fingerprint: str) -> str:
@@ -226,53 +225,41 @@ def produce_into(
 # -- persisted statistics -----------------------------------------------------------
 
 
+def _total(documents: list[object]) -> StoreStats:
+    """The sum of the counter documents among ``documents``."""
+    total = StoreStats()
+    for document in documents:
+        if isinstance(document, dict):
+            total += StoreStats.from_document(document)
+    return total
+
+
 def load_stats(root: Path | str) -> StoreStats:
     """The persisted counters at ``root`` (zeros when absent/corrupt).
 
     Totals = the legacy ``_stats.json`` snapshot (pre-append-log caches)
     plus every delta line in ``_stats.jsonl``; torn/invalid lines are
-    skipped rather than poisoning the total.
+    skipped rather than poisoning the total.  A log longer than
+    :data:`STATS_COMPACT_LINES` is compacted to one total line, which
+    keeps this read bounded (best effort: a read-only root stays long).
     """
     root = Path(root)
-    total = StoreStats()
     try:
         document = json.loads((root / STATS_FILENAME).read_text())
     except (OSError, ValueError):
         document = None
-    if isinstance(document, dict):
-        total = StoreStats.from_document(document)
-    try:
-        log_text = (root / STATS_LOG_FILENAME).read_text()
-    except OSError:
-        return total
-    for line in log_text.splitlines():
-        try:
-            delta = json.loads(line)
-        except ValueError:  # torn final line from a killed writer
-            continue
-        if isinstance(delta, dict):
-            total += StoreStats.from_document(delta)
-    return total
+    log = Journal(root / STATS_LOG_FILENAME)
+    lines = log.read()
+    if len(lines) > STATS_COMPACT_LINES:
+        with contextlib.suppress(OSError):
+            log.compact(lambda documents: [_total(documents).to_document()])
+            lines = log.read()
+    return _total([document, *lines])
 
 
 def record_stats(root: Path | str, delta: StoreStats) -> None:
-    """Append ``delta`` to the persisted counters (read totals via :func:`load_stats`).
-
-    One compact JSON line per call, written with ``O_APPEND`` (well under
-    ``PIPE_BUF``, so concurrent appends never interleave): recorders from
-    many processes sharing one store root all land, where the previous
-    read-modify-write snapshot silently dropped concurrent increments.
-    """
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(delta.to_document(), sort_keys=True, separators=(",", ":")) + "\n"
-    descriptor = os.open(
-        str(root / STATS_LOG_FILENAME), os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644
-    )
-    try:
-        os.write(descriptor, line.encode())
-    finally:
-        os.close(descriptor)
+    """Append ``delta`` as one :class:`Journal` line (read totals via :func:`load_stats`)."""
+    Journal(Path(root) / STATS_LOG_FILENAME).append(delta.to_document())
 
 
 def reset_stats(root: Path | str) -> None:

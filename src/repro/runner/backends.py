@@ -33,9 +33,9 @@ tests and the HTTP service's warm-path L1).  The networked backends of
 :mod:`repro.runner.netstore` plug into the same seam.  The module also
 holds the small helpers every runner layer shares: :func:`env_number`
 (the one environment-variable parser), :func:`path_component` (the one
-name check that keeps store addresses inside their root), the claim
-wait/TTL/poll knobs, and :func:`backoff_delay` (exponential backoff with
-deterministic jitter).
+name check that keeps store addresses inside their root),
+:func:`atomic_write`, the claim wait/TTL knobs, and :func:`backoff_delay`
+(exponential backoff with deterministic jitter).
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ DEFAULT_CLAIM_WAIT_SECONDS = 600.0
 ENV_CLAIM_TTL = "REPRO_CLAIM_TTL_SECONDS"
 DEFAULT_CLAIM_TTL_SECONDS = 900.0
 
-#: Poll interval of a fill waiter (override via the environment so
-#: claim-contention tests and chaos runs don't sleep full 50 ms ticks).
-ENV_CLAIM_POLL = "REPRO_CLAIM_POLL_SECONDS"
+#: Poll interval (seconds) of a fill waiter.
 CLAIM_POLL_SECONDS = 0.05
 
 #: Sidecar directory (under a store root) corrupt entries are moved into.
@@ -106,6 +104,24 @@ def path_component(name: str, kind: str) -> str:
     return name
 
 
+def atomic_write(path: Path, blob: bytes, *, durable: bool = False) -> None:
+    """Replace ``path`` with ``blob`` via a temp file and ``os.replace``; ``durable`` fsyncs first."""
+    descriptor, temp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name[:8]}-", suffix=".tmp")
+    try:
+        with os.fdopen(descriptor, "wb") as handle:
+            handle.write(blob)
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
+
+
 def backoff_delay(attempt: int, seed: str, *, base: float, cap: float) -> float:
     """Exponential backoff with deterministic sha256 jitter (seeded, not random).
 
@@ -126,11 +142,6 @@ def claim_wait_seconds() -> float:
 def claim_ttl_seconds() -> float:
     """Age past which any claim is treated as abandoned."""
     return env_number(ENV_CLAIM_TTL, DEFAULT_CLAIM_TTL_SECONDS)
-
-
-def claim_poll_seconds() -> float:
-    """Poll interval of a fill waiter (``$REPRO_CLAIM_POLL_SECONDS``)."""
-    return env_number(ENV_CLAIM_POLL, CLAIM_POLL_SECONDS, accept=lambda value: value > 0)
 
 
 @dataclass(frozen=True)
@@ -285,19 +296,7 @@ class DiskBackend:
     def put(self, namespace: str, filename: str, blob: bytes) -> None:
         path = self._file(namespace, filename)
         path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{filename[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(blob)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, blob)
         self.touch(namespace, filename)
         # Entry first, claim second: a waiter that observes "no claim" is
         # then guaranteed to find the entry (or a writer that truly died).

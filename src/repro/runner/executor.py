@@ -78,8 +78,6 @@ class ExecutionPolicy:
 
     timeout: float | None = None
     retries: int = 2
-    backoff_seconds: float = 0.05
-    backoff_cap_seconds: float = 2.0
     pool_respawns: int = 3
     oversubscribe: bool = False
 
@@ -97,6 +95,10 @@ class ExecutionPolicy:
 
 #: The policy every entry point uses unless the caller overrides it.
 DEFAULT_POLICY = ExecutionPolicy()
+
+#: Base and cap (seconds) of the jittered backoff before a pool respawn.
+BACKOFF_SECONDS = 0.05
+BACKOFF_CAP_SECONDS = 2.0
 
 
 @dataclass
@@ -206,9 +208,7 @@ class _ResilientRun:
         if self.respawns_left < 0:
             return False
         self.outcome.respawns += 1
-        time.sleep(
-            backoff_delay(attempt, seed, base=self.policy.backoff_seconds, cap=self.policy.backoff_cap_seconds)
-        )
+        time.sleep(backoff_delay(attempt, seed, base=BACKOFF_SECONDS, cap=BACKOFF_CAP_SECONDS))
         return True
 
     def _on_crash(self, victims: list[int]) -> None:

@@ -22,12 +22,11 @@ always hash to the same cache key.
 from __future__ import annotations
 
 import inspect
-import json
 import types
 from dataclasses import dataclass
 from typing import Mapping
 
-from .artifacts import load_producer
+from .artifacts import canonical_params_json, load_producer
 from .errors import ParamTypeError, ParamValueError, UnknownParamError
 from ..experiments import EXPERIMENTS
 
@@ -299,11 +298,7 @@ class ExperimentSpec:
 
     def canonical_json(self, config: Mapping[str, object]) -> str:
         """Deterministic JSON form of a canonical config (tuples as arrays)."""
-        return json.dumps(
-            {key: list(value) if isinstance(value, tuple) else value for key, value in config.items()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_params_json(config)
 
     def schema(self) -> dict[str, object]:
         """JSON-ready description of the experiment's public parameter surface.

@@ -49,11 +49,11 @@ from typing import Callable, Iterator, Mapping
 
 from ..faults import fault_point
 from .backends import (
+    CLAIM_POLL_SECONDS,
     QUARANTINE_DIRNAME,
     ClaimTicket,
     DiskBackend,
     StoreBackend,
-    claim_poll_seconds,
     claim_ttl_seconds,
     claim_wait_seconds,
     env_number,
@@ -397,7 +397,7 @@ class ContentStore:
         """Remove exactly ``ticket`` (a stale claim); fails if re-claimed."""
         return self.backend.release(*self._address(name, key), owner=ticket)
 
-    def wait_for_fill(self, name: str, key: str, *, poll_seconds: float | None = None):
+    def wait_for_fill(self, name: str, key: str, *, poll_seconds: float = CLAIM_POLL_SECONDS):
         """Poll until a concurrent filler's entry lands, or the caller must compute.
 
         Returns the winner's entry when the fill completes.  Returns
@@ -411,8 +411,6 @@ class ContentStore:
         won claim, a takeover goes through :meth:`recheck_claim` before
         computing (:meth:`fill` does this).
         """
-        if poll_seconds is None:
-            poll_seconds = claim_poll_seconds()
         deadline = time.monotonic() + claim_wait_seconds()
         ttl = claim_ttl_seconds()
         while True:

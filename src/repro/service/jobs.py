@@ -15,8 +15,8 @@ a conflict.
 Durability and overload (PR 7):
 
 * with a ``state_dir``, every job state transition is journaled to disk
-  (fsynced append to ``journal.jsonl``, compacted into ``snapshot.json``
-  on startup), so ``GET /v1/jobs`` survives a service restart.  Jobs that
+  (fsynced append to ``journal.jsonl``, compacted to one line per job on
+  startup), so ``GET /v1/jobs`` survives a service restart.  Jobs that
   were queued or running when the process died come back ``interrupted``
   and can be re-run via ``POST /v1/jobs/{id}/retry``.  Journaled records
   never include report/sweep payloads -- results live in the result
@@ -34,8 +34,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import tempfile
 import threading
 import time
 import uuid
@@ -46,6 +44,7 @@ from pathlib import Path
 from .models import ServiceError
 from .. import api
 from ..faults import fault_point
+from ..runner.journal import Journal
 from ..runner.service import ExperimentRunner
 
 logger = logging.getLogger(__name__)
@@ -110,7 +109,7 @@ class JobRecord:
 
         Results are reproducible from the result cache, so persisting them
         twice would only bloat the journal; a restarted service reports
-        finished jobs with ``"results_persisted": false``.
+        finished jobs without their reports.
         """
         document = self.to_jsonable()
         document.pop("reports", None)
@@ -139,71 +138,6 @@ class JobRecord:
         )
 
 
-class JobJournal:
-    """Crash-safe persistence of job records: fsynced append + snapshot.
-
-    Every state transition appends the record's full journaled form as one
-    JSON line; startup folds ``snapshot.json`` + ``journal.jsonl``
-    (last write per id wins), rewrites the snapshot and truncates the
-    journal.  A torn final line (crash mid-append) is skipped -- the
-    previous write for that job still holds.
-    """
-
-    def __init__(self, root: Path | str):
-        self.root = Path(root)
-        self.snapshot_path = self.root / "snapshot.json"
-        self.journal_path = self.root / "journal.jsonl"
-
-    def append(self, document: dict[str, object]) -> None:
-        """Durably append one record state (best-effort on a failing disk)."""
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with open(self.journal_path, "a") as handle:
-                handle.write(json.dumps(document, default=str) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError as error:
-            logger.warning("job journal append failed (%s); record kept in memory", error)
-
-    def load(self) -> list[dict[str, object]]:
-        """Fold snapshot + journal into submission-ordered record documents."""
-        documents: dict[str, dict[str, object]] = {}
-        try:
-            snapshot = json.loads(self.snapshot_path.read_text())
-            if isinstance(snapshot, list):
-                for document in snapshot:
-                    if isinstance(document, dict) and "id" in document:
-                        documents[str(document["id"])] = document
-        except (OSError, ValueError):
-            pass
-        try:
-            lines = self.journal_path.read_text().splitlines()
-        except OSError:
-            lines = []
-        for line in lines:
-            try:
-                document = json.loads(line)
-            except ValueError:  # torn tail line from a crash mid-append
-                continue
-            if isinstance(document, dict) and "id" in document:
-                documents[str(document["id"])] = document
-        return sorted(documents.values(), key=lambda doc: float(doc.get("created_unix") or 0.0))
-
-    def compact(self, documents: list[dict[str, object]]) -> None:
-        """Rewrite the snapshot atomically and truncate the journal."""
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            descriptor, temp_name = tempfile.mkstemp(dir=self.root, prefix=".snapshot-", suffix=".tmp")
-            with os.fdopen(descriptor, "w") as handle:
-                handle.write(json.dumps(documents, default=str, indent=1))
-            os.replace(temp_name, self.snapshot_path)
-            with open(self.journal_path, "w") as handle:
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError as error:
-            logger.warning("job journal compaction failed (%s)", error)
-
-
 class JobManager:
     """Submission, idempotency collapse and execution of background jobs."""
 
@@ -225,9 +159,9 @@ class JobManager:
         self._by_key: dict[str, tuple[str, str]] = {}  # idempotency key -> (job id, payload digest)
         self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-job")
         self._in_flight = 0
-        self._journal = JobJournal(state_dir) if state_dir is not None else None
+        self._journal = Journal(Path(state_dir) / "journal.jsonl") if state_dir is not None else None
         if self._journal is not None:
-            self._restore()
+            self._restore(Path(state_dir) / "snapshot.json")
 
     @staticmethod
     def _interrupt(record: JobRecord, message: str) -> None:
@@ -237,39 +171,50 @@ class JobManager:
         record.error = {"code": "interrupted", "message": message}
         record.progress["phase"] = "interrupted"
 
-    def _restore(self) -> None:
-        """Replay the journal: finished jobs verbatim, unfinished -> interrupted."""
-        for document in self._journal.load():
+    def _restore(self, snapshot: Path) -> None:
+        """Replay the journal (last record per id wins): unfinished -> interrupted.
+
+        A ``snapshot.json`` left by an older service is read first, then
+        removed once the compacted journal holds its records.
+        """
+        try:
+            documents = json.loads(snapshot.read_text())
+        except (OSError, ValueError):
+            documents = []
+        for document in [*(documents if isinstance(documents, list) else []), *self._journal.read()]:
             try:
                 record = JobRecord.from_journal(document)
             except (KeyError, TypeError, ValueError):
                 logger.warning("skipping malformed journaled job record")
                 continue
+            if record.id not in self._records:
+                self._order.append(record.id)
+            self._records[record.id] = record
+        for record in self._records.values():
             if record.state in (QUEUED, RUNNING):
                 self._interrupt(record, "the service stopped while this job was in flight; retry to re-run")
-            self._records[record.id] = record
-            self._order.append(record.id)
             if record.idempotency_key is not None:
-                digest = self._payload_digest(
-                    {
-                        "kind": record.kind,
-                        "experiments": record.experiments,
-                        "params": record.params,
-                        "grid": record.grid,
-                    }
-                )
+                digest = self._payload_digest(record.kind, record.experiments, record.params, record.grid)
                 self._by_key[record.idempotency_key] = (record.id, digest)
-        self._journal.compact([self._records[job_id].to_journal() for job_id in self._order])
+        try:
+            self._journal.compact(lambda _lines: [self._records[job_id].to_journal() for job_id in self._order])
+            snapshot.unlink(missing_ok=True)
+        except OSError as error:
+            logger.warning("job journal compaction failed (%s)", error)
 
     def _journal_append(self, record: JobRecord) -> None:
         """Persist one state transition (no-op without a state dir)."""
         if self._journal is not None:
-            self._journal.append(record.to_journal())
+            try:
+                self._journal.append(record.to_journal(), durable=True)
+            except OSError as error:
+                logger.warning("job journal append failed (%s); record kept in memory", error)
 
     # -- submission -------------------------------------------------------------
 
     @staticmethod
-    def _payload_digest(payload: dict[str, object]) -> str:
+    def _payload_digest(kind: str, experiments: list[str], params: dict[str, object], grid) -> str:
+        payload = {"kind": kind, "experiments": experiments, "params": params, "grid": grid}
         return hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
 
     def submit(
@@ -290,9 +235,7 @@ class JobManager:
         payload is a 409 conflict -- silently returning a job that computes
         something else would be worse than failing.
         """
-        digest = self._payload_digest(
-            {"kind": kind, "experiments": experiments, "params": params, "grid": grid}
-        )
+        digest = self._payload_digest(kind, experiments, params, grid)
         with self._lock:
             if idempotency_key is not None:
                 existing = self._by_key.get(idempotency_key)

@@ -24,7 +24,7 @@ import pytest
 
 from repro.analysis.sweep import SweepResult
 from repro.runner.artifacts import ArtifactEntry, ArtifactStore, StoreStats, artifact_key, load_stats, record_stats
-from repro.runner.backends import claim_poll_seconds, claim_ttl_seconds, claim_wait_seconds
+from repro.runner.backends import claim_ttl_seconds, claim_wait_seconds
 from repro.runner.cache import CacheEntry, ResultCache, cache_key
 from repro.runner.cli import main
 from repro.runner.executor import ExecutionPolicy
@@ -233,7 +233,6 @@ def _warm_cache_bytes(_tmp_path):
 ENV_KNOBS = [
     ("REPRO_CLAIM_WAIT_SECONDS", lambda tmp: claim_wait_seconds(), "2.5", (600.0, 600.0, 0.0, -3.0, 2.5)),
     ("REPRO_CLAIM_TTL_SECONDS", lambda tmp: claim_ttl_seconds(), "2.5", (900.0, 900.0, 0.0, -3.0, 2.5)),
-    ("REPRO_CLAIM_POLL_SECONDS", lambda tmp: claim_poll_seconds(), "2.5", (0.05, 0.05, 0.05, 0.05, 2.5)),
     ("REPRO_CACHE_MAX_BYTES", lambda tmp: ResultCache(tmp).max_bytes, "7", (None, None, None, None, 7)),
     ("REPRO_ARTIFACTS_MAX_BYTES", lambda tmp: ArtifactStore(tmp).max_bytes, "7", (None, None, None, None, 7)),
     ("REPRO_STORE_TIMEOUT_SECONDS", lambda tmp: _remote().timeout, "2.5", (5.0, 5.0, 5.0, 5.0, 2.5)),

@@ -51,10 +51,11 @@ from repro.runner.errors import (
     WorkerCrashError,
 )
 from repro.runner.executor import ExecutionOutcome, ExecutionPolicy, parallel_sweep
+from repro.runner.journal import Journal
 from repro.runner.registry import ExperimentSpec
 from repro.runner.service import ExperimentRunner
 from repro.service import BackgroundServer, build_app
-from repro.service.jobs import JobJournal, JobManager, JobRecord
+from repro.service.jobs import JobManager, JobRecord
 from repro.service.middleware import TokenBucket
 from repro.service.models import ServiceError
 
@@ -507,7 +508,7 @@ class TestJobDurability:
             idempotency_key="orphan-key",
             state="running",
         )
-        JobJournal(state_dir).append(orphan.to_journal())
+        Journal(state_dir / "journal.jsonl").append(orphan.to_journal())
         manager._pool.shutdown(wait=False)
 
         restarted = JobManager(toy_runner, state_dir=state_dir)
@@ -543,7 +544,7 @@ class TestJobDurability:
         restarted.close(wait=True, drain_seconds=10)
 
     def test_torn_journal_tail_is_skipped(self, tmp_path):
-        journal = JobJournal(tmp_path / "jobs")
+        journal = Journal(tmp_path / "jobs" / "journal.jsonl")
         record = JobRecord(
             id="job-whole0000000",
             kind="run",
@@ -556,10 +557,47 @@ class TestJobDurability:
             state="done",
         )
         journal.append(record.to_journal())
-        with open(journal.journal_path, "a") as handle:
+        with open(journal.path, "a") as handle:
             handle.write('{"id": "job-torn", "state": "runn')  # crash mid-append
-        documents = journal.load()
+        documents = journal.read()
         assert [doc["id"] for doc in documents] == ["job-whole0000000"]
+
+    def test_leftover_snapshot_is_folded_in_then_removed(self, toy_runner, tmp_path):
+        # Services before the shared journal compacted into snapshot.json;
+        # its records must survive the first restart and the file must go.
+        def record(job_id, state, created):
+            return JobRecord(
+                id=job_id,
+                kind="run",
+                experiments=["toy"],
+                params={},
+                grid=None,
+                jobs=1,
+                request_id="",
+                idempotency_key=None,
+                state=state,
+                created_unix=created,
+            )
+
+        state_dir = tmp_path / "jobs"
+        state_dir.mkdir()
+        snapshot = state_dir / "snapshot.json"
+        snapshot.write_text(
+            json.dumps([record("job-snapshotonly", "done", 1.0).to_journal(),
+                        record("job-superseded00", "running", 2.0).to_journal()])
+        )
+        Journal(state_dir / "journal.jsonl").append(record("job-superseded00", "failed", 2.0).to_journal())
+
+        manager = JobManager(toy_runner, state_dir=state_dir)
+        expected = {"job-snapshotonly": "done", "job-superseded00": "failed"}
+        assert {job["id"]: job["state"] for job in manager.listing()} == expected
+        assert not snapshot.exists()
+        assert len((state_dir / "journal.jsonl").read_text().splitlines()) == 2  # one line per job
+        manager.close(wait=True, drain_seconds=10)
+
+        restarted = JobManager(toy_runner, state_dir=state_dir)
+        assert {job["id"]: job["state"] for job in restarted.listing()} == expected
+        restarted.close(wait=True, drain_seconds=10)
 
     def test_resubmit_rejects_unknown_and_unretryable_jobs(self, toy_runner, tmp_path):
         manager = JobManager(toy_runner, state_dir=tmp_path / "jobs")

@@ -11,9 +11,11 @@ the append-only stats log that concurrent recorders cannot clobber.
 
 from __future__ import annotations
 
+import errno
 import json
 import multiprocessing
 import os
+import tempfile
 import threading
 import time
 import uuid
@@ -36,6 +38,7 @@ from repro.runner.backends import (
     evict_lru,
 )
 from repro.runner.cache import CacheEntry, ResultCache, cache_key
+from repro.runner import artifacts as artifacts_module
 from repro.runner.cli import main
 from repro.runner.registry import ExperimentSpec
 from repro.runner.service import ExperimentRunner
@@ -629,6 +632,12 @@ class TestRunnerUnderPressure:
 # -- stats: append-only log ---------------------------------------------------------
 
 
+def _record_many(root, count):
+    """Module-level so a ``multiprocessing.Process`` can run it."""
+    for _ in range(count):
+        record_stats(root, StoreStats(result_hits=1, artifact_claims=2))
+
+
 class TestStatsLog:
     def test_concurrent_recorders_never_lose_increments(self, tmp_path):
         # Regression: the old read-modify-write snapshot dropped concurrent
@@ -657,6 +666,59 @@ class TestStatsLog:
         with open(tmp_path / "_stats.jsonl", "a") as handle:
             handle.write('{"artifact_hits": 99')  # killed mid-append
         assert load_stats(tmp_path).artifact_hits == 3
+
+    def test_appends_racing_compactions_keep_an_exact_total(self, tmp_path, monkeypatch):
+        # Four processes append while this one compacts as often as it can:
+        # an append into a file a compaction already folded would be lost.
+        monkeypatch.setattr(artifacts_module, "STATS_COMPACT_LINES", 16)
+        processes = [multiprocessing.Process(target=_record_many, args=(tmp_path, 3000)) for _ in range(4)]
+        for process in processes:
+            process.start()
+        log = tmp_path / "_stats.jsonl"
+        inodes = set()
+        deadline = time.monotonic() + 120
+        while any(process.is_alive() for process in processes) and time.monotonic() < deadline:
+            load_stats(tmp_path)
+            if log.exists():
+                inodes.add(log.stat().st_ino)
+        for process in processes:
+            process.join(timeout=60)
+            assert process.exitcode == 0
+        assert len(inodes) > 1  # compactions really replaced the file mid-run
+        total = load_stats(tmp_path)
+        assert (total.result_hits, total.artifact_claims) == (12000, 24000)
+        assert len(log.read_text().splitlines()) <= 16
+
+    def test_compaction_drops_a_torn_tail(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(artifacts_module, "STATS_COMPACT_LINES", 0)
+        for _ in range(3):
+            record_stats(tmp_path, StoreStats(result_hits=1))
+        assert load_stats(tmp_path).result_hits == 3
+        log = tmp_path / "_stats.jsonl"
+        compacted = log.read_bytes()
+        assert len(compacted.splitlines()) == 1
+        with open(log, "a") as handle:
+            handle.write('{"result_hits": 99')  # killed mid-append after the compaction
+        assert load_stats(tmp_path).result_hits == 3
+        assert log.read_bytes() == compacted  # the next compaction dropped the torn tail
+        record_stats(tmp_path, StoreStats(result_hits=1))
+        assert load_stats(tmp_path).result_hits == 4
+
+    def test_compaction_on_a_read_only_root_still_returns_the_totals(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(artifacts_module, "STATS_COMPACT_LINES", 2)
+        for _ in range(5):
+            record_stats(tmp_path, StoreStats(result_hits=1, quarantined=1))
+        log = tmp_path / "_stats.jsonl"
+        before = log.read_bytes()
+
+        def read_only(*args, **kwargs):
+            raise OSError(errno.EROFS, "Read-only file system")
+
+        monkeypatch.setattr(tempfile, "mkstemp", read_only)
+        total = load_stats(tmp_path)
+        assert (total.result_hits, total.quarantined) == (5, 5)
+        assert log.read_bytes() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["_stats.jsonl"]
 
     def test_reset_clears_log_and_snapshot(self, tmp_path):
         (tmp_path / "_stats.json").write_text(json.dumps({"result_hits": 5}))
