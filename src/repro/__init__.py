@@ -40,60 +40,49 @@ Subpackages
     and the HTTP service are thin renderers over.
 ``repro.service``
     The stdlib-only HTTP/JSON service behind ``python -m repro serve``.
+
+Only ``repro.analysis`` is imported with the package; every other
+subpackage, and each name re-exported here, loads on first attribute access.
 """
 
-from . import analysis, arithmetic, circuit, core, envision, experiments, nn, runner, simd
-from . import api
-from .arithmetic import BoothWallaceMultiplier, MacUnit, SubwordParallelMultiplier
-from .circuit import TECH_28NM_FDSOI, TECH_40NM_LP_LVT, Technology
-from .core import (
-    DvafsSystem,
-    OperatingPoint,
-    PAPER_TABLE_I,
-    PrecisionScheduler,
-    ScalingParameters,
-    characterize_multiplier,
-    multiplier_energy_curves,
-)
-from .envision import EnvisionChip, EnvisionScheduler
-from .nn import Network, PrecisionSearch, alexnet, lenet5, vgg16
-from .simd import SimdPowerModel, SimdProcessor, convolution_kernel
+import importlib
+
+# Every command renders through ``analysis``; it is the one eager subpackage.
+from . import analysis
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "analysis",
-    "api",
-    "arithmetic",
-    "circuit",
-    "core",
-    "envision",
-    "experiments",
-    "nn",
-    "runner",
-    "simd",
-    "BoothWallaceMultiplier",
-    "MacUnit",
-    "SubwordParallelMultiplier",
-    "TECH_28NM_FDSOI",
-    "TECH_40NM_LP_LVT",
-    "Technology",
-    "DvafsSystem",
-    "OperatingPoint",
-    "PAPER_TABLE_I",
-    "PrecisionScheduler",
-    "ScalingParameters",
-    "characterize_multiplier",
-    "multiplier_energy_curves",
-    "EnvisionChip",
-    "EnvisionScheduler",
-    "Network",
-    "PrecisionSearch",
-    "alexnet",
-    "lenet5",
-    "vgg16",
-    "SimdPowerModel",
-    "SimdProcessor",
-    "convolution_kernel",
-    "__version__",
-]
+#: Submodules loaded on first access (PEP 562), so ``python -m repro list``
+#: never runs the science it does not need.
+_SUBMODULES = ("api", "arithmetic", "circuit", "core", "envision", "experiments", "nn", "runner", "simd")
+#: Subpackage -> the names re-exported here, each loaded on first access.
+_SUBMODULE_EXPORTS = {
+    "arithmetic": ("BoothWallaceMultiplier", "MacUnit", "SubwordParallelMultiplier"),
+    "circuit": ("TECH_28NM_FDSOI", "TECH_40NM_LP_LVT", "Technology"),
+    "core": (
+        "DvafsSystem",
+        "OperatingPoint",
+        "PAPER_TABLE_I",
+        "PrecisionScheduler",
+        "ScalingParameters",
+        "characterize_multiplier",
+        "multiplier_energy_curves",
+    ),
+    "envision": ("EnvisionChip", "EnvisionScheduler"),
+    "nn": ("Network", "PrecisionSearch", "alexnet", "lenet5", "vgg16"),
+    "simd": ("SimdPowerModel", "SimdProcessor", "convolution_kernel"),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str) -> object:
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = ["analysis", *_SUBMODULES, *_EXPORTS, "__version__"]

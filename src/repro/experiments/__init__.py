@@ -21,20 +21,44 @@ cacheable parameters are declared in each module's ``PARAMS`` mapping
 (name -> default) -- the schema consumed by :mod:`repro.runner.registry`;
 object-valued injection parameters are listed in ``OBJECT_PARAMS`` and
 bypass the cache.  ``python -m repro`` is the unified entry point.
+
+Importing this package imports no driver: the registry reads the literal
+declarations from source, and ``EXPERIMENTS[name]`` or ``repro.experiments.<name>``
+imports a driver on first use.
 """
 
-from . import fig2, fig3, fig4, fig6, fig8, table1, table2, table3
+import importlib
+from collections.abc import Mapping
+from types import ModuleType
 
-#: Registry of all experiments, keyed by the paper artefact they regenerate.
-EXPERIMENTS = {
-    "table1": table1,
-    "fig2": fig2,
-    "fig3": fig3,
-    "fig4": fig4,
-    "table2": table2,
-    "fig6": fig6,
-    "fig8": fig8,
-    "table3": table3,
+#: Driver module names, keyed by the paper artefact they regenerate (registry order).
+DRIVERS = {
+    name: f"{__name__}.{name}"
+    for name in ("table1", "fig2", "fig3", "fig4", "table2", "fig6", "fig8", "table3")
 }
 
-__all__ = ["EXPERIMENTS", "fig2", "fig3", "fig4", "fig6", "fig8", "table1", "table2", "table3"]
+
+class _Drivers(Mapping):
+    """``DRIVERS`` with the modules as values: a driver is imported when it is looked up."""
+
+    def __getitem__(self, name: str) -> ModuleType:
+        return importlib.import_module(DRIVERS[name])
+
+    def __iter__(self):
+        return iter(DRIVERS)
+
+    def __len__(self) -> int:
+        return len(DRIVERS)
+
+
+#: Registry of all experiments, keyed by the paper artefact they regenerate.
+EXPERIMENTS: Mapping[str, ModuleType] = _Drivers()
+
+
+def __getattr__(name: str) -> ModuleType:
+    if name in DRIVERS:
+        return importlib.import_module(DRIVERS[name])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = ["DRIVERS", "EXPERIMENTS", *DRIVERS]

@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import contextlib
 import errno
-import multiprocessing
 import os
 import signal
 import time
@@ -186,6 +185,8 @@ def _perform(spec: FaultSpec) -> None:
     if spec.kind == "exc":
         raise FaultInjected(f"injected fault at {spec.site}")
     if spec.kind == "kill":
+        import multiprocessing  # here, so importing the harness stays cheap for every command
+
         if multiprocessing.current_process().name == "MainProcess":
             # Killing the orchestrating process would take the harness (or
             # the test runner) down with it; degrade to an exception.

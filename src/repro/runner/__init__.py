@@ -3,8 +3,8 @@
 The runner unifies how the reproduction executes (PR 3, extended in PR 5):
 
 * :mod:`repro.runner.registry` -- typed experiment specs with deterministic
-  config canonicalization over ``repro.experiments.EXPERIMENTS``, plus the
-  drivers' declared ``ARTIFACTS`` bindings;
+  config canonicalization, read from the drivers' literal declarations
+  (``PARAMS``, ``OBJECT_PARAMS``, ``ARTIFACTS``) without importing them;
 * :mod:`repro.runner.fingerprint` -- static import-closure code fingerprints;
 * :mod:`repro.runner.backends` -- the pluggable byte-level
   :class:`StoreBackend` protocol (disk + in-memory) with its claim tickets
@@ -26,84 +26,53 @@ The runner unifies how the reproduction executes (PR 3, extended in PR 5):
 * :mod:`repro.runner.errors` -- the :class:`ReproError` taxonomy with
   stable ``code`` fields shared by the CLI and the HTTP service;
 * :mod:`repro.runner.cli` -- the ``python -m repro`` entry point.
+
+Importing this package imports none of them: each name below loads its
+submodule on first access, so a command pays only for what it runs.
 """
 
-from .artifacts import (
-    ArtifactEntry,
-    ArtifactStore,
-    activated,
-    active_store,
-    artifact_key,
-    load_stats,
-    record_stats,
-    reset_stats,
-    resolve_artifact,
-)
-from .backends import (
-    ClaimTicket,
-    DiskBackend,
-    MemoryBackend,
-    StoreBackend,
-    evict_lru,
-)
-from .cache import CacheEntry, ResultCache, cache_key
-from .cli import CliError, main
-from .errors import (
-    ExecutionError,
-    ParamError,
-    ParamTypeError,
-    ParamValueError,
-    ReproError,
-    UnknownExperimentError,
-    UnknownParamError,
-)
-from .executor import execute_requests, parallel_sweep, produce_artifacts
-from .fingerprint import code_fingerprint, module_closure
-from .registry import ArtifactBinding, ExperimentSpec, ParamSpec, build_registry
-from .service import ArtifactUnit, ExperimentRunner, Observer, RunReport
-from .store import ContentStore, StoreStats, default_cache_root
+import importlib
 
-__all__ = [
-    "ArtifactBinding",
-    "ArtifactEntry",
-    "ArtifactStore",
-    "ArtifactUnit",
-    "CacheEntry",
-    "ClaimTicket",
-    "ContentStore",
-    "DiskBackend",
-    "MemoryBackend",
-    "ResultCache",
-    "StoreBackend",
-    "StoreStats",
-    "evict_lru",
-    "activated",
-    "active_store",
-    "artifact_key",
-    "cache_key",
-    "default_cache_root",
-    "load_stats",
-    "main",
-    "execute_requests",
-    "parallel_sweep",
-    "produce_artifacts",
-    "code_fingerprint",
-    "module_closure",
-    "record_stats",
-    "reset_stats",
-    "resolve_artifact",
-    "ExperimentSpec",
-    "ParamSpec",
-    "build_registry",
-    "ExperimentRunner",
-    "Observer",
-    "RunReport",
-    "CliError",
-    "ExecutionError",
-    "ParamError",
-    "ParamTypeError",
-    "ParamValueError",
-    "ReproError",
-    "UnknownExperimentError",
-    "UnknownParamError",
-]
+#: Submodule -> the public names it defines; each loads on first access (PEP 562).
+_SUBMODULE_EXPORTS = {
+    "artifacts": (
+        "ArtifactEntry",
+        "ArtifactStore",
+        "activated",
+        "active_store",
+        "artifact_key",
+        "load_stats",
+        "record_stats",
+        "reset_stats",
+        "resolve_artifact",
+    ),
+    "backends": ("ClaimTicket", "DiskBackend", "MemoryBackend", "StoreBackend", "evict_lru"),
+    "cache": ("CacheEntry", "ResultCache", "cache_key"),
+    "cli": ("CliError", "main"),
+    "errors": (
+        "ExecutionError",
+        "ParamError",
+        "ParamTypeError",
+        "ParamValueError",
+        "ReproError",
+        "UnknownExperimentError",
+        "UnknownParamError",
+    ),
+    "executor": ("execute_requests", "parallel_sweep", "produce_artifacts"),
+    "fingerprint": ("code_fingerprint", "module_closure"),
+    "registry": ("ArtifactBinding", "ExperimentSpec", "ParamSpec", "build_registry"),
+    "service": ("ArtifactUnit", "ExperimentRunner", "Observer", "RunReport"),
+    "store": ("ContentStore", "StoreStats", "default_cache_root"),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = sorted(_EXPORTS)

@@ -63,6 +63,7 @@ from ..artifact_hook import installed as activated
 from ..artifact_hook import resolve as resolve_artifact  # noqa: F401 - re-exported
 from .fingerprint import code_fingerprint
 from .journal import Journal
+from .registry import canonical_params_json
 from .store import ContentStore, StoreStats, content_key
 
 #: Bumped when the on-disk artifact layout changes; part of every key.
@@ -81,11 +82,6 @@ STATS_COMPACT_LINES = 256
 
 #: Size budget (bytes) of the artifact store; unset/0 = unbounded.
 ENV_ARTIFACTS_MAX_BYTES = "REPRO_ARTIFACTS_MAX_BYTES"
-
-
-def canonical_params_json(params: Mapping[str, object]) -> str:
-    """Deterministic JSON form of artifact parameters (tuples serialise as arrays)."""
-    return json.dumps(dict(params), sort_keys=True, separators=(",", ":"))
 
 
 def artifact_key(artifact: str, params: Mapping[str, object], fingerprint: str) -> str:

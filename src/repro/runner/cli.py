@@ -32,14 +32,20 @@ import shutil
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..analysis.reporting import format_table, to_csv
-from .artifacts import ArtifactStore, load_stats, reset_stats
-from .cache import ResultCache
 from .errors import ExecutionError, ParamError, ReproError, UnknownExperimentError
-from .registry import ExperimentSpec
-from .service import ExperimentRunner, RunReport
-from .store import PER_STORE_COUNTERS, ContentStore, default_cache_root, quarantine_summary
+
+if TYPE_CHECKING:
+    from .artifacts import ArtifactStore
+    from .cache import ResultCache
+    from .registry import ExperimentSpec
+    from .service import ExperimentRunner, RunReport
+    from .store import ContentStore
+
+# The stores and the runner service are imported inside the handlers that
+# use them, so a command loads only what it runs.
 
 #: Stable exit codes (usage errors / validation failures / execution failures).
 USAGE_EXIT, VALIDATION_EXIT, EXECUTION_EXIT = 2, 3, 4
@@ -62,7 +68,7 @@ class CliError(SystemExit):
 
 
 def _api():
-    """The facade, imported late so ``repro.runner`` can finish initialising."""
+    """The facade, imported late: it brings the runner service and the executor."""
     from .. import api
 
     return api
@@ -435,6 +441,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 def _command_store(args: argparse.Namespace) -> int:
     from .netstore import serve_store
+    from .store import default_cache_root
 
     root = Path(args.root) if args.root else default_cache_root() / "store"
     return serve_store(host=args.host, port=args.port, root=root, max_bytes=args.max_bytes)
@@ -444,6 +451,9 @@ def _cache_stats_summary(
     cache: ResultCache, store: ArtifactStore, *, store_url: str | None = None
 ) -> dict[str, object]:
     """Entry counts, bytes, hit/miss counters and corruption/recovery tallies."""
+    from .artifacts import load_stats
+    from .store import PER_STORE_COUNTERS, quarantine_summary
+
     counters = load_stats(cache.root)
 
     def section(content: ContentStore) -> dict[str, object]:
@@ -483,6 +493,9 @@ def _cache_stats_summary(
 
 
 def _command_cache(args: argparse.Namespace) -> int:
+    from .artifacts import ArtifactStore, reset_stats
+    from .cache import ResultCache
+
     cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
     store = ArtifactStore(cache.root / "artifacts")
     if args.cache_command == "ls":
@@ -556,9 +569,11 @@ def _command_cache(args: argparse.Namespace) -> int:
 
 
 def _command_list(_args: argparse.Namespace) -> int:
-    runner = ExperimentRunner(use_cache=False)
+    from .registry import build_registry
+    from .store import default_cache_root
+
     rows = []
-    for name, spec in runner.registry.items():
+    for name, spec in build_registry().items():
         parameters = ", ".join(
             f"{pname}={spec.params[pname].default!r}" for pname in sorted(spec.params)
         )

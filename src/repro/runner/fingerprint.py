@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 import functools
 import hashlib
+import importlib.machinery
 import importlib.util
 import threading
 from pathlib import Path
@@ -24,34 +25,47 @@ from pathlib import Path
 # CPython's ``ast.parse`` keeps its AST-to-object recursion depth in shared
 # interpreter state on some versions (3.11 raises ``SystemError: AST
 # constructor recursion depth mismatch`` under concurrent parses), so parsing
-# is serialised.  Cheap: ``_imported_modules`` is memoised per source text,
-# so repeat fingerprints never reach the parser at all.
+# is serialised.  Cheap: each source text is parsed at most once per process
+# (see ``_IMPORTS``), so repeat fingerprints never reach the parser at all.
 _PARSE_LOCK = threading.Lock()
 
 
-def _parse_source(source: str) -> ast.AST:
+def _parse_source(source: str) -> ast.Module:
     with _PARSE_LOCK:
         return ast.parse(source)
 
 
 @functools.lru_cache(maxsize=None)
-def _module_path(module_name: str) -> Path | None:
-    """Source file of ``module_name``, or ``None`` if it has no .py origin."""
-    try:
-        spec = importlib.util.find_spec(module_name)
-    except (ImportError, ValueError):
+def _find_spec(module_name: str) -> importlib.machinery.ModuleSpec | None:
+    """``module_name``'s spec, located without importing any parent package.
+
+    ``importlib.util.find_spec`` imports a submodule's parents, which would
+    run every science package ``__init__`` just to locate a source file.
+    Only the top-level package is looked up the standard way; each further
+    component is searched for in its parent's ``submodule_search_locations``.
+    """
+    parent, _, _ = module_name.rpartition(".")
+    if not parent:
+        try:
+            return importlib.util.find_spec(module_name)
+        except (ImportError, ValueError):
+            return None
+    parent_spec = _find_spec(parent)
+    if parent_spec is None or parent_spec.submodule_search_locations is None:
         return None
+    return importlib.machinery.PathFinder.find_spec(module_name, list(parent_spec.submodule_search_locations))
+
+
+def module_path(module_name: str) -> Path | None:
+    """Source file of ``module_name``, or ``None`` if it has no .py origin."""
+    spec = _find_spec(module_name)
     if spec is None or spec.origin is None or not spec.origin.endswith(".py"):
         return None
     return Path(spec.origin)
 
 
-@functools.lru_cache(maxsize=None)
 def _is_package(module_name: str) -> bool:
-    try:
-        spec = importlib.util.find_spec(module_name)
-    except (ImportError, ValueError):
-        return False
+    spec = _find_spec(module_name)
     return spec is not None and spec.submodule_search_locations is not None
 
 
@@ -70,24 +84,16 @@ def _resolve_import_base(node: ast.ImportFrom, module_name: str) -> str | None:
     return f"{base}.{node.module}" if node.module else base
 
 
-@functools.lru_cache(maxsize=None)
-def _imported_modules(module_name: str, source: str, root: str) -> frozenset[str]:
-    """Root-package modules imported directly by ``source``.
-
-    Keyed on the source text itself, so edits re-parse while repeat
-    fingerprints of unchanged modules skip the AST walk.  Module specs are
-    memoised per process -- module files are assumed not to *move* while a
-    process runs (edits to their contents are picked up, as the source is
-    re-read on every fingerprint).
-    """
+def _imports_in(tree: ast.Module, module_name: str, root: str) -> frozenset[str]:
+    """Root-package modules imported directly by ``tree`` (``module_name``'s AST)."""
     found: set[str] = set()
 
     def keep(candidate: str | None) -> None:
         if candidate and (candidate == root or candidate.startswith(root + ".")):
-            if _module_path(candidate) is not None:
+            if module_path(candidate) is not None:
                 found.add(candidate)
 
-    for node in _walk_importable(_parse_source(source)):
+    for node in _walk_importable(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 keep(alias.name)
@@ -99,6 +105,34 @@ def _imported_modules(module_name: str, source: str, root: str) -> frozenset[str
                 for alias in node.names:
                     keep(f"{base}.{alias.name}")
     return frozenset(found)
+
+
+#: ``(module, source text, root) -> imports``: keyed on the source text itself,
+#: so edits re-parse while repeat fingerprints of unchanged modules skip the
+#: AST walk.  Module specs are memoised per process -- module files are
+#: assumed not to *move* while a process runs (edits to their contents are
+#: picked up, as the source is re-read on every fingerprint).
+_IMPORTS: dict[tuple[str, str, str], frozenset[str]] = {}
+
+
+def parse_module(module_name: str, source: str, *, root: str = "repro") -> ast.Module:
+    """``source``'s AST, for a reader that needs more than its imports.
+
+    The imports are recorded on the way, so fingerprinting the same source
+    text later never parses it a second time.
+    """
+    tree = _parse_source(source)
+    key = (module_name, source, root)
+    if key not in _IMPORTS:
+        _IMPORTS[key] = _imports_in(tree, module_name, root)
+    return tree
+
+
+def _imported_modules(module_name: str, source: str, root: str) -> frozenset[str]:
+    key = (module_name, source, root)
+    if key not in _IMPORTS:
+        parse_module(module_name, source, root=root)
+    return _IMPORTS[key]
 
 
 def _is_main_guard(node: ast.AST) -> bool:
@@ -175,7 +209,7 @@ def module_closure(module_name: str, *, root: str = "repro") -> list[str]:
         current = pending.pop()
         if current in closure:
             continue
-        path = _module_path(current)
+        path = module_path(current)
         if path is None:
             continue
         closure.add(current)
@@ -194,7 +228,7 @@ def code_fingerprint(module_name: str, *, root: str = "repro") -> str:
     """
     digest = hashlib.sha256()
     for name in module_closure(module_name, root=root):
-        path = _module_path(name)
+        path = module_path(name)
         if path is None:  # pragma: no cover - raced module removal
             continue
         source_hash = hashlib.sha256(path.read_bytes()).hexdigest()

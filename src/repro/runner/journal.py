@@ -53,9 +53,16 @@ class Journal:
                 os.close(descriptor)
 
     def append(self, document: object, *, durable: bool = False) -> None:
-        """Append ``document`` as one line; ``durable`` fsyncs it before returning."""
-        with self._locked(os.O_WRONLY | os.O_APPEND, fcntl.LOCK_SH) as descriptor:
-            os.write(descriptor, _line(document))
+        """Append ``document`` as one line; ``durable`` fsyncs it before returning.
+
+        A torn tail (a writer killed mid-append leaves no newline) is first
+        closed with a newline, so it cannot swallow this line; the blank line
+        two racing appenders may leave there does not decode and is skipped.
+        """
+        with self._locked(os.O_RDWR | os.O_APPEND, fcntl.LOCK_SH) as descriptor:
+            size = os.fstat(descriptor).st_size
+            torn = size > 0 and os.pread(descriptor, 1, size - 1) != b"\n"
+            os.write(descriptor, b"\n" * torn + _line(document))
             if durable:
                 os.fsync(descriptor)
 

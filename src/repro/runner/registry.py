@@ -1,11 +1,18 @@
 """Typed experiment registry with deterministic config canonicalization.
 
-Wraps :data:`repro.experiments.EXPERIMENTS` with one :class:`ExperimentSpec`
-per driver.  Every driver module declares its cacheable parameters in a
-``PARAMS`` mapping (name -> default) and, optionally, the object-valued
-injection parameters its ``run()`` also accepts in ``OBJECT_PARAMS``
-(pre-built characterizations, chip models, ...).  Only ``PARAMS`` values
-participate in cache keys; passing an object parameter bypasses the cache.
+Builds one :class:`ExperimentSpec` per driver named in
+:data:`repro.experiments.DRIVERS`.  Every driver module declares its
+cacheable parameters in a ``PARAMS`` mapping (name -> default) and,
+optionally, the object-valued injection parameters its ``run()`` also
+accepts in ``OBJECT_PARAMS`` (pre-built characterizations, chip models,
+...).  Only ``PARAMS`` values participate in cache keys; passing an object
+parameter bypasses the cache.
+
+The declarations are literals, so :func:`build_registry` reads them from
+each driver's source (one parse per source text, shared with the code
+fingerprint) instead of importing the driver: listing experiments or
+replaying a cached result never runs driver or science code.  A driver
+module is imported only when it executes or renders.
 
 Drivers additionally declare the sub-experiment intermediates they consume
 in an ``ARTIFACTS`` mapping (see :class:`ArtifactBinding`): artifact name ->
@@ -21,14 +28,18 @@ always hash to the same cache key.
 
 from __future__ import annotations
 
+import ast
+import functools
+import importlib
 import inspect
+import json
 import types
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
-from .artifacts import canonical_params_json, load_producer
 from .errors import ParamTypeError, ParamValueError, UnknownParamError
-from ..experiments import EXPERIMENTS
+from .fingerprint import module_path, parse_module
+from ..experiments import DRIVERS
 
 
 @dataclass(frozen=True)
@@ -157,11 +168,25 @@ class ArtifactBinding:
     level: int = 0
 
 
+def canonical_params_json(params: Mapping[str, object]) -> str:
+    """Deterministic JSON form of a config or artifact parameters (tuples serialise as arrays)."""
+    return json.dumps(dict(params), sort_keys=True, separators=(",", ":"))
+
+
+def _param_specs(declared: Mapping[str, object]) -> dict[str, ParamSpec]:
+    return {
+        pname: ParamSpec(pname, tuple if isinstance(default, (list, tuple)) else type(default), default)
+        for pname, default in declared.items()
+    }
+
+
 def _parse_artifacts(
-    experiment: str, module: types.ModuleType, params: Mapping[str, ParamSpec]
+    experiment: str,
+    declared: Mapping[str, object],
+    params: Mapping[str, ParamSpec],
+    check_producer: Callable[[str], object],
 ) -> dict[str, ArtifactBinding]:
     """Validate and normalise a driver's ``ARTIFACTS`` declaration."""
-    declared = getattr(module, "ARTIFACTS", {})
     bindings: dict[str, ArtifactBinding] = {}
     for name, declaration in declared.items():
         if not (isinstance(declaration, tuple) and len(declaration) in (2, 3)):
@@ -185,7 +210,7 @@ def _parse_artifacts(
             raise TypeError(
                 f"{experiment}: ARTIFACTS[{name!r}] 'when' must name a bool parameter"
             )
-        load_producer(producer)  # fails fast on unimportable producers
+        check_producer(producer)  # fails fast on producers that cannot run
         bindings[name] = ArtifactBinding(
             name=name,
             producer=producer,
@@ -225,55 +250,172 @@ def _parse_artifacts(
     }
 
 
+def _check_run_defaults(
+    experiment: str,
+    params: Mapping[str, ParamSpec],
+    defaults: Mapping[str, object],
+    accepts_kwargs: bool,
+) -> None:
+    """Declared defaults must agree with ``run()``'s (``defaults``: parameter -> default)."""
+    for pname, spec in params.items():
+        if pname not in defaults:
+            if accepts_kwargs:
+                continue
+            raise TypeError(f"{experiment}: declared parameter {pname!r} not accepted by run()")
+        default = defaults[pname]
+        if default is _NOT_LITERAL:
+            raise TypeError(f"{experiment}: run()'s default for declared parameter {pname!r} is not a literal")
+        if default is not inspect.Parameter.empty and default != spec.default:
+            raise TypeError(
+                f"{experiment}: declared default for {pname!r} ({spec.default!r}) "
+                f"disagrees with run() ({default!r})"
+            )
+
+
+# -- declarations read from source ----------------------------------------------------
+
+#: The module-level names the registry reads from a driver's source.
+_DECLARED_NAMES = ("PARAMS", "OBJECT_PARAMS", "ARTIFACTS")
+#: Stands for a ``run()`` default that is not a literal.
+_NOT_LITERAL = object()
+
+
+@dataclass(frozen=True)
+class _Declarations:
+    """What the registry needs from one module's source."""
+
+    values: Mapping[str, object]  # the literal PARAMS / OBJECT_PARAMS / ARTIFACTS present
+    functions: frozenset[str]  # names of the top-level ``def``s
+    run: tuple[dict[str, object], bool] | None  # run()'s (parameter -> default, accepts **kwargs)
+
+
+def _literal(node: ast.expr | None) -> object:
+    if node is None:
+        return inspect.Parameter.empty
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return _NOT_LITERAL
+
+
+def _signature(function: ast.FunctionDef) -> tuple[dict[str, object], bool]:
+    arguments = function.args
+    positional = arguments.posonlyargs + arguments.args
+    defaults = [None] * (len(positional) - len(arguments.defaults)) + list(arguments.defaults)
+    pairs = [*zip(positional, defaults), *zip(arguments.kwonlyargs, arguments.kw_defaults)]
+    return {argument.arg: _literal(default) for argument, default in pairs}, arguments.kwarg is not None
+
+
+@functools.lru_cache(maxsize=None)
+def _read_declarations(module_name: str, source: str) -> _Declarations:
+    """The declarations of one source text (parsed once; keyed on the text, so edits re-read)."""
+    values: dict[str, object] = {}
+    functions: set[str] = set()
+    run = None
+    for node in parse_module(module_name, source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions.add(node.name)
+            if node.name == "run":
+                run = _signature(node)
+            continue
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id in _DECLARED_NAMES:
+                literal = _NOT_LITERAL if isinstance(node, ast.AugAssign) else _literal(node.value)
+                if literal is _NOT_LITERAL or literal is inspect.Parameter.empty:
+                    raise TypeError(
+                        f"{module_name}: {target.id} (line {node.lineno}) must be assigned a literal"
+                    )
+                values[target.id] = literal
+    return _Declarations(values=values, functions=frozenset(functions), run=run)
+
+
+def _declarations(module_name: str) -> _Declarations:
+    path = module_path(module_name)
+    if path is None:
+        raise TypeError(f"no Python source found for module {module_name!r}")
+    return _read_declarations(module_name, path.read_text())
+
+
+def _check_top_level_def(producer: str) -> None:
+    module_name, _, function_name = producer.partition(":")
+    if not (module_name and function_name and function_name in _declarations(module_name).functions):
+        raise TypeError(f"producer {producer!r} does not name a top-level def of its module")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registered experiment: driver module + declared parameter schema."""
+    """One registered experiment: its driver module's name + declared parameter schema.
+
+    :attr:`module` imports the driver on first use (execution, rendering);
+    the schema, the cache addresses and the artifact plan never need it.
+    """
 
     name: str
-    module: types.ModuleType
+    module_name: str
     params: Mapping[str, ParamSpec]
     object_params: frozenset[str]
     artifacts: Mapping[str, ArtifactBinding]
+    _module: types.ModuleType | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def module(self) -> types.ModuleType:
+        if self._module is None:
+            object.__setattr__(self, "_module", importlib.import_module(self.module_name))
+        return self._module
 
     @classmethod
     def from_module(cls, name: str, module: types.ModuleType) -> "ExperimentSpec":
-        declared = getattr(module, "PARAMS", {})
-        params = {
-            pname: ParamSpec(pname, tuple if isinstance(default, (list, tuple)) else type(default), default)
-            for pname, default in declared.items()
-        }
-        object_params = frozenset(getattr(module, "OBJECT_PARAMS", ()))
-        spec = cls(
-            name=name,
-            module=module,
-            params=params,
-            object_params=object_params,
-            artifacts=_parse_artifacts(name, module, params),
-        )
-        spec._check_against_signature()
-        return spec
+        """The spec of an imported (or in-memory) driver module."""
+        from .artifacts import load_producer
 
-    def _check_against_signature(self) -> None:
-        """Declared defaults must agree with ``run()``'s actual signature."""
-        signature = inspect.signature(self.module.run)
-        accepts_kwargs = any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in signature.parameters.values()
+        params = _param_specs(getattr(module, "PARAMS", {}))
+        artifacts = _parse_artifacts(name, getattr(module, "ARTIFACTS", {}), params, load_producer)
+        signature = inspect.signature(module.run).parameters.values()
+        _check_run_defaults(
+            name,
+            params,
+            {parameter.name: parameter.default for parameter in signature},
+            any(parameter.kind is inspect.Parameter.VAR_KEYWORD for parameter in signature),
         )
-        for pname, spec in self.params.items():
-            parameter = signature.parameters.get(pname)
-            if parameter is None:
-                if accepts_kwargs:
-                    continue
-                raise TypeError(f"{self.name}: declared parameter {pname!r} not accepted by run()")
-            if (
-                parameter.default is not inspect.Parameter.empty
-                and parameter.default != spec.default
-            ):
-                raise TypeError(
-                    f"{self.name}: declared default for {pname!r} ({spec.default!r}) "
-                    f"disagrees with run() ({parameter.default!r})"
-                )
+        return cls(
+            name=name,
+            module_name=module.__name__,
+            params=params,
+            object_params=frozenset(getattr(module, "OBJECT_PARAMS", ())),
+            artifacts=artifacts,
+            _module=module,
+        )
+
+    @classmethod
+    def from_source(cls, name: str, module_name: str) -> "ExperimentSpec":
+        """The spec declared in ``module_name``'s source, read without importing it.
+
+        Runs the same checks as :meth:`from_module`, statically: ``PARAMS``
+        must agree with ``run()``'s keyword defaults and every producer must
+        be a top-level ``def``.  A declaration that is not a literal raises
+        :class:`TypeError`.
+        """
+        declarations = _declarations(module_name)
+        if declarations.run is None:
+            raise TypeError(f"{name}: {module_name} has no top-level def run()")
+        params = _param_specs(declarations.values.get("PARAMS", {}))
+        artifacts = _parse_artifacts(
+            name, declarations.values.get("ARTIFACTS", {}), params, _check_top_level_def
+        )
+        _check_run_defaults(name, params, *declarations.run)
+        return cls(
+            name=name,
+            module_name=module_name,
+            params=params,
+            object_params=frozenset(declarations.values.get("OBJECT_PARAMS", ())),
+            artifacts=artifacts,
+        )
 
     def canonical_config(self, overrides: Mapping[str, object] | None = None) -> dict[str, object]:
         """Full config in canonical form: defaults + coerced overrides, sorted keys.
@@ -340,5 +482,5 @@ class ExperimentSpec:
 
 
 def build_registry() -> dict[str, ExperimentSpec]:
-    """One :class:`ExperimentSpec` per entry of ``EXPERIMENTS``."""
-    return {name: ExperimentSpec.from_module(name, module) for name, module in EXPERIMENTS.items()}
+    """One :class:`ExperimentSpec` per entry of ``DRIVERS``, read from the drivers' sources."""
+    return {name: ExperimentSpec.from_source(name, module_name) for name, module_name in DRIVERS.items()}

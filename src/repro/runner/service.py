@@ -197,7 +197,7 @@ class ExperimentRunner:
         """
         spec = self.spec(name)
         config = spec.canonical_config(overrides)
-        fingerprint = code_fingerprint(spec.module.__name__)
+        fingerprint = code_fingerprint(spec.module_name)
         return config, cache_key(name, spec.canonical_json(config), fingerprint), fingerprint
 
     def lookup(self, name: str, overrides: Mapping[str, object] | None = None) -> RunReport | None:
@@ -342,7 +342,7 @@ class ExperimentRunner:
             spec = self.spec(name)
             config = spec.canonical_config(overrides)
             if name not in fingerprints:
-                fingerprints[name] = code_fingerprint(spec.module.__name__)
+                fingerprints[name] = code_fingerprint(spec.module_name)
             key = cache_key(name, spec.canonical_json(config), fingerprints[name])
             lookup_start = time.perf_counter()
             entry = self.cache.get(name, key) if self.use_cache else None

@@ -562,6 +562,36 @@ class TestJobDurability:
         documents = journal.read()
         assert [doc["id"] for doc in documents] == ["job-whole0000000"]
 
+    def test_records_appended_after_a_torn_tail_survive_a_restart(self, toy_runner, tmp_path):
+        def record(job_id):
+            return JobRecord(
+                id=job_id,
+                kind="run",
+                experiments=["toy"],
+                params={},
+                grid=None,
+                jobs=1,
+                request_id="",
+                idempotency_key=None,
+                state="done",
+            )
+
+        state_dir = tmp_path / "jobs"
+        journal = Journal(state_dir / "journal.jsonl")
+        journal.append(record("job-beforetear00").to_journal())
+        with open(journal.path, "a") as handle:
+            handle.write('{"id": "job-torn", "state": "runn')  # crash mid-append
+        journal.append(record("job-aftertear000").to_journal())
+        journal.append(record("job-aftertear001").to_journal())
+
+        manager = JobManager(toy_runner, state_dir=state_dir)
+        assert sorted(job["id"] for job in manager.listing()) == [
+            "job-aftertear000",
+            "job-aftertear001",
+            "job-beforetear00",
+        ]
+        manager.close(wait=True, drain_seconds=10)
+
     def test_leftover_snapshot_is_folded_in_then_removed(self, toy_runner, tmp_path):
         # Services before the shared journal compacted into snapshot.json;
         # its records must survive the first restart and the file must go.

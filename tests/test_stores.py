@@ -667,6 +667,16 @@ class TestStatsLog:
             handle.write('{"artifact_hits": 99')  # killed mid-append
         assert load_stats(tmp_path).artifact_hits == 3
 
+    def test_append_after_a_torn_tail_is_not_swallowed(self, tmp_path):
+        # A torn tail has no newline: the next append must start a new line,
+        # or the torn text and that delta decode as one bad line and are lost.
+        record_stats(tmp_path, StoreStats(result_hits=1))
+        with open(tmp_path / "_stats.jsonl", "a") as handle:
+            handle.write('{"result_hits": 9')  # killed mid-append
+        record_stats(tmp_path, StoreStats(result_hits=1))
+        record_stats(tmp_path, StoreStats(result_hits=1))
+        assert load_stats(tmp_path).result_hits == 3
+
     def test_appends_racing_compactions_keep_an_exact_total(self, tmp_path, monkeypatch):
         # Four processes append while this one compacts as often as it can:
         # an append into a file a compaction already folded would be lost.
