@@ -10,8 +10,6 @@ Run with:  python examples/quickstart.py
 
 from repro import characterize_multiplier, multiplier_energy_curves
 from repro.analysis import format_table
-from repro.core import PrecisionRequirement, PrecisionScheduler
-from repro.core.operating_point import operating_points_from_characterization
 
 
 def main() -> None:
@@ -34,6 +32,7 @@ def main() -> None:
     print(format_table(rows, title="Extracted scaling parameters (Table I)"))
 
     # 3. Fig. 3a: energy per word of DAS, DVAS and DVAFS vs precision.
+    points = multiplier_energy_curves(characterization)
     curves = [
         {
             "technique": point.technique,
@@ -42,25 +41,19 @@ def main() -> None:
             "V_as": round(point.voltage_as, 2),
             "f [MHz]": point.frequency_mhz,
         }
-        for point in multiplier_energy_curves(characterization)
+        for point in points
     ]
     print(format_table(curves, title="Energy per word, normalised to the plain 16b multiplier (Fig. 3a)"))
 
-    # 4. Pick the cheapest operating point for a task that needs 6 bits.
-    points = operating_points_from_characterization(characterization)["DVAFS"]
-    energies = {
-        point.precision: point_energy
-        for point, point_energy in zip(
-            points,
-            [p.relative_energy for p in multiplier_energy_curves(characterization) if p.technique == "DVAFS"],
-        )
-    }
-    scheduler = PrecisionScheduler(points, lambda p: energies[p.precision])
-    task = scheduler.select(PrecisionRequirement("feature-extraction", required_bits=6))
+    # 4. Pick the cheapest DVAFS mode that still covers a task needing 6 bits.
+    mode = min(
+        (point for point in points if point.technique == "DVAFS" and point.precision >= 6),
+        key=lambda point: point.relative_energy,
+    )
     print(
-        f"A 6-bit task runs in the {task.operating_point.mode_label} mode at "
-        f"{task.operating_point.frequency_mhz:.0f} MHz / {task.operating_point.as_voltage:.2f} V, "
-        f"costing {task.energy_per_operation_pj:.3f}x the 16b baseline energy per word."
+        f"A 6-bit task runs in the {mode.parallelism}x{mode.precision}b mode at "
+        f"{mode.frequency_mhz:.0f} MHz / {mode.voltage_as:.2f} V, "
+        f"costing {mode.relative_energy:.3f}x the 16b baseline energy per word."
     )
 
 

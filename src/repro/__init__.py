@@ -13,11 +13,10 @@ Subpackages
     subword-parallel DVAFS multiplier, MAC units and the approximate
     multiplier baselines of Fig. 3b.
 ``repro.circuit``
-    Technology corners, alpha-power-law delay, energy, voltage scaling and
-    power domains.
+    Technology corners, alpha-power-law delay, energy and voltage scaling.
 ``repro.core``
-    The DVAFS power equations, scaling-parameter extraction (Table I),
-    operating points, precision scheduling and Pareto analysis.
+    The DVAFS power equations, scaling-parameter extraction (Table I) and
+    operating points.
 ``repro.simd``
     The DVAFS-compatible SIMD RISC vector processor of Section III-B
     (ISA, assembler, cycle-level simulator, calibrated power model).
@@ -63,7 +62,6 @@ _SUBMODULE_EXPORTS = {
         "DvafsSystem",
         "OperatingPoint",
         "PAPER_TABLE_I",
-        "PrecisionScheduler",
         "ScalingParameters",
         "characterize_multiplier",
         "multiplier_energy_curves",

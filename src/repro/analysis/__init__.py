@@ -4,30 +4,24 @@ from .metrics import (
     EfficiencyReport,
     classification_accuracy,
     relative_accuracy,
-    relative_rmse,
     rmse,
-    snr_db,
     top1_agreement,
     tops_per_watt,
 )
-from .reporting import curve_to_rows, format_table, format_value, to_csv, to_json, write_csv
+from .reporting import format_table, format_value, to_csv, to_json
 from .sweep import SweepResult, parameter_sweep, sweep_grid
 
 __all__ = [
     "EfficiencyReport",
     "classification_accuracy",
     "relative_accuracy",
-    "relative_rmse",
     "rmse",
-    "snr_db",
     "top1_agreement",
     "tops_per_watt",
-    "curve_to_rows",
     "format_table",
     "format_value",
     "to_csv",
     "to_json",
-    "write_csv",
     "SweepResult",
     "parameter_sweep",
     "sweep_grid",

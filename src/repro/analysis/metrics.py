@@ -1,6 +1,6 @@
 """Accuracy and efficiency metrics used throughout the experiments.
 
-* RMSE / SNR of approximate arithmetic streams (Fig. 3b x-axis),
+* RMSE of approximate arithmetic streams (Fig. 3b x-axis),
 * relative classification accuracy of quantised networks (the "99 % relative
   accuracy" criterion of Fig. 6),
 * TOPS/W-style efficiency figures for the processor models (Fig. 8,
@@ -9,7 +9,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,29 +23,6 @@ def rmse(reference: np.ndarray, approximate: np.ndarray) -> float:
     if reference.size == 0:
         raise ValueError("arrays must be non-empty")
     return float(np.sqrt(np.mean((reference - approximate) ** 2)))
-
-
-def relative_rmse(reference: np.ndarray, approximate: np.ndarray, *, full_scale: float) -> float:
-    """RMSE normalised to a full-scale value (the paper's RMSE axis)."""
-    if full_scale <= 0:
-        raise ValueError("full_scale must be positive")
-    return rmse(reference, approximate) / full_scale
-
-
-def snr_db(reference: np.ndarray, approximate: np.ndarray) -> float:
-    """Signal-to-noise ratio of an approximation, in dB.
-
-    Returns ``inf`` for an exact match.
-    """
-    reference = np.asarray(reference, dtype=np.float64)
-    approximate = np.asarray(approximate, dtype=np.float64)
-    noise_power = float(np.mean((reference - approximate) ** 2))
-    signal_power = float(np.mean(reference**2))
-    if signal_power <= 0:
-        raise ValueError("reference signal has zero power")
-    if noise_power == 0:
-        return math.inf
-    return 10.0 * math.log10(signal_power / noise_power)
 
 
 def top1_agreement(reference_logits: np.ndarray, approximate_logits: np.ndarray) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .sweep import SweepResult
 
@@ -89,12 +89,6 @@ def to_csv(rows: Sequence[Mapping[str, object]], *, columns: Sequence[str] | Non
     return buffer.getvalue()
 
 
-def write_csv(path: str, rows: Sequence[Mapping[str, object]], *, columns: Sequence[str] | None = None) -> None:
-    """Write rows to ``path`` as CSV."""
-    with open(path, "w", newline="") as handle:
-        handle.write(to_csv(rows, columns=columns))
-
-
 def to_json(rows: Sequence[Mapping[str, object]], *, indent: int | None = None) -> str:
     """Serialise rows as the same JSON document the result cache stores.
 
@@ -102,11 +96,3 @@ def to_json(rows: Sequence[Mapping[str, object]], *, indent: int | None = None) 
     :meth:`repro.analysis.sweep.SweepResult.from_json`.
     """
     return SweepResult(records=[dict(row) for row in rows]).to_json(indent=indent)
-
-
-def curve_to_rows(
-    xs: Iterable[float], ys: Iterable[float], *, x_name: str = "x", y_name: str = "y"
-) -> list[dict[str, float]]:
-    """Zip two series into row dictionaries (for figure-style outputs)."""
-    rows = [{x_name: float(x), y_name: float(y)} for x, y in zip(xs, ys)]
-    return rows

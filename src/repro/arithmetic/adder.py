@@ -1,11 +1,7 @@
-"""Structural adders: gate-level ripple-carry and a carry-lookahead model.
+"""Carry-lookahead cost model of the Booth-Wallace multiplier's final adder.
 
-The ripple-carry adder is built as a true :class:`~repro.arithmetic.gates.Netlist`
-of full-adder cells with per-cell toggle counting; it is used by the MAC
-accumulator model and by the netlist-level unit tests.  The final adder of
-the Booth-Wallace multiplier uses the faster carry-lookahead *cost model*
-(logic levels / gate equivalents) because only its activity and depth matter
-for the energy analysis.
+Only the adder's activity and depth matter for the energy analysis, so it is
+a *cost model* (logic levels / gate equivalents), not a netlist.
 """
 
 from __future__ import annotations
@@ -13,77 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fixed_point import from_twos_complement, to_twos_complement
-from .gates import Netlist, cell_cost
-
-
-class RippleCarryAdder:
-    """A gate-level ripple-carry adder on ``width``-bit operands.
-
-    The adder is an actual netlist of full-adder cells; every evaluation
-    counts toggles, so streaming operands through it yields a switching
-    activity estimate exactly as the multiplier models do.
-    """
-
-    def __init__(self, width: int):
-        if width < 1:
-            raise ValueError("width must be at least 1")
-        self.width = width
-        self.netlist = Netlist()
-        for i in range(width):
-            self.netlist.add_input(f"a{i}")
-            self.netlist.add_input(f"b{i}")
-        self.netlist.add_input("cin")
-        carry = "cin"
-        for i in range(width):
-            sum_net = f"s{i}"
-            carry_net = f"c{i + 1}"
-            self.netlist.add_cell(
-                "full_adder", [f"a{i}", f"b{i}", carry], [sum_net, carry_net]
-            )
-            self.netlist.add_output(sum_net)
-            carry = carry_net
-        self.netlist.add_output(carry)
-        self._carry_out_net = carry
-
-    @property
-    def critical_path_levels(self) -> float:
-        """Logic depth of the carry chain in reference levels."""
-        return self.width * cell_cost("full_adder").logic_levels
-
-    @property
-    def gate_equivalents(self) -> float:
-        """Total area of the adder in gate equivalents."""
-        return self.netlist.gate_equivalents
-
-    def add(self, a: int, b: int, carry_in: int = 0) -> tuple[int, int]:
-        """Add two signed ``width``-bit integers.
-
-        Returns ``(sum, carry_out)`` where the sum wraps modulo ``2**width``
-        (two's complement) exactly like the hardware would.
-        """
-        if carry_in not in (0, 1):
-            raise ValueError("carry_in must be 0 or 1")
-        pa = to_twos_complement(a, self.width)
-        pb = to_twos_complement(b, self.width)
-        inputs = {"cin": carry_in}
-        for i in range(self.width):
-            inputs[f"a{i}"] = (pa >> i) & 1
-            inputs[f"b{i}"] = (pb >> i) & 1
-        outputs = self.netlist.evaluate(inputs)
-        pattern = 0
-        for i in range(self.width):
-            pattern |= outputs[f"s{i}"] << i
-        return from_twos_complement(pattern, self.width), outputs[self._carry_out_net]
-
-    @property
-    def weighted_toggles(self) -> float:
-        """Accumulated gate-equivalent toggles since the last reset."""
-        return self.netlist.toggle_counter.weighted_toggles
-
-    def reset_activity(self) -> None:
-        """Clear accumulated toggle counts and the toggle baseline."""
-        self.netlist.reset_state()
+from .gates import cell_cost
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ the stage's gate-equivalent weight.  Delay is accounted in *logic levels*
 (reference cell delays) so that the circuit-level delay model can translate a
 path into nanoseconds at any supply voltage.
 
-The module also provides a small combinational netlist framework (used by
-:mod:`repro.arithmetic.adder`) whose cells are evaluated in topological order
-with per-cell toggle counting -- a bit-true, event-free gate-level simulator.
+The module also provides a small combinational netlist framework whose cells
+are evaluated in topological order with per-cell toggle counting -- a
+bit-true, event-free gate-level simulator.
 """
 
 from __future__ import annotations
@@ -21,40 +21,6 @@ def popcount(value: int) -> int:
     if value < 0:
         raise ValueError("popcount is defined for non-negative integers")
     return bin(value).count("1")
-
-
-def hamming_distance(a: int, b: int) -> int:
-    """Number of differing bits between two non-negative integers."""
-    return popcount(a ^ b)
-
-
-def to_bits(pattern: int, width: int) -> list[int]:
-    """Little-endian list of ``width`` bits of ``pattern``.
-
-    Raises
-    ------
-    ValueError
-        If ``pattern`` is negative, ``width`` is negative, or ``pattern``
-        does not fit in ``width`` bits (truncating silently would corrupt
-        toggle accounting downstream).
-    """
-    if pattern < 0:
-        raise ValueError("pattern must be non-negative")
-    if width < 0:
-        raise ValueError("width must be non-negative")
-    if pattern >> width:
-        raise ValueError(f"pattern {pattern} does not fit in {width} bits")
-    return [(pattern >> i) & 1 for i in range(width)]
-
-
-def from_bits(bits: list[int]) -> int:
-    """Assemble a little-endian bit list into an unsigned integer."""
-    value = 0
-    for index, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        value |= bit << index
-    return value
 
 
 @dataclass(frozen=True)

@@ -1,52 +1,23 @@
-"""Circuit-level substrate: technology corners, delay, energy and power domains."""
+"""Circuit-level substrate: technology corners, delay, energy and voltage scaling."""
 
-from .clock import ClockConfig, constant_throughput_clock, constant_throughput_frequency
+from .clock import ClockConfig, constant_throughput_frequency
 from .delay import CriticalPath, delay_stretch, path_delay_ns, unit_delay_ps
-from .energy import (
-    EnergyReport,
-    dynamic_power_mw,
-    leakage_power_uw,
-    toggle_energy_pj,
-    voltage_energy_scale,
-)
-from .power_domain import PowerBreakdown, PowerDomain, PowerDomainSet
-from .technology import (
-    TECH_28NM_FDSOI,
-    TECH_40NM_LP_LVT,
-    TECHNOLOGIES,
-    Technology,
-    get_technology,
-)
-from .voltage_scaling import (
-    VoltageScalingResult,
-    minimum_voltage_for_frequency,
-    minimum_voltage_for_period,
-    scale_voltage,
-)
+from .energy import dynamic_power_mw, toggle_energy_pj, voltage_energy_scale
+from .technology import TECH_28NM_FDSOI, TECH_40NM_LP_LVT, Technology
+from .voltage_scaling import minimum_voltage_for_period
 
 __all__ = [
     "ClockConfig",
-    "constant_throughput_clock",
     "constant_throughput_frequency",
     "CriticalPath",
     "delay_stretch",
     "path_delay_ns",
     "unit_delay_ps",
-    "EnergyReport",
     "dynamic_power_mw",
-    "leakage_power_uw",
     "toggle_energy_pj",
     "voltage_energy_scale",
-    "PowerBreakdown",
-    "PowerDomain",
-    "PowerDomainSet",
     "TECH_28NM_FDSOI",
     "TECH_40NM_LP_LVT",
-    "TECHNOLOGIES",
     "Technology",
-    "get_technology",
-    "VoltageScalingResult",
-    "minimum_voltage_for_frequency",
     "minimum_voltage_for_period",
-    "scale_voltage",
 ]

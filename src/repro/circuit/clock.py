@@ -57,15 +57,3 @@ def constant_throughput_frequency(
     if subword_parallelism < 1:
         raise ValueError("subword_parallelism must be at least 1")
     return base_frequency_mhz / subword_parallelism
-
-
-def constant_throughput_clock(
-    base_frequency_mhz: float, subword_parallelism: int
-) -> ClockConfig:
-    """Clock configuration at constant throughput for a given parallelism."""
-    return ClockConfig(
-        frequency_mhz=constant_throughput_frequency(
-            base_frequency_mhz, subword_parallelism
-        ),
-        words_per_cycle=subword_parallelism,
-    )

@@ -1,4 +1,4 @@
-"""Switched-capacitance energy and leakage models.
+"""Switched-capacitance energy models.
 
 Dynamic energy of a digital block follows ``E = alpha * C * V^2`` where
 ``alpha`` is the switching activity, ``C`` the switched capacitance and ``V``
@@ -6,16 +6,9 @@ the supply voltage.  The structural arithmetic models count *cell toggles*
 directly, so the energy of one operation is simply the number of toggles
 multiplied by the per-toggle reference energy scaled quadratically with
 voltage.
-
-Leakage is modelled as a per-cell static power with an exponential supply
-dependence; the paper neglects leakage in its analytical equations but it is
-useful for the ablation studies, so it is available (and small) here.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 from .technology import Technology
 
@@ -38,69 +31,6 @@ def toggle_energy_pj(technology: Technology, toggles: float, voltage: float) -> 
         * voltage_energy_scale(technology, voltage)
     )
     return energy_fj / 1000.0
-
-
-def leakage_power_uw(technology: Technology, cells: float, voltage: float) -> float:
-    """Leakage power (uW) of ``cells`` reference cells at ``voltage``.
-
-    Uses a simple exponential DIBL-style dependence: leakage halves for every
-    ~200 mV of supply reduction, which is adequate for the sensitivity studies
-    (the paper's analytical model drops leakage altogether).
-    """
-    if cells < 0:
-        raise ValueError("cells must be non-negative")
-    if voltage <= 0:
-        raise ValueError("voltage must be positive")
-    dibl_scale = math.exp((voltage - technology.nominal_voltage) / 0.29)
-    return cells * technology.leakage_per_cell_nw * dibl_scale / 1000.0
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Energy accounting for one operation (or one batch of operations).
-
-    Attributes
-    ----------
-    dynamic_pj:
-        Dynamic (switching) energy in picojoules.
-    leakage_pj:
-        Leakage energy integrated over the operation's duration, picojoules.
-    operations:
-        Number of logical operations (words) covered by this report.
-    """
-
-    dynamic_pj: float
-    leakage_pj: float
-    operations: int = 1
-
-    @property
-    def total_pj(self) -> float:
-        """Total energy in picojoules."""
-        return self.dynamic_pj + self.leakage_pj
-
-    @property
-    def per_operation_pj(self) -> float:
-        """Energy per logical operation in picojoules."""
-        if self.operations <= 0:
-            raise ValueError("operations must be positive")
-        return self.total_pj / self.operations
-
-    def __add__(self, other: "EnergyReport") -> "EnergyReport":
-        return EnergyReport(
-            dynamic_pj=self.dynamic_pj + other.dynamic_pj,
-            leakage_pj=self.leakage_pj + other.leakage_pj,
-            operations=self.operations + other.operations,
-        )
-
-    def scaled(self, factor: float) -> "EnergyReport":
-        """Return a copy with energies multiplied by ``factor``."""
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        return EnergyReport(
-            dynamic_pj=self.dynamic_pj * factor,
-            leakage_pj=self.leakage_pj * factor,
-            operations=self.operations,
-        )
 
 
 def dynamic_power_mw(

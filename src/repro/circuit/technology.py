@@ -130,24 +130,3 @@ TECH_28NM_FDSOI = Technology(
     leakage_per_cell_nw=0.3,
     wire_factor=1.10,
 )
-
-#: Registry of known technologies keyed by name.
-TECHNOLOGIES = {
-    TECH_40NM_LP_LVT.name: TECH_40NM_LP_LVT,
-    TECH_28NM_FDSOI.name: TECH_28NM_FDSOI,
-}
-
-
-def get_technology(name: str) -> Technology:
-    """Look up a technology by name.
-
-    Raises
-    ------
-    KeyError
-        If ``name`` is not a registered technology.
-    """
-    try:
-        return TECHNOLOGIES[name]
-    except KeyError as exc:
-        known = ", ".join(sorted(TECHNOLOGIES))
-        raise KeyError(f"unknown technology {name!r}; known: {known}") from exc

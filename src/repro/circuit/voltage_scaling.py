@@ -1,16 +1,14 @@
 """Minimum-supply solvers for DVAS/DVAFS voltage scaling.
 
-Given a critical path (in logic levels) and a target clock period, these
-helpers find the lowest supply voltage at which the path still meets timing.
+Given a critical path (in logic levels) and a target clock period, the
+solver finds the lowest supply voltage at which the path still meets timing.
 This is the mechanism that converts the *positive slack* created by precision
 gating (Fig. 2b of the paper) into energy savings (Fig. 2c).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .delay import CriticalPath, path_delay_ns
+from .delay import path_delay_ns
 from .technology import Technology
 
 
@@ -72,72 +70,3 @@ def minimum_voltage_for_period(
         else:
             lo = mid
     return technology.clamp_voltage(hi + guard_band_mv / 1000.0)
-
-
-def minimum_voltage_for_frequency(
-    technology: Technology,
-    logic_levels: float,
-    frequency_mhz: float,
-    *,
-    resolution_mv: float = 1.0,
-    guard_band_mv: float = 0.0,
-) -> float:
-    """Lowest supply (V) at which the path runs at ``frequency_mhz``."""
-    if frequency_mhz <= 0:
-        raise ValueError("frequency_mhz must be positive")
-    return minimum_voltage_for_period(
-        technology,
-        logic_levels,
-        1000.0 / frequency_mhz,
-        resolution_mv=resolution_mv,
-        guard_band_mv=guard_band_mv,
-    )
-
-
-@dataclass(frozen=True)
-class VoltageScalingResult:
-    """Outcome of a voltage-scaling query for one operating mode.
-
-    Attributes
-    ----------
-    voltage:
-        Minimum supply voltage found (V).
-    slack_ns:
-        Positive slack remaining at that voltage for the target period (ns).
-    slack_at_nominal_ns:
-        Positive slack at the technology's nominal voltage (ns) -- this is
-        the quantity plotted in Fig. 2b of the paper.
-    clock_period_ns:
-        Target clock period (ns).
-    """
-
-    voltage: float
-    slack_ns: float
-    slack_at_nominal_ns: float
-    clock_period_ns: float
-
-
-def scale_voltage(
-    critical_path: CriticalPath,
-    clock_period_ns: float,
-    *,
-    resolution_mv: float = 1.0,
-    guard_band_mv: float = 0.0,
-) -> VoltageScalingResult:
-    """Solve for the minimum supply of ``critical_path`` at a target period."""
-    technology = critical_path.technology
-    voltage = minimum_voltage_for_period(
-        technology,
-        critical_path.logic_levels,
-        clock_period_ns,
-        resolution_mv=resolution_mv,
-        guard_band_mv=guard_band_mv,
-    )
-    return VoltageScalingResult(
-        voltage=voltage,
-        slack_ns=critical_path.positive_slack_ns(voltage, clock_period_ns),
-        slack_at_nominal_ns=critical_path.positive_slack_ns(
-            technology.nominal_voltage, clock_period_ns
-        ),
-        clock_period_ns=clock_period_ns,
-    )

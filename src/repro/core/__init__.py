@@ -1,11 +1,6 @@
-"""DVAFS core: power equations, scaling extraction, operating points, scheduling."""
+"""DVAFS core: power equations, scaling extraction and operating points."""
 
-from .operating_point import (
-    OperatingPoint,
-    operating_point_from_scaling,
-    operating_points_from_characterization,
-)
-from .pareto import TradeoffPoint, dominated_fraction, dynamic_range, energy_at_accuracy, pareto_front
+from .operating_point import OperatingPoint
 from .power_model import PAPER_TABLE_I, DvafsSystem, PowerSplit, ScalingParameters
 from .scaling import (
     EnergyAccuracyPoint,
@@ -14,17 +9,9 @@ from .scaling import (
     characterize_multiplier,
     multiplier_energy_curves,
 )
-from .scheduler import PrecisionRequirement, PrecisionScheduler, ScheduledTask
 
 __all__ = [
     "OperatingPoint",
-    "operating_point_from_scaling",
-    "operating_points_from_characterization",
-    "TradeoffPoint",
-    "dominated_fraction",
-    "dynamic_range",
-    "energy_at_accuracy",
-    "pareto_front",
     "PAPER_TABLE_I",
     "DvafsSystem",
     "PowerSplit",
@@ -34,7 +21,4 @@ __all__ = [
     "PrecisionProfile",
     "characterize_multiplier",
     "multiplier_energy_curves",
-    "PrecisionRequirement",
-    "PrecisionScheduler",
-    "ScheduledTask",
 ]

@@ -10,14 +10,6 @@ The Envision measurements of Table III are reported exactly in these terms
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-from ..circuit.clock import constant_throughput_frequency
-from .power_model import ScalingParameters
-
-if TYPE_CHECKING:  # annotation-only: keeps the multiplier models out of the
-    # fingerprint closure of consumers that never execute them (e.g. fig8).
-    from .scaling import MultiplierCharacterization
 
 
 @dataclass(frozen=True)
@@ -71,95 +63,3 @@ class OperatingPoint:
     def throughput_mops(self) -> float:
         """Words processed per second, in millions."""
         return self.frequency_mhz * self.parallelism
-
-
-def operating_points_from_characterization(
-    characterization: MultiplierCharacterization,
-) -> dict[str, list[OperatingPoint]]:
-    """Build the DAS / DVAS / DVAFS operating-point sets of a characterisation.
-
-    Returns a mapping from technique name to its list of operating points,
-    ordered from full precision down, all at constant computational
-    throughput (the schedule of Fig. 2a).
-    """
-    technology = characterization.technology
-    nominal = technology.nominal_voltage
-    base_frequency = characterization.base_frequency_mhz
-    result: dict[str, list[OperatingPoint]] = {"DAS": [], "DVAS": [], "DVAFS": []}
-    for precision, profile in sorted(characterization.profiles.items(), reverse=True):
-        result["DAS"].append(
-            OperatingPoint(
-                precision=precision,
-                parallelism=1,
-                frequency_mhz=base_frequency,
-                as_voltage=nominal,
-                nas_voltage=nominal,
-                technique="DAS",
-            )
-        )
-        result["DVAS"].append(
-            OperatingPoint(
-                precision=precision,
-                parallelism=1,
-                frequency_mhz=base_frequency,
-                as_voltage=profile.dvas_voltage,
-                nas_voltage=nominal,
-                technique="DVAS",
-            )
-        )
-        result["DVAFS"].append(
-            OperatingPoint(
-                precision=precision,
-                parallelism=profile.parallelism,
-                frequency_mhz=constant_throughput_frequency(
-                    base_frequency, profile.parallelism
-                ),
-                as_voltage=profile.dvafs_as_voltage,
-                nas_voltage=profile.dvafs_nas_voltage,
-                technique="DVAFS",
-            )
-        )
-    return result
-
-
-def operating_point_from_scaling(
-    scaling: ScalingParameters,
-    *,
-    base_frequency_mhz: float,
-    nominal_voltage: float,
-    technique: str = "DVAFS",
-    mem_voltage: float | None = None,
-) -> OperatingPoint:
-    """Derive an operating point from an analytical Table-I row."""
-    technique = technique.upper()
-    if technique == "DAS":
-        return OperatingPoint(
-            precision=scaling.precision,
-            parallelism=1,
-            frequency_mhz=base_frequency_mhz,
-            as_voltage=nominal_voltage,
-            nas_voltage=nominal_voltage,
-            mem_voltage=mem_voltage,
-            technique=technique,
-        )
-    if technique == "DVAS":
-        return OperatingPoint(
-            precision=scaling.precision,
-            parallelism=1,
-            frequency_mhz=base_frequency_mhz,
-            as_voltage=nominal_voltage / scaling.k2,
-            nas_voltage=nominal_voltage,
-            mem_voltage=mem_voltage,
-            technique=technique,
-        )
-    if technique == "DVAFS":
-        return OperatingPoint(
-            precision=scaling.precision,
-            parallelism=scaling.parallelism,
-            frequency_mhz=base_frequency_mhz / scaling.parallelism,
-            as_voltage=nominal_voltage / scaling.k4,
-            nas_voltage=nominal_voltage / scaling.k5,
-            mem_voltage=mem_voltage,
-            technique=technique,
-        )
-    raise ValueError(f"unknown technique {technique!r}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..circuit.clock import constant_throughput_frequency
 from ..core.operating_point import OperatingPoint
 
 #: Nominal Envision clock in MHz.
@@ -33,9 +34,9 @@ class EnvisionMode:
         Bits per subword (16, 8 or 4).
     parallelism:
         Subwords per MAC per cycle (1, 2 or 4).
-    constant_throughput_frequency_mhz / constant_throughput_voltage:
-        Operating point when throughput is held at the 16 b nominal
-        (76 GOPS): frequency divided by N, supply from Table III.
+    constant_throughput_voltage:
+        Supply when throughput is held at the 16 b nominal (76 GOPS), from
+        Table III; the clock is then divided by N.
     constant_frequency_voltage:
         Core supply when the clock stays at 200 MHz (the nas timing path
         limits how far it can drop).
@@ -43,7 +44,6 @@ class EnvisionMode:
 
     precision: int
     parallelism: int
-    constant_throughput_frequency_mhz: float
     constant_throughput_voltage: float
     constant_frequency_voltage: float
 
@@ -51,6 +51,11 @@ class EnvisionMode:
     def label(self) -> str:
         """Mode label in the paper's notation (``"4x4b"``)."""
         return f"{self.parallelism}x{self.precision}b"
+
+    @property
+    def constant_throughput_frequency_mhz(self) -> float:
+        """Clock at constant throughput: the 200 MHz nominal divided by N."""
+        return constant_throughput_frequency(NOMINAL_FREQUENCY_MHZ, self.parallelism)
 
     def operating_point(self, *, constant_throughput: bool = True) -> OperatingPoint:
         """The mode as a generic :class:`~repro.core.operating_point.OperatingPoint`."""
@@ -77,21 +82,18 @@ ENVISION_MODES: dict[int, EnvisionMode] = {
     16: EnvisionMode(
         precision=16,
         parallelism=1,
-        constant_throughput_frequency_mhz=200.0,
         constant_throughput_voltage=1.03,
         constant_frequency_voltage=1.03,
     ),
     8: EnvisionMode(
         precision=8,
         parallelism=2,
-        constant_throughput_frequency_mhz=100.0,
         constant_throughput_voltage=0.80,
         constant_frequency_voltage=0.95,
     ),
     4: EnvisionMode(
         precision=4,
         parallelism=4,
-        constant_throughput_frequency_mhz=50.0,
         constant_throughput_voltage=0.65,
         constant_frequency_voltage=0.90,
     ),

@@ -12,7 +12,7 @@ from .quantization import (
     quantize,
     quantize_to_codes,
 )
-from .sparsity import LayerSparsity, average_guard_rate, measure_sparsity, prune_network
+from .sparsity import LayerSparsity, measure_sparsity, prune_network
 from .training import (
     TrainedLeNet,
     Trainer,
@@ -48,7 +48,6 @@ __all__ = [
     "quantize",
     "quantize_to_codes",
     "LayerSparsity",
-    "average_guard_rate",
     "measure_sparsity",
     "prune_network",
     "TrainedLeNet",

@@ -92,17 +92,3 @@ def measure_sparsity(
             )
         )
     return report
-
-
-def average_guard_rate(sparsities: list[LayerSparsity], weights: list[float] | None = None) -> float:
-    """MAC-weighted average guard rate across layers."""
-    if not sparsities:
-        raise ValueError("no layer sparsities given")
-    if weights is None:
-        weights = [1.0] * len(sparsities)
-    if len(weights) != len(sparsities):
-        raise ValueError("weights must match the number of layers")
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    return sum(s.guard_rate * w for s, w in zip(sparsities, weights)) / total

@@ -79,8 +79,6 @@ _SUBROOTS = ("", ARTIFACT_SUBROOT)
 ENV_STORE_URL = "REPRO_STORE_URL"
 ENV_STORE_TIMEOUT = "REPRO_STORE_TIMEOUT_SECONDS"
 ENV_STORE_RETRIES = "REPRO_STORE_RETRIES"
-ENV_BREAKER_FAILURES = "REPRO_STORE_BREAKER_FAILURES"
-ENV_BREAKER_RESET = "REPRO_STORE_BREAKER_RESET_SECONDS"
 
 DEFAULT_TIMEOUT_SECONDS = 5.0
 DEFAULT_RETRIES = 2
@@ -144,9 +142,8 @@ def write_frame(sock: socket.socket, header: dict[str, object], blob: bytes = b"
 def read_frame(sock: socket.socket) -> tuple[dict[str, object], bytes]:
     """Receive one frame; raises :class:`StoreProtocolError` on garbage.
 
-    ``None`` lengths never happen -- a clean EOF *before* any length byte
-    raises too; callers that want to treat EOF-at-frame-boundary as a
-    closed connection catch the error and inspect ``args``.
+    A clean EOF *before* any length byte raises :class:`EOFError`, so
+    callers can tell a peer that closed between frames from a torn frame.
     """
     prefix = sock.recv(_FRAME_HEADER.size)
     if not prefix:
@@ -460,8 +457,8 @@ class RemoteBackend:
         subroot: str = "",
         timeout: float | None = None,
         retries: int | None = None,
-        breaker_failures: int | None = None,
-        breaker_reset_seconds: float | None = None,
+        breaker_failures: int = DEFAULT_BREAKER_FAILURES,
+        breaker_reset_seconds: float = DEFAULT_BREAKER_RESET_SECONDS,
     ):
         self.url = url
         self.host, self.port = parse_store_url(url)
@@ -471,14 +468,6 @@ class RemoteBackend:
             timeout = env_number(ENV_STORE_TIMEOUT, DEFAULT_TIMEOUT_SECONDS, accept=lambda value: value > 0)
         if retries is None:
             retries = env_number(ENV_STORE_RETRIES, DEFAULT_RETRIES, cast=int, accept=lambda value: value >= 0)
-        if breaker_failures is None:
-            breaker_failures = env_number(
-                ENV_BREAKER_FAILURES, DEFAULT_BREAKER_FAILURES, cast=int, accept=lambda value: value >= 0
-            )
-        if breaker_reset_seconds is None:
-            breaker_reset_seconds = env_number(
-                ENV_BREAKER_RESET, DEFAULT_BREAKER_RESET_SECONDS, accept=lambda value: value > 0
-            )
         self.timeout = timeout
         self.retries = retries
         self.breaker = CircuitBreaker(failures=breaker_failures, reset_seconds=breaker_reset_seconds)

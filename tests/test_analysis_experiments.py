@@ -8,9 +8,7 @@ from repro.analysis import (
     classification_accuracy,
     format_table,
     parameter_sweep,
-    relative_rmse,
     rmse,
-    snr_db,
     to_csv,
     top1_agreement,
 )
@@ -21,17 +19,6 @@ class TestMetrics:
     def test_rmse_basics(self):
         assert rmse(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
         assert rmse(np.zeros(4), np.full(4, 2.0)) == pytest.approx(2.0)
-
-    def test_relative_rmse(self):
-        assert relative_rmse(np.zeros(4), np.full(4, 0.5), full_scale=2.0) == pytest.approx(0.25)
-
-    def test_snr_infinite_for_exact(self):
-        assert snr_db(np.array([1.0, -1.0]), np.array([1.0, -1.0])) == float("inf")
-
-    def test_snr_value(self):
-        reference = np.array([1.0, 1.0, 1.0, 1.0])
-        noisy = reference + 0.1
-        assert snr_db(reference, noisy) == pytest.approx(20.0, abs=0.1)
 
     def test_top1_agreement(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -1,35 +1,22 @@
-"""Unit tests for the circuit-level substrate (technology, delay, energy, domains)."""
+"""Unit tests for the circuit-level substrate (technology, delay, energy, voltage scaling)."""
 
 import pytest
 
 from repro.circuit import (
     ClockConfig,
     CriticalPath,
-    PowerDomain,
-    PowerDomainSet,
-    TECH_28NM_FDSOI,
     TECH_40NM_LP_LVT,
     Technology,
     constant_throughput_frequency,
     delay_stretch,
     dynamic_power_mw,
-    get_technology,
-    leakage_power_uw,
-    minimum_voltage_for_frequency,
     minimum_voltage_for_period,
-    scale_voltage,
     toggle_energy_pj,
     voltage_energy_scale,
 )
 
 
 class TestTechnology:
-    def test_registry(self):
-        assert get_technology("40nm-LP-LVT") is TECH_40NM_LP_LVT
-        assert get_technology("28nm-FDSOI") is TECH_28NM_FDSOI
-        with pytest.raises(KeyError):
-            get_technology("7nm")
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             Technology("bad", 0.5, 0.6, 0.7, 1.0, 1.4, 50.0, 1.0, 0.5)
@@ -77,11 +64,6 @@ class TestEnergyModel:
         thousand = toggle_energy_pj(TECH_40NM_LP_LVT, 1000.0, 1.1)
         assert thousand == pytest.approx(1000 * one)
 
-    def test_leakage_increases_with_voltage(self):
-        assert leakage_power_uw(TECH_40NM_LP_LVT, 1000, 1.1) > leakage_power_uw(
-            TECH_40NM_LP_LVT, 1000, 0.8
-        )
-
     def test_dynamic_power_units(self):
         # 1 pF at activity 1, 1000 MHz, 1 V -> 1 mW.
         assert dynamic_power_mw(1.0, 1.0, 1000.0, 1.0) == pytest.approx(1.0)
@@ -93,21 +75,9 @@ class TestVoltageScaling:
         loose = minimum_voltage_for_period(TECH_40NM_LP_LVT, 18.0, 8.0)
         assert loose < tight
 
-    def test_frequency_and_period_agree(self):
-        by_period = minimum_voltage_for_period(TECH_40NM_LP_LVT, 15.0, 4.0)
-        by_frequency = minimum_voltage_for_frequency(TECH_40NM_LP_LVT, 15.0, 250.0)
-        assert by_period == pytest.approx(by_frequency, abs=1e-3)
-
     def test_infeasible_period_rejected(self):
         with pytest.raises(ValueError):
             minimum_voltage_for_period(TECH_40NM_LP_LVT, 100.0, 0.5)
-
-    def test_scale_voltage_result_consistent(self):
-        path = CriticalPath(logic_levels=12.0, technology=TECH_40NM_LP_LVT)
-        result = scale_voltage(path, 4.0)
-        assert result.slack_ns >= -1e-6
-        assert result.voltage <= TECH_40NM_LP_LVT.nominal_voltage
-        assert result.slack_at_nominal_ns > result.slack_ns
 
 
 class TestClock:
@@ -120,31 +90,3 @@ class TestClock:
     def test_invalid_clock(self):
         with pytest.raises(ValueError):
             ClockConfig(0.0, 1)
-
-
-class TestPowerDomains:
-    def test_breakdown_fractions_sum_to_one(self):
-        domains = PowerDomainSet(
-            [
-                PowerDomain("as", 0.8, 10.0, activity=0.5),
-                PowerDomain("nas", 1.1, 20.0),
-                PowerDomain("mem", 1.1, 15.0, scalable_voltage=False),
-            ]
-        )
-        breakdown = domains.breakdown(100.0)
-        assert sum(breakdown.fractions().values()) == pytest.approx(1.0)
-        assert breakdown.total_mw > 0
-
-    def test_fixed_domain_rejects_voltage_change(self):
-        domain = PowerDomain("mem", 1.1, 1.0, scalable_voltage=False)
-        with pytest.raises(ValueError):
-            domain.set_voltage(0.9)
-
-    def test_duplicate_domain_names_rejected(self):
-        with pytest.raises(ValueError):
-            PowerDomainSet([PowerDomain("as", 1.0, 1.0), PowerDomain("as", 1.0, 1.0)])
-
-    def test_domain_power_quadratic_in_voltage(self):
-        low = PowerDomain("as", 0.55, 10.0).power_mw(100.0)
-        high = PowerDomain("as", 1.1, 10.0).power_mw(100.0)
-        assert high == pytest.approx(4.0 * low)

@@ -237,18 +237,6 @@ ENV_KNOBS = [
     ("REPRO_ARTIFACTS_MAX_BYTES", lambda tmp: ArtifactStore(tmp).max_bytes, "7", (None, None, None, None, 7)),
     ("REPRO_STORE_TIMEOUT_SECONDS", lambda tmp: _remote().timeout, "2.5", (5.0, 5.0, 5.0, 5.0, 2.5)),
     ("REPRO_STORE_RETRIES", lambda tmp: _remote().retries, "7", (2, 2, 0, 2, 7)),
-    (
-        "REPRO_STORE_BREAKER_FAILURES",
-        lambda tmp: _remote().breaker.failure_threshold,
-        "7",
-        (3, 3, 1, 3, 7),  # the breaker floors the threshold at one failure
-    ),
-    (
-        "REPRO_STORE_BREAKER_RESET_SECONDS",
-        lambda tmp: _remote().breaker.reset_seconds,
-        "2.5",
-        (10.0, 10.0, 10.0, 10.0, 2.5),
-    ),
     ("REPRO_WARM_CACHE_BYTES", _warm_cache_bytes, "7", (32 * 1024 * 1024, 32 * 1024 * 1024, 0, 0, 7)),
 ]
 

@@ -9,11 +9,7 @@ from repro.core import (
     characterize_multiplier,
     multiplier_energy_curves,
 )
-from repro.core.operating_point import (
-    OperatingPoint,
-    operating_point_from_scaling,
-    operating_points_from_characterization,
-)
+from repro.core.operating_point import OperatingPoint
 
 
 SYSTEM = DvafsSystem(
@@ -140,21 +136,6 @@ class TestCharacterization:
 
 
 class TestOperatingPoints:
-    def test_from_characterization(self, characterization):
-        points = operating_points_from_characterization(characterization)
-        assert set(points) == {"DAS", "DVAS", "DVAFS"}
-        dvafs_4 = [p for p in points["DVAFS"] if p.precision == 4][0]
-        assert dvafs_4.parallelism == 4
-        assert dvafs_4.frequency_mhz == pytest.approx(125.0)
-        assert dvafs_4.throughput_mops == pytest.approx(500.0)
-
-    def test_from_scaling_table(self):
-        point = operating_point_from_scaling(
-            PAPER_TABLE_I[4], base_frequency_mhz=500.0, nominal_voltage=1.1, technique="DVAFS"
-        )
-        assert point.mode_label == "4x4b"
-        assert point.as_voltage == pytest.approx(1.1 / 1.53, rel=1e-6)
-
     def test_mode_label(self):
         point = OperatingPoint(8, 2, 250.0, 0.9, 0.9)
         assert point.mode_label == "2x8b"

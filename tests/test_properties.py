@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arithmetic.booth import booth_decode, booth_recode, generate_partial_products
@@ -17,9 +18,9 @@ from repro.arithmetic.multiplier import BoothWallaceMultiplier
 from repro.arithmetic.subword import SubwordParallelMultiplier
 from repro.arithmetic.wallace import reduce_rows
 from repro.circuit.delay import delay_stretch
+from repro.circuit.energy import dynamic_power_mw
 from repro.circuit.technology import TECH_40NM_LP_LVT
 from repro.circuit.voltage_scaling import minimum_voltage_for_period
-from repro.core.pareto import TradeoffPoint, pareto_front
 from repro.nn.quantization import quantize
 
 int16 = st.integers(min_value=-32768, max_value=32767)
@@ -129,26 +130,19 @@ class TestCircuitProperties:
         )
 
 
-class TestParetoProperties:
+class TestPhysicsInvariants:
     @given(
-        points=st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=1, allow_nan=False),
-                st.floats(min_value=0.01, max_value=2, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=30,
-        )
+        capacitance=st.floats(min_value=0.01, max_value=100.0),
+        activity=st.floats(min_value=0.01, max_value=1.0),
+        frequency=st.floats(min_value=1.0, max_value=2000.0),
+        voltage=st.floats(min_value=0.3, max_value=1.5),
+        k=st.floats(min_value=0.1, max_value=4.0),
     )
-    def test_front_is_subset_and_non_dominated(self, points):
-        tradeoffs = [TradeoffPoint(a, e) for a, e in points]
-        front = pareto_front(tradeoffs)
-        assert front
-        assert all(point in tradeoffs for point in front)
-        for candidate in front:
-            assert not any(
-                other.dominates(candidate) for other in tradeoffs if other is not candidate
-            )
+    def test_dynamic_power_quadratic_in_voltage_linear_in_frequency(self, capacitance, activity, frequency, voltage, k):
+        """P = alpha * C * f * V^2: scaling V by k scales P by k^2, scaling f by k scales P by k."""
+        power = dynamic_power_mw(capacitance, activity, frequency, voltage)
+        assert dynamic_power_mw(capacitance, activity, frequency, k * voltage) == pytest.approx(k**2 * power)
+        assert dynamic_power_mw(capacitance, activity, k * frequency, voltage) == pytest.approx(k * power)
 
 
 class TestQuantizationProperties:
