@@ -39,3 +39,20 @@ def test_fig6_alexnet_precision_profile(benchmark):
     lenet_need = max(max(r["weight_bits"], r["activation_bits"]) for r in lenet_rows)
     # AlexNet needs at least as much precision as LeNet-5 (5-9 b vs 1-6 b in the paper).
     assert alexnet_need >= lenet_need
+
+
+def test_fig6_alexnet_search_work(benchmark):
+    """Default AlexNet incremental search: row-MACs gate (23.0 G before failing
+    candidates were certified from miss allowance + 2 rows)."""
+    search = fig6._alexnet_search(
+        input_size=fig6.PARAMS["input_size"],
+        evaluation_samples=fig6.ALEXNET_EVALUATION_SAMPLES,
+        seed=fig6.PARAMS["seed"],
+    )
+    benchmark.pedantic(lambda: search.profile(incremental=True), rounds=1, iterations=1)
+    print(
+        f"\nsteps {search.steps}, probed rows {search.probed_rows}, "
+        f"row-MACs {search.row_macs / 1e9:.2f} G, early failures {search.early_failures}"
+    )
+    # The count is deterministic: a noise-free gate on the search's work.
+    assert search.row_macs <= 17.0e9

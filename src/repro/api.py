@@ -107,7 +107,7 @@ def make_runner(
         return ExperimentRunner(cache=cache, use_cache=use_cache)
     from .runner.artifacts import ArtifactStore
     from .runner.netstore import ARTIFACT_SUBROOT, make_store_backend
-    from .runner.store import default_cache_root
+    from .runner import default_cache_root
 
     root = Path(cache_dir) if cache_dir is not None else default_cache_root()
     cache = ResultCache(

@@ -2,7 +2,7 @@
 
 from .datasets import Dataset, synthetic_digits, synthetic_natural_images
 from .layers import Conv2D, Flatten, FullyConnected, Layer, MaxPool2D, ReLU
-from .models import MODEL_BUILDERS, alexnet, build_model, lenet5, vgg16
+from .models import alexnet, lenet5, vgg16
 from .network import LayerSummary, Network
 from .precision_search import LayerPrecisionProfile, PrecisionSearch
 from .quantization import (
@@ -33,9 +33,7 @@ __all__ = [
     "Layer",
     "MaxPool2D",
     "ReLU",
-    "MODEL_BUILDERS",
     "alexnet",
-    "build_model",
     "lenet5",
     "vgg16",
     "LayerSummary",

@@ -137,20 +137,3 @@ def vgg16(*, input_size: int = 224, num_classes: int = 1000, seed: int = 13) -> 
     )
     return Network(layers, (3, input_size, input_size), name="VGG16")
 
-
-#: Builders by canonical network name.
-MODEL_BUILDERS = {
-    "lenet5": lenet5,
-    "alexnet": alexnet,
-    "vgg16": vgg16,
-}
-
-
-def build_model(name: str, **kwargs) -> Network:
-    """Build a network by name (``"lenet5"``, ``"alexnet"`` or ``"vgg16"``)."""
-    try:
-        builder = MODEL_BUILDERS[name.lower()]
-    except KeyError as exc:
-        known = ", ".join(sorted(MODEL_BUILDERS))
-        raise KeyError(f"unknown model {name!r}; known: {known}") from exc
-    return builder(**kwargs)

@@ -25,8 +25,18 @@ step for the stream, plus once for its own weight probe.  That probe
 quantises the matrix a block of output rows at a time into one small
 buffer, so no weight-sized array is allocated (conv weights, at most a few
 megabytes, are quantised once per candidate into a reused buffer).
-Failing candidates are certified early from a few rows (a leading chunk,
-then the samples seen disagreeing at lower bit widths).
+
+Failing candidates are certified early, from the fewest rows.  The *miss
+allowance* is the largest number of misses the target still passes (0 for
+the 12-sample AlexNet stand-in at 99 %; it can be more with labels), so
+allowance + 1 misses prove a failure.  Each candidate's first probe takes
+allowance + 2 rows in the scan's priority order: the samples the last
+failed candidate missed, then the older suspects, then every other sample
+by smallest baseline margin (the reference class's logit minus the best
+other logit; the reference class is the label, or the baseline's own
+prediction without labels).  A probe that leaves the candidate undecided is
+followed by one step over every remaining row; a pass always needs the
+whole batch.
 
 The full-forward reference (the default) stays as the golden path.  The
 incremental path evaluates the same rows in differently-sized batches, and
@@ -112,11 +122,11 @@ class _Scan:
     position: int
     #: ``"weights"`` or ``"activations"``.
     target: str
+    #: Every sample in probe priority: this scan's misses, newest first,
+    #: then the rest by smallest baseline margin.
+    order: np.ndarray
     #: Index of the current candidate in ``candidate_bits``.
     candidate: int = 0
-    #: Every sample seen disagreeing at this scan's lower candidates
-    #: (``None`` before the first candidate has been decided).
-    suspects: np.ndarray | None = None
     #: Rows the next step evaluates for the current candidate.
     pending: np.ndarray = field(default_factory=lambda: np.arange(0))
     #: Rows evaluated so far for the current candidate, and which missed.
@@ -182,6 +192,14 @@ class PrecisionSearch:
         #: Reusable quantisation buffer per probed conv layer -- its repeat
         #: weight scans write into one allocation.
         self._weight_scratch: dict[str, np.ndarray] = {}
+        #: Work counters of the lockstep search, reset by each profile():
+        #: merged steps, probed rows, row-MACs (each probed row times the
+        #: MACs from its probed layer to the logits), and candidates
+        #: certified failing before the whole batch was evaluated.
+        self.steps = 0
+        self.probed_rows = 0
+        self.row_macs = 0
+        self.early_failures = 0
 
     # -- accuracy evaluation ---------------------------------------------------
 
@@ -296,26 +314,16 @@ class PrecisionSearch:
         outputs += layer.bias
         return outputs
 
-    #: Samples evaluated by the leading certification probe of a scan's first
-    #: candidate (later candidates re-probe the samples that disagreed at
-    #: lower bit widths instead).
-    _PROBE_CHUNK = 4
-
-    def _start_candidate(self, scan: _Scan) -> None:
+    def _start_candidate(self, scan: _Scan, first_probe: int) -> None:
         """Point ``scan`` at its next candidate's first (cheapest) rows.
 
-        Samples that disagreed at lower bit widths are the cheapest failure
-        certificate (corruption shrinks as bits grow); a scan's first
-        candidate has none yet and probes a small leading chunk, which
-        certifies the grossly-failing low-bit candidates.
+        The first probe takes ``first_probe`` (miss allowance + 2) rows in
+        the scan's priority order: the misses of its last failed candidate
+        (corruption shrinks as bits grow, so they are the likeliest to miss
+        again), its older suspects, then the smallest-margin samples.
+        allowance + 1 misses among them certify a failure in one step.
         """
-        count = self.samples.shape[0]
-        if scan.suspects is not None and scan.suspects.size:
-            scan.pending = scan.suspects
-        elif scan.suspects is None and self._PROBE_CHUNK < count:
-            scan.pending = np.arange(self._PROBE_CHUNK)
-        else:
-            scan.pending = np.arange(count)
+        scan.pending = np.sort(scan.order[:first_probe])
         scan.probed = scan.misses = np.arange(0)
         scan.weights = None
         layer = self.network.layers[scan.position]
@@ -338,10 +346,14 @@ class PrecisionSearch:
         """
         layers = self.network.layers
         prefix = self._layer_prefix_inputs()
+        suffix_macs = self._suffix_macs()
+        self.steps += 1
         # (position of the layer the rows enter at, scan index, rows)
         entries = []
         for index, scan in enumerate(scans):
             layer = layers[scan.position]
+            self.probed_rows += scan.pending.size
+            self.row_macs += scan.pending.size * suffix_macs[scan.position]
             rows = prefix[layer.name][1][scan.pending]
             bits = self.candidate_bits[scan.candidate]
             if scan.target == "activations":
@@ -365,6 +377,23 @@ class PrecisionSearch:
             logits[index] = part
         return logits
 
+    def _suffix_macs(self) -> list[int]:
+        """Per-sample MACs from each position of ``network.layers`` to the logits."""
+        macs = []
+        shape = self.network.input_shape
+        for layer in self.network.layers:
+            macs.append(layer.macs(shape))
+            shape = layer.output_shape(shape)
+        return [sum(macs[position:]) for position in range(len(macs) + 1)]
+
+    def _margin_order(self, reference: np.ndarray) -> np.ndarray:
+        """Samples by ascending baseline margin: reference logit minus best other logit."""
+        logits = self._baseline_logits
+        rows = np.arange(logits.shape[0])
+        others = logits.copy()
+        others[rows, reference] = -np.inf
+        return np.argsort(logits[rows, reference] - others.max(axis=1), kind="stable")
+
     def _lockstep(self, requests: list[tuple[str, str]]) -> list[int]:
         """Minimum bits of several ``(layer name, target)`` scans, advanced together.
 
@@ -372,10 +401,11 @@ class PrecisionSearch:
         merged pass (:meth:`_step`) and then applies each scan's decision
         rule to its own rows:
 
-        * the misses seen so far already push the best-achievable score below
-          the target -- the candidate is certified failing, and the scan
-          moves to its next candidate;
-        * undecided -- the next step evaluates the rows not yet seen;
+        * the misses seen so far exceed the miss allowance, so the
+          best-achievable score is already below the target -- the candidate
+          is certified failing, its misses move to the front of the scan's
+          priority order, and the scan moves to its next candidate;
+        * undecided -- the next step evaluates every row not yet seen;
         * the whole batch has been evaluated -- the candidate passes or fails
           on the exact full-batch score, and a pass returns its bits.
 
@@ -399,34 +429,42 @@ class PrecisionSearch:
             accuracy = float(np.float64(hits) / np.float64(count))
             return accuracy / baseline >= self.relative_accuracy_target
 
-        scans = [_Scan(position=prefix[name][0], target=target) for name, target in requests]
+        # The miss allowance: meets_target is monotone in the hits, so a
+        # candidate passes exactly when its misses are at most this many.
+        allowance = 0
+        while allowance < count and meets_target(count - allowance - 1):
+            allowance += 1
+        order = self._margin_order(reference)
+        scans = [
+            _Scan(position=prefix[name][0], target=target, order=order) for name, target in requests
+        ]
         for scan in scans:
-            self._start_candidate(scan)
+            self._start_candidate(scan, allowance + 2)
         active = scans
         while active:
             for scan, logits in zip(active, self._step(active)):
                 wrong = np.argmax(logits, axis=1) != reference[scan.pending]
                 scan.misses = np.union1d(scan.misses, scan.pending[wrong])
                 scan.probed = np.union1d(scan.probed, scan.pending)
-                if scan.probed.size == count:
-                    if meets_target(count - scan.misses.size):
+                if scan.misses.size <= allowance:
+                    if scan.probed.size == count:
                         scan.bits = self.candidate_bits[scan.candidate]
-                        continue
-                elif meets_target(count - scan.misses.size):
-                    # Undecided: evaluate the rows the early stage skipped.
-                    scan.pending = np.setdiff1d(np.arange(count), scan.probed)
+                    else:
+                        # Undecided: evaluate every row the first probe skipped.
+                        scan.pending = np.setdiff1d(np.arange(count), scan.probed)
                     continue
-                # Failed.  Every sample seen disagreeing in this scan stays a
-                # suspect: near-threshold candidates often fail through a
-                # different sample than their predecessor.
-                scan.suspects = (
-                    scan.misses if scan.suspects is None else np.union1d(scan.suspects, scan.misses)
-                )
+                # Failed.  Its misses move to the front of the order, ahead of
+                # older suspects: near-threshold candidates often fail through
+                # a different sample than their predecessor.
+                if scan.probed.size < count:
+                    self.early_failures += 1
+                newest = np.isin(scan.order, scan.misses)
+                scan.order = np.concatenate([scan.order[newest], scan.order[~newest]])
                 scan.candidate += 1
                 if scan.candidate == len(self.candidate_bits):
                     scan.bits = self.candidate_bits[-1]
                 else:
-                    self._start_candidate(scan)
+                    self._start_candidate(scan, allowance + 2)
             active = [scan for scan in active if scan.bits is None]
         return [scan.bits for scan in scans]
 
@@ -459,6 +497,7 @@ class PrecisionSearch:
         over the cached baseline prefix activations (same profile, much
         faster); the default full-forward evaluation is the golden reference.
         """
+        self.steps = self.probed_rows = self.row_macs = self.early_failures = 0
         names = [layer.name for layer in self.network.weighted_layers()]
         if incremental:
             bits = self._lockstep(

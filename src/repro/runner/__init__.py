@@ -29,9 +29,22 @@ The runner unifies how the reproduction executes (PR 3, extended in PR 5):
 
 Importing this package imports none of them: each name below loads its
 submodule on first access, so a command pays only for what it runs.
+:func:`default_cache_root` lives here, so ``repro list`` can name the cache
+root without loading the store.
 """
 
 import importlib
+import os
+from pathlib import Path
+
+
+def default_cache_root() -> Path:
+    """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/dvafs-repro``."""
+    env = os.environ.get("REPRO_CACHE_DIR")
+    if env:
+        return Path(env)
+    return Path.home() / ".cache" / "dvafs-repro"
+
 
 #: Submodule -> the public names it defines; each loads on first access (PEP 562).
 _SUBMODULE_EXPORTS = {
@@ -62,7 +75,7 @@ _SUBMODULE_EXPORTS = {
     "fingerprint": ("code_fingerprint", "module_closure"),
     "registry": ("ArtifactBinding", "ExperimentSpec", "ParamSpec", "build_registry"),
     "service": ("ArtifactUnit", "ExperimentRunner", "Observer", "RunReport"),
-    "store": ("ContentStore", "StoreStats", "default_cache_root"),
+    "store": ("ContentStore", "StoreStats"),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
 
@@ -75,4 +88,4 @@ def __getattr__(name: str) -> object:
     return value
 
 
-__all__ = sorted(_EXPORTS)
+__all__ = sorted([*_EXPORTS, "default_cache_root"])

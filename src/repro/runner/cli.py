@@ -441,7 +441,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 def _command_store(args: argparse.Namespace) -> int:
     from .netstore import serve_store
-    from .store import default_cache_root
+    from . import default_cache_root
 
     root = Path(args.root) if args.root else default_cache_root() / "store"
     return serve_store(host=args.host, port=args.port, root=root, max_bytes=args.max_bytes)
@@ -570,7 +570,7 @@ def _command_cache(args: argparse.Namespace) -> int:
 
 def _command_list(_args: argparse.Namespace) -> int:
     from .registry import build_registry
-    from .store import default_cache_root
+    from . import default_cache_root
 
     rows = []
     for name, spec in build_registry().items():

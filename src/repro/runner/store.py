@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import pickle
 import threading
 import time
@@ -48,6 +47,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
 from ..faults import fault_point
+from . import default_cache_root
 from .backends import (
     CLAIM_POLL_SECONDS,
     QUARANTINE_DIRNAME,
@@ -74,14 +74,6 @@ DECODE_ERRORS = (
     ImportError,
     pickle.UnpicklingError,
 )
-
-
-def default_cache_root() -> Path:
-    """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/dvafs-repro``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "dvafs-repro"
 
 
 def content_key(schema: int, kind: str, name: str, params_json: str, fingerprint: str) -> str:

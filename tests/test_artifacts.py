@@ -17,7 +17,9 @@ Covered here:
 * the incremental (lockstep) precision search yields the same profile rows
   as the full-forward reference, runs one merged unquantised pass per step,
   leaves every layer's weights bit-identical, probes dense layers block by
-  block without a weight-sized allocation, and the quantisation fast paths
+  block without a weight-sized allocation, probes each candidate first on
+  miss allowance + 2 rows (work counters pinned), matches the reference on
+  random small nets (a hypothesis property), and the quantisation fast paths
   it leans on are bit-identical;
 * ``python -m repro cache stats`` round trips and ``cache clear`` resets.
 """
@@ -32,6 +34,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.runner.artifacts as artifacts_module
 import repro.runner.service as service_module
@@ -547,6 +550,11 @@ def _lockstep_net(dense_tail):
     return Network(layers, (2, 12, 12)), samples
 
 
+#: (steps, probed rows, row-MACs, early failures) of the lockstep search on
+#: ``_lockstep_net(3)``: a deterministic count of the search's work.
+WORK_COUNTERS = (10, 198, 1365696, 19)
+
+
 class TestLockstepSearch:
     CANDIDATES = (1, 2, 3, 4, 6, 8, 16)
 
@@ -590,6 +598,92 @@ class TestLockstepSearch:
         search = PrecisionSearch(network, samples, candidate_bits=self.CANDIDATES)
         search.profile(incremental=True)
         assert len(passes) <= 2 * len(self.CANDIDATES) + 1
+
+    def test_work_counters(self):
+        network, samples = _lockstep_net(3)
+        search = PrecisionSearch(network, samples, candidate_bits=self.CANDIDATES)
+        search.profile(incremental=True)
+        counters = (search.steps, search.probed_rows, search.row_macs, search.early_failures)
+        assert counters == WORK_COUNTERS
+        search.profile()  # each profile() resets them; the reference path adds nothing
+        assert (search.steps, search.probed_rows, search.row_macs, search.early_failures) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize(("count", "target", "allowance"), [(10, 0.99, 0), (20, 0.85, 3)])
+    def test_first_probe_takes_allowance_plus_two_rows(self, count, target, allowance):
+        network, _ = _lockstep_net(1)
+        samples = np.random.default_rng(8).uniform(-1.0, 1.0, size=(count, 2, 12, 12))
+        search = PrecisionSearch(
+            network, samples, relative_accuracy_target=target, candidate_bits=self.CANDIDATES
+        )
+        first = []
+        step = search._step
+
+        def recording(scans):
+            if not first:
+                first.extend(scan.pending.copy() for scan in scans)
+            return step(scans)
+
+        search._step = recording
+        search.profile(incremental=True)
+        # Agreement mode: the margin is the top logit minus the runner-up,
+        # and every scan starts on the allowance + 2 smallest-margin samples.
+        top = np.sort(search._baseline_logits, axis=1)
+        smallest = np.sort(np.argsort(top[:, -1] - top[:, -2], kind="stable")[: allowance + 2])
+        assert [rows.tolist() for rows in first] == [smallest.tolist()] * len(first)
+
+
+def _random_search_net(seed):
+    """A small conv + dense net with weights drawn from ``seed``."""
+    from repro.nn.layers import Conv2D, Flatten, FullyConnected, MaxPool2D, ReLU
+    from repro.nn.network import Network
+
+    rng = np.random.default_rng(seed)
+    return Network(
+        [
+            Conv2D(2, 4, 3, padding=1, name="c1", rng=rng),
+            ReLU(name="r1"),
+            MaxPool2D(2, name="p1"),
+            Flatten(name="flat"),
+            FullyConnected(4 * 4 * 4, 12, name="fc1", rng=rng),
+            ReLU(name="r2"),
+            FullyConnected(12, 6, name="fc2", rng=rng),
+        ],
+        (2, 8, 8),
+    )
+
+
+class TestSearchDecisionProperty:
+    """``profile(incremental=True) == profile()`` on random small nets.
+
+    12 samples at a 0.99 target allow no miss; 20 samples at 0.85 allow
+    three in agreement mode (17/20 passes, 16/20 fails), and with labels the
+    allowance follows the baseline accuracy.
+    """
+
+    @pytest.mark.parametrize(("count", "target"), [(12, 0.99), (20, 0.85)])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        labelled=st.booleans(),
+        flips=st.integers(min_value=0, max_value=5),
+    )
+    def test_incremental_profile_matches_reference(self, count, target, seed, labelled, flips):
+        network = _random_search_net(seed)
+        samples = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, size=(count, 2, 8, 8))
+        labels = None
+        if labelled:
+            # The baseline's own predictions with ``flips`` of them wrong:
+            # the baseline accuracy stays above zero.
+            labels = np.argmax(network.forward_batch(samples), axis=1)
+            labels[:flips] = (labels[:flips] + 1) % 6
+
+        def search():
+            return PrecisionSearch(
+                network, samples, labels=labels, relative_accuracy_target=target,
+                candidate_bits=(1, 2, 3, 4, 6, 8, 16),
+            )
+
+        assert search().profile(incremental=True) == search().profile()
 
 
 class TestSearchMemory:
@@ -724,6 +818,47 @@ class TestQuantizeFastPaths:
             assert result is out
             assert result.tobytes() == expected.tobytes()
             assert quantize(values, 1).tobytes() == expected.tobytes()
+
+    #: -0.0, NaNs of both signs, +-inf, subnormals of both signs and normals.
+    SPECIAL = np.array(
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -2.5e-315, 1.5, -0.75, 3e300]
+    )
+
+    @pytest.mark.parametrize("scale", [0.375, 5e-324, 1e-310, 2.0**-1060, 1e-300, 7.0, 9.99e299])
+    def test_binary_given_scale_is_byte_identical(self, scale):
+        expected = np.where(self.SPECIAL >= 0.0, scale, -scale)
+        out = np.empty_like(self.SPECIAL)
+        assert quantize(self.SPECIAL, 1, scale=scale, out=out).tobytes() == expected.tobytes()
+        assert quantize(self.SPECIAL, 1, scale=scale).tobytes() == expected.tobytes()
+
+    def test_binary_mean_scale_is_byte_identical(self):
+        finite = self.SPECIAL[np.isfinite(self.SPECIAL)]
+        for values in (finite, finite[:-1], self.SPECIAL, np.array([5e-324, -0.0, -5e-324])):
+            scale = float(np.mean(np.abs(values)))
+            expected = np.where(values >= 0.0, scale, -scale)
+            assert quantize(values, 1).tobytes() == expected.tobytes()
+            assert quantize(values, 1, out=np.empty_like(values)).tobytes() == expected.tobytes()
+
+    def test_binary_zero_and_out_of_range_scales(self):
+        assert quantize(self.SPECIAL, 1, scale=0.0).tobytes() == np.zeros_like(self.SPECIAL).tobytes()
+        # At 1e300 and above 2 * scale may overflow: these scales (and NaN
+        # or negative ones) take the masked copy, which stays exact.  The
+        # doubling path would turn 1.7e308 into inf - 1.7e308 = inf.
+        for scale in (1e300, 1.7e308, np.inf, np.nan, -0.5):
+            expected = np.where(self.SPECIAL >= 0.0, scale, -scale)
+            out = np.empty_like(self.SPECIAL)
+            assert quantize(self.SPECIAL, 1, scale=scale, out=out).tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40),
+        scale=st.floats(min_value=0.0, max_value=1e300, exclude_max=True),
+    )
+    def test_binary_property(self, values, scale):
+        tensor = np.array(values)
+        expected = np.where(tensor >= 0.0, scale, -scale) if scale else np.zeros_like(tensor)
+        out = np.empty_like(tensor)
+        assert quantize(tensor, 1, scale=scale, out=out).tobytes() == expected.tobytes()
 
     def test_max_abs_hint_matches(self):
         rng = np.random.default_rng(2)

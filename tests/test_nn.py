@@ -151,12 +151,6 @@ class TestNetworkAndModels:
         with pytest.raises(ValueError):
             Network(layers, (2, 2))
 
-    def test_unknown_model_name(self):
-        from repro.nn import build_model
-
-        with pytest.raises(KeyError):
-            build_model("resnet50")
-
 
 class TestTraining:
     def test_softmax_normalised(self):

@@ -11,9 +11,9 @@ Covered here:
   packages written to ``tmp_path``;
 * the import sets of fresh interpreters (``sys.modules`` only, no timing):
   ``repro list`` loads no driver, no science package, no service, no
-  facade and no process pool; ``sweep table2`` loads no other driver; a
-  warm ``run --json`` replay loads no driver and no science package;
-  ``import repro`` still loads numpy;
+  facade, no process pool and no store; ``sweep table2`` loads no other
+  driver; a warm ``run --json`` replay loads no driver and no science
+  package; ``import repro`` still loads numpy;
 * byte-identity pins taken before the registry stopped importing drivers:
   ``repro list`` stdout, the ``GET /v1/experiments`` body,
   ``api.list_experiments()`` and the import closure of every driver and
@@ -171,6 +171,9 @@ class TestStartupImports:
             assert not _loaded(modules, f"repro.{package}"), package
         assert not _loaded(modules, "multiprocessing")
         assert not _loaded(modules, "concurrent.futures")
+        # The cache root in the title needs no store (nor its fault sites).
+        assert not _loaded(modules, "repro.runner.store")
+        assert not _loaded(modules, "repro.faults")
 
     def test_sweep_table2_loads_no_other_driver(self, tmp_path):
         _out, modules = _fresh(
@@ -189,6 +192,11 @@ class TestStartupImports:
         assert not [name for name in modules if name.startswith("repro.experiments.")]
         for package in ("arithmetic", "circuit", "core", "envision", "nn", "simd"):
             assert not _loaded(modules, f"repro.{package}"), package
+
+    def test_store_still_exports_the_cache_root(self):
+        from repro.runner import default_cache_root, store
+
+        assert store.default_cache_root is default_cache_root
 
     @pytest.mark.parametrize("package", ["repro", "repro.runner", "repro.experiments"])
     def test_every_lazy_export_resolves(self, package):
