@@ -4,12 +4,18 @@ Everything a front end needs lives here, exactly once: the ``python -m
 repro`` CLI and the HTTP service (:mod:`repro.service`) are both thin
 renderers over these functions, so parameter validation, config
 canonicalisation and the error taxonomy cannot diverge between entry
-points.
+points.  Runs validate their targets and shared params through
+:func:`validate_targets`, sweeps through :func:`validate_sweep`, and an
+unknown parameter name is rejected on every path by
+:meth:`~repro.runner.registry.ExperimentSpec.param`.  The CLI keeps only
+its own flag-combination checks (usage errors, exit code 2).
 
 Functions
 ---------
 :func:`list_experiments`
     Registry listing with each driver's ``PARAMS`` schema.
+:func:`validate_targets` / :func:`validate_sweep`
+    The validation a run / a sweep goes through before it executes.
 :func:`run` / :func:`run_all`
     Cache-aware execution of one / several experiments.
 :func:`sweep`
@@ -32,11 +38,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .analysis.sweep import SweepResult, sweep_grid
-from .runner.cache import ResultCache
 from .runner.errors import (
     ExecutionError,
     ParamError,
@@ -48,7 +52,7 @@ from .runner.errors import (
     UnknownParamError,
     WorkerCrashError,
 )
-from .runner.executor import DEFAULT_POLICY, ExecutionPolicy
+from .runner.executor import DEFAULT_POLICY, ExecutionPolicy, open_stores
 from .runner.registry import ExperimentSpec
 from .runner.service import ExperimentRunner, Observer, RunReport
 
@@ -77,6 +81,7 @@ __all__ = [
     "validate_grid",
     "validate_params",
     "validate_sweep",
+    "validate_targets",
 ]
 
 
@@ -102,20 +107,9 @@ def make_runner(
         return runner
     if store_url is None:
         store_url = os.environ.get("REPRO_STORE_URL") or None
-    if store_url is None:
-        cache = ResultCache(cache_dir, max_bytes=cache_max_bytes)
-        return ExperimentRunner(cache=cache, use_cache=use_cache)
-    from .runner.artifacts import ArtifactStore
-    from .runner.netstore import ARTIFACT_SUBROOT, make_store_backend
-    from .runner import default_cache_root
-
-    root = Path(cache_dir) if cache_dir is not None else default_cache_root()
-    cache = ResultCache(
-        backend=make_store_backend(root, store_url), max_bytes=cache_max_bytes
-    )
-    artifacts = ArtifactStore(
-        backend=make_store_backend(root / "artifacts", store_url, subroot=ARTIFACT_SUBROOT)
-    )
+    cache, artifacts = open_stores(cache_dir, store_url)
+    if cache_max_bytes is not None:
+        cache.max_bytes = cache_max_bytes
     return ExperimentRunner(cache=cache, use_cache=use_cache, artifacts=artifacts)
 
 
@@ -149,13 +143,7 @@ def parse_param(spec: ExperimentSpec, key: str, text: str) -> object:
     Raises :class:`UnknownParamError` for undeclared names and
     :class:`ParamValueError` for unparsable text.
     """
-    if key not in spec.params:
-        raise UnknownParamError(
-            f"{spec.name} has no parameter {key!r}; known: {', '.join(sorted(spec.params)) or '(none)'}",
-            param=key,
-            expected=f"one of: {', '.join(sorted(spec.params)) or '(none)'}",
-        )
-    return spec.params[key].parse(text)
+    return spec.param(key).parse(text)
 
 
 def validate_grid(
@@ -172,13 +160,7 @@ def validate_grid(
     spec = runner.spec(name)
     validated: dict[str, list[object]] = {}
     for key, values in grid.items():
-        if key not in spec.params:
-            raise UnknownParamError(
-                f"{name} has no parameter {key!r}; known: {', '.join(sorted(spec.params)) or '(none)'}",
-                param=key,
-                expected=f"one of: {', '.join(sorted(spec.params)) or '(none)'}",
-            )
-        if spec.params[key].type is tuple:
+        if spec.param(key).type is tuple:
             raise ParamTypeError(
                 f"tuple-typed parameter {key!r} cannot be grid-swept",
                 param=key,
@@ -254,34 +236,34 @@ def _execute(
         raise ExecutionError(f"experiment execution failed ({names}): {error}") from error
 
 
-def run(
-    name: str,
+def validate_targets(
+    names: Sequence[str] | None,
     params: Mapping[str, object] | None = None,
     *,
     runner: ExperimentRunner | None = None,
-    cache_dir: str | None = None,
-    use_cache: bool = True,
-    jobs: int = 1,
-    observer: Observer | None = None,
-    timeout: float | None = None,
-    retries: int | None = None,
-    policy: ExecutionPolicy | None = None,
-) -> RunReport:
-    """Run one experiment (cache-aware); the report's rows are JSON-ready.
+) -> list[str]:
+    """The experiments a run names (default: every registered one), validated.
 
-    ``timeout`` / ``retries`` tune the parallel executor's per-unit
-    wall-clock budget and retry count (an explicit ``policy`` wins); both
-    only apply when ``jobs > 1`` spawns worker processes.
+    ``params`` apply to every target, so they are only accepted together
+    with exactly one target; each target's params pass
+    :func:`validate_params`.  :func:`run_all` and the HTTP job endpoint
+    both validate through here.
     """
-    runner = make_runner(cache_dir=cache_dir, use_cache=use_cache, runner=runner)
-    validate_params(name, params, runner=runner)
-    return _execute(
-        runner,
-        [(name, dict(params or {}))],
-        jobs=jobs,
-        observer=observer,
-        policy=_policy(timeout, retries, policy),
-    )[0]
+    runner = runner if runner is not None else make_runner(use_cache=False)
+    targets = list(names) if names is not None else list(runner.registry)
+    if params and len(targets) != 1:
+        raise ParamError(
+            "shared params require exactly one experiment target",
+            expected="a single experiment name",
+        )
+    for target in targets:
+        validate_params(target, params, runner=runner)
+    return targets
+
+
+def run(name: str, params: Mapping[str, object] | None = None, **options: object) -> RunReport:
+    """Run one experiment (cache-aware): :func:`run_all` of ``[name]``, same keyword options."""
+    return run_all([name], params, **options)[0]
 
 
 def run_all(
@@ -301,17 +283,13 @@ def run_all(
 
     ``params`` (when given) applies to every named experiment, so it is
     only accepted together with an explicit single-name list -- the CLI
-    enforces the same rule for ``--param``.
+    enforces the same rule for ``--param``.  ``timeout`` / ``retries``
+    tune the parallel executor's per-unit wall-clock budget and retry
+    count (an explicit ``policy`` wins); both only apply when ``jobs > 1``
+    spawns worker processes.
     """
     runner = make_runner(cache_dir=cache_dir, use_cache=use_cache, runner=runner)
-    targets = list(names) if names is not None else list(runner.registry)
-    if params and len(targets) != 1:
-        raise ParamError(
-            "shared params require exactly one experiment target",
-            expected="a single experiment name",
-        )
-    for target in targets:
-        validate_params(target, params, runner=runner)
+    targets = validate_targets(names, params, runner=runner)
     requests = [(target, dict(params or {})) for target in targets]
     return _execute(
         runner, requests, jobs=jobs, observer=observer, policy=_policy(timeout, retries, policy)

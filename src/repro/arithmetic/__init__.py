@@ -41,7 +41,7 @@ from .fixed_point import (
     unpack_subwords,
     wrap_signed,
 )
-from .gates import CELL_COSTS, Cell, CellCost, Netlist, ToggleCounter, cell_cost, popcount
+from .gates import CELL_COSTS, CellCost, cell_cost, popcount
 from .mac import MacStatistics, MacUnit
 from .multiplier import ActivityReport, BoothWallaceMultiplier
 from .subword import SubwordMode, SubwordParallelMultiplier
@@ -82,10 +82,7 @@ __all__ = [
     "unpack_subwords",
     "wrap_signed",
     "CELL_COSTS",
-    "Cell",
     "CellCost",
-    "Netlist",
-    "ToggleCounter",
     "cell_cost",
     "popcount",
     "MacStatistics",

@@ -53,13 +53,3 @@ class OperatingPoint:
             raise ValueError("frequency_mhz must be positive")
         if self.as_voltage <= 0 or self.nas_voltage <= 0:
             raise ValueError("voltages must be positive")
-
-    @property
-    def mode_label(self) -> str:
-        """Mode label in the paper's notation, e.g. ``"4x4b"``."""
-        return f"{self.parallelism}x{self.precision}b"
-
-    @property
-    def throughput_mops(self) -> float:
-        """Words processed per second, in millions."""
-        return self.frequency_mhz * self.parallelism

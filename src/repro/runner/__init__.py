@@ -10,17 +10,19 @@ The runner unifies how the reproduction executes (PR 3, extended in PR 5):
   :class:`StoreBackend` protocol (disk + in-memory) with its claim tickets
   and LRU eviction, plus the shared env-parsing and backoff helpers;
 * :mod:`repro.runner.store` -- the one content-addressed
-  :class:`ContentStore` (quarantine, the first-writer-wins
-  :meth:`~ContentStore.fill` / :meth:`~ContentStore.wait_for_fill` path,
-  byte budget, listings) and the :class:`StoreStats` counter map; both
-  stores below are configurations of it;
+  :class:`ContentStore` (quarantine, the first-writer-wins batch
+  :meth:`~ContentStore.fill` that claims cells, computes the won ones in
+  one call and waits for the lost ones, byte budget, listings) and the
+  :class:`StoreStats` counter map; both stores below are configurations
+  of it;
 * :mod:`repro.runner.cache` -- the JSON result cache
   (key = experiment + canonical params + code fingerprint);
 * :mod:`repro.runner.artifacts` -- the pickled store for shared
   sub-experiment intermediates (key = artifact + canonical params +
   producer fingerprint) and the persisted hit/miss statistics;
 * :mod:`repro.runner.executor` -- process-parallel sweep/artifact/experiment
-  fan-out with deterministic record ordering;
+  fan-out with deterministic record ordering, and ``open_stores``, the one
+  place that lays out both stores under a cache root;
 * :mod:`repro.runner.service` -- the cache- and artifact-aware
   :class:`ExperimentRunner` scheduling cold runs as topological DAG waves;
 * :mod:`repro.runner.errors` -- the :class:`ReproError` taxonomy with

@@ -201,21 +201,23 @@ def produce_into(
     if key is None:
         key = artifact_key(artifact, params, fingerprint)
 
-    def compute() -> ArtifactEntry:
+    def compute(_indices: list[int]) -> list[ArtifactEntry]:
         with activated(store):
             start = time.perf_counter()
             payload = producer(**dict(params))
             elapsed = time.perf_counter() - start
-        return ArtifactEntry(
-            artifact=artifact,
-            params=dict(params),
-            fingerprint=fingerprint,
-            payload=payload,
-            elapsed_seconds=elapsed,
-            provenance=_artifact_provenance(),
-        )
+        return [
+            ArtifactEntry(
+                artifact=artifact,
+                params=dict(params),
+                fingerprint=fingerprint,
+                payload=payload,
+                elapsed_seconds=elapsed,
+                provenance=_artifact_provenance(),
+            )
+        ]
 
-    return store.fill(artifact, key, compute)[0]
+    return store.fill([(artifact, key)], compute)[0][0]
 
 
 # -- persisted statistics -----------------------------------------------------------

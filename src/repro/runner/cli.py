@@ -276,14 +276,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
     )
 
 
-def _resolve_targets(runner: ExperimentRunner, targets: list[str]) -> list[str]:
-    if targets == ["all"] or targets == []:
-        return list(runner.registry)
-    for name in targets:
-        runner.spec(name)  # raises UnknownExperimentError -> exit 3
-    return targets
-
-
 def _parse_pairs(pairs: list[str], *, what: str) -> dict[str, str]:
     parsed: dict[str, str] = {}
     for pair in pairs:
@@ -303,7 +295,7 @@ def _typed_overrides(spec: ExperimentSpec, pairs: list[str]) -> dict[str, object
 
 
 def _collect_reports(runner: ExperimentRunner, args: argparse.Namespace) -> list[RunReport]:
-    targets = _resolve_targets(runner, args.targets)
+    targets = list(runner.registry) if args.targets in (["all"], []) else args.targets
     if args.param and len(targets) != 1:
         raise CliError("error: --param requires exactly one experiment target")
     if getattr(args, "csv", False) and not args.out and len(targets) != 1:
@@ -385,17 +377,10 @@ def _command_sweep(args: argparse.Namespace) -> int:
     api = _api()
     runner = _make_runner(args)
     spec = runner.spec(args.experiment)
-    grid: dict[str, list[object]] = {}
-    for key, text in _parse_pairs(args.grid, what="--grid").items():
-        if key in spec.params and spec.params[key].type is tuple:
-            raise CliError(
-                f"error: tuple-typed parameter {key!r} cannot be grid-swept from the CLI",
-                code=VALIDATION_EXIT,
-            )
-        values = [api.parse_param(spec, key, part) for part in text.split(",") if part.strip()]
-        if not values:
-            raise CliError(f"error: --grid {key}= names no values")
-        grid[key] = values
+    grid = {
+        key: [api.parse_param(spec, key, part) for part in text.split(",") if part.strip()]
+        for key, text in _parse_pairs(args.grid, what="--grid").items()
+    }
     fixed = _typed_overrides(spec, args.param)
     outcome = api.sweep(
         spec.name,
@@ -493,11 +478,10 @@ def _cache_stats_summary(
 
 
 def _command_cache(args: argparse.Namespace) -> int:
-    from .artifacts import ArtifactStore, reset_stats
-    from .cache import ResultCache
+    from .artifacts import reset_stats
+    from .executor import open_stores
 
-    cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
-    store = ArtifactStore(cache.root / "artifacts")
+    cache, store = open_stores(args.cache_dir)
     if args.cache_command == "ls":
         listing = cache.ls()
         artifact_listing = store.ls()

@@ -38,7 +38,8 @@ Exhausted budgets surface as :class:`~repro.runner.errors.WorkerCrashError`
 (code ``worker_crashed``) or :class:`~repro.runner.errors.UnitTimeoutError`
 (code ``unit_timeout``) -- never as a raw ``BrokenProcessPool``.
 
-Callables shipped to workers must be picklable, i.e. module-level.
+Callables shipped to workers must be picklable, i.e. module-level.  A
+store ships as itself: it pickles as a fresh store over the same backend.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from ..analysis.sweep import SweepResult, sweep_grid
@@ -59,6 +61,7 @@ from .store import StoreStats
 
 if TYPE_CHECKING:
     from .artifacts import ArtifactStore
+    from .cache import ResultCache
     from .service import ArtifactUnit
 
 
@@ -385,29 +388,31 @@ def parallel_sweep(
     return SweepResult(records=records)
 
 
-def _store_locator(store: "ArtifactStore | None") -> tuple[str, str | None] | None:
-    """The ``(root, url)`` a worker rebuilds ``store`` from (``None``: no store)."""
-    return None if store is None else (str(store.root), getattr(store.backend, "url", None))
+def open_stores(root: Path | str | None = None, url: str | None = None) -> tuple["ResultCache", "ArtifactStore"]:
+    """The result cache at ``root`` and the artifact store at ``root/artifacts``.
 
-
-def _open_store(store: "ArtifactStore | tuple[str, str | None] | None") -> "ArtifactStore | None":
-    """A unit's artifact store: the object itself in-process, rebuilt from its locator in a worker.
-
-    A locator with a URL rebuilds a store tiered onto it.  The netstore
-    import stays inside this function (and this module) so the networked
-    backend never enters the drivers' static import closure -- driver
-    fingerprints are identical with and without a shared store.
+    This is the one place that knows the stores' layout.  ``root``
+    defaults to :func:`~repro.runner.default_cache_root`.  With a store
+    server ``url`` both stores tier onto it, the artifact store under the
+    server's ``ARTIFACT_SUBROOT``.  The netstore import stays inside this
+    module so the networked backend never enters the drivers' static
+    import closure -- driver fingerprints are identical with and without
+    a shared store.
     """
-    if not isinstance(store, tuple):
-        return store
+    from . import default_cache_root
     from .artifacts import ArtifactStore
+    from .cache import ResultCache
 
-    root, url = store
+    root = Path(root) if root is not None else default_cache_root()
+    artifacts = root / ArtifactStore.DEFAULT_SUBDIR
     if url is None:
-        return ArtifactStore(root)
+        return ResultCache(root), ArtifactStore(artifacts)
     from .netstore import ARTIFACT_SUBROOT, make_store_backend
 
-    return ArtifactStore(backend=make_store_backend(root, url, subroot=ARTIFACT_SUBROOT))
+    return (
+        ResultCache(backend=make_store_backend(root, url)),
+        ArtifactStore(backend=make_store_backend(artifacts, url, subroot=ARTIFACT_SUBROOT)),
+    )
 
 
 def _produce_artifact(task: tuple["ArtifactUnit", object]) -> tuple[str, float, StoreStats]:
@@ -424,7 +429,6 @@ def _produce_artifact(task: tuple["ArtifactUnit", object]) -> tuple[str, float, 
 
     unit, store = task
     fault_point("executor.artifact", key=unit.artifact)
-    store = _open_store(store)
     entry = produce_into(
         store,
         unit.artifact,
@@ -455,15 +459,13 @@ def produce_artifacts(
     (the store is content-addressed), so a recovered wave never recomputes
     finished work.
     """
-    locator = _store_locator(store)
     return _run_resilient(
-        [(unit, locator) for unit in units],
+        [(unit, store) for unit in units],
         _produce_artifact,
         jobs=1 if store.root is None else jobs,
         policy=policy,
         outcome=outcome,
         label="artifact",
-        serial_worker=lambda task: _produce_artifact((task[0], store)),
     )
 
 
@@ -487,7 +489,6 @@ def _execute_request(
     name, config, store = task
     fault_point("executor.unit", key=name)
     spec = (registry if registry is not None else build_registry())[name]
-    store = _open_store(store)
     with activated(store):
         start = time.perf_counter()
         rows = spec.execute(config)
@@ -517,15 +518,14 @@ def execute_requests(
     process boundary.  ``stats`` (when given) accumulates the artifact-store
     counters the executions tallied, like ``outcome`` does for recovery.
     """
-    locator = _store_locator(store)
     results = _run_resilient(
-        [(name, config, locator) for name, config in requests],
+        [(name, config, store) for name, config in requests],
         _execute_request,
         jobs=1 if store is not None and store.root is None else jobs,
         policy=policy,
         outcome=outcome,
         label="experiment",
-        serial_worker=lambda task: _execute_request((task[0], task[1], store), registry),
+        serial_worker=lambda task: _execute_request(task, registry),
     )
     if stats is not None:
         for _rows, _elapsed, drained in results:

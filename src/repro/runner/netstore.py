@@ -44,6 +44,7 @@ runs without a store URL never pay for loading the socket machinery.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -693,6 +694,11 @@ class TieredBackend:
         self.remote = remote
         self.root = local.root
         self.url = remote.url
+
+    def __reduce__(self):
+        # A worker process reconnects to the same server; sockets and the
+        # breaker's state stay behind.
+        return functools.partial(make_store_backend, subroot=self.remote.subroot), (self.root, self.url)
 
     # -- degradation helper -----------------------------------------------------------
 

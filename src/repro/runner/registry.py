@@ -417,21 +417,26 @@ class ExperimentSpec:
             artifacts=artifacts,
         )
 
-    def canonical_config(self, overrides: Mapping[str, object] | None = None) -> dict[str, object]:
-        """Full config in canonical form: defaults + coerced overrides, sorted keys.
+    def param(self, name: str) -> ParamSpec:
+        """The declared parameter ``name``; every front end rejects unknown names here.
 
-        Rejects unknown parameter names (including object parameters -- a
-        config containing those is not cacheable and must bypass this path).
+        Object parameters are not declared in ``PARAMS``, so they are
+        rejected too: a config containing those is not cacheable.
         """
-        overrides = dict(overrides or {})
-        unknown = set(overrides) - set(self.params)
-        if unknown:
+        if name not in self.params:
+            known = ", ".join(sorted(self.params)) or "(none)"
             raise UnknownParamError(
-                f"{self.name}: unknown/uncacheable parameter(s) {sorted(unknown)}; "
-                f"cacheable parameters are {sorted(self.params)}",
-                param=sorted(unknown)[0],
-                expected=f"one of: {', '.join(sorted(self.params)) or '(none)'}",
+                f"{self.name} has no parameter {name!r} (unknown/uncacheable); cacheable parameters: {known}",
+                param=name,
+                expected=f"one of: {known}",
             )
+        return self.params[name]
+
+    def canonical_config(self, overrides: Mapping[str, object] | None = None) -> dict[str, object]:
+        """Full config in canonical form: defaults + coerced overrides, sorted keys."""
+        overrides = dict(overrides or {})
+        for name in sorted(overrides):
+            self.param(name)
         config: dict[str, object] = {}
         for pname in sorted(self.params):
             spec = self.params[pname]

@@ -37,7 +37,7 @@ from .artifacts import ArtifactStore, artifact_key, record_stats
 from .backends import MemoryBackend
 from .cache import CacheEntry, ResultCache, cache_key, run_provenance
 from .errors import UnknownExperimentError
-from .executor import ExecutionOutcome, ExecutionPolicy, execute_requests, produce_artifacts
+from .executor import ExecutionOutcome, ExecutionPolicy, execute_requests, open_stores, produce_artifacts
 from .fingerprint import code_fingerprint
 from .registry import ExperimentSpec, build_registry
 from .store import StoreStats
@@ -156,8 +156,9 @@ class ExperimentRunner:
 
     ``use_cache`` governs both stores: with it off, runs are genuinely
     reuse-free (no result replay, no artifact graph).  The artifact store
-    defaults to ``<cache root>/artifacts`` so isolated cache directories
-    (tests, benchmarks) isolate their artifacts too.
+    defaults to the one :func:`~repro.runner.executor.open_stores` puts
+    beside the result cache, so isolated cache directories (tests,
+    benchmarks) isolate their artifacts too.
     """
 
     def __init__(
@@ -171,14 +172,13 @@ class ExperimentRunner:
         self.registry = dict(registry) if registry is not None else build_registry()
         self.cache = cache if cache is not None else ResultCache()
         self.use_cache = use_cache
-        if artifacts is not None:
-            self.artifacts = artifacts
-        elif self.cache.root is not None:
-            self.artifacts = ArtifactStore(self.cache.root / "artifacts")
-        else:
-            # Memory-backed result cache (tests, the service's warm L1):
-            # keep the artifact store ephemeral too.
-            self.artifacts = ArtifactStore(backend=MemoryBackend())
+        if artifacts is None and self.cache.root is not None:
+            artifacts = open_stores(self.cache.root)[1]
+        elif artifacts is None:
+            # A memory-backed result cache (tests, the service's warm L1)
+            # keeps the artifact store ephemeral too.
+            artifacts = ArtifactStore(backend=MemoryBackend())
+        self.artifacts = artifacts
 
     def spec(self, name: str) -> ExperimentSpec:
         try:
@@ -282,7 +282,16 @@ class ExperimentRunner:
         policy: ExecutionPolicy | None = None,
         outcome: ExecutionOutcome | None = None,
     ) -> StoreStats:
-        """Produce the missing units, one wave per topological level."""
+        """Produce the missing units, one wave per topological level.
+
+        A wave finds its missing units with the presence-only
+        :meth:`~repro.runner.store.ContentStore.exists`, never by decoding:
+        validating would unpickle multi-MB entries in the parent.  So a
+        corrupt entry counts as a wave hit, and the driver's resolver then
+        quarantines it and recomputes it under a claim.  The invariant
+        ``artifact_misses == claims + claim_waits`` therefore holds only
+        for healthy stores.
+        """
         stats = StoreStats()
         levels = sorted({unit.level for unit in units})
         for level in levels:
@@ -371,36 +380,21 @@ class ExperimentRunner:
                 }
             )
         if cold:
-            # First-writer-wins fill coordination: of N concurrent runners
-            # cold-filling one content address, exactly one computes (it
-            # `owns` the claim); the rest wait on the winner's entry.  Claims
-            # are taken up front so the owned cells fan out in one batch, and
-            # each won claim is re-checked: another runner's fill may have
-            # landed since this runner's lookup missed.
             store = self.artifacts if self.use_cache else None
-            owned, waiting = cold, []
-            if self.use_cache:
-                owned = []
-                for item in cold:
-                    index, name, config, key = item
-                    claim_start = time.perf_counter()
-                    if not self.cache.claim(name, key):
-                        waiting.append(item)
-                    elif (entry := self.cache.recheck_claim(name, key)) is not None:
-                        prepared[index] = RunReport.replayed(name, config, key, entry, claim_start)
-                    else:
-                        owned.append(item)
 
-            def execute(cells: list[tuple[int, str, dict[str, object], str]], jobs: int | None) -> list[CacheEntry]:
-                """Run ``cells`` (one batch over ``jobs``) into their cache entries."""
+            def compute(indices: list[int]) -> list[CacheEntry]:
+                """Produce the artifact waves of ``cold[indices]``, then execute them as one batch."""
+                cells = [cold[index] for index in indices]
+                batch = [(name, config) for _index, name, config, _key in cells]
+                if self.use_cache:
+                    stats.update(self._ensure_artifacts(
+                        self._plan_artifacts(batch), jobs=jobs, observer=observer, policy=policy, outcome=outcome
+                    ))
+                if observer is not None:
+                    observer({"event": "executing", "experiments": len(cells)})
                 results = execute_requests(
-                    [(name, config) for _index, name, config, _key in cells],
-                    jobs=jobs,
-                    store=store,
-                    registry=self.registry,
-                    policy=policy,
-                    outcome=outcome,
-                    stats=stats,
+                    batch, jobs=jobs, store=store, registry=self.registry,
+                    policy=policy, outcome=outcome, stats=stats,
                 )
                 return [
                     CacheEntry(
@@ -414,46 +408,19 @@ class ExperimentRunner:
                     for (_index, name, config, _key), (rows, elapsed) in zip(cells, results)
                 ]
 
-            try:
-                if owned:
-                    if self.use_cache:
-                        units = self._plan_artifacts(
-                            [(name, config) for _index, name, config, _key in owned]
-                        )
-                        stats += self._ensure_artifacts(
-                            units, jobs=jobs, observer=observer, policy=policy, outcome=outcome
-                        )
-                    if observer is not None:
-                        observer(
-                            {
-                                "event": "executing",
-                                "experiments": len(owned),
-                                "waiting": len(waiting),
-                            }
-                        )
-                    for (index, name, config, key), entry in zip(owned, execute(owned, jobs)):
-                        if self.use_cache:
-                            self.cache.put_or_release(key, entry)
-                        prepared[index] = RunReport.computed(name, config, key, entry)
-                for item in waiting:
-                    index, name, config, key = item
-                    start = time.perf_counter()
-                    entry, computed = self.cache.fill(
-                        name, key, lambda: execute([item], 1)[0], claimed=False
-                    )
-                    prepared[index] = (
-                        RunReport.computed(name, config, key, entry)
-                        if computed
-                        else RunReport.replayed(name, config, key, entry, start)
-                    )
-            except BaseException:
-                # Never leak fill claims on the way out: waiters in other
-                # processes would stall until the stale-claim TTL.  Claims
-                # already cleared by a successful put are no-ops here.
-                if self.use_cache:
-                    for _index, name, _config, key in owned:
-                        self.cache.release_claim(name, key)
-                raise
+            # First-writer-wins: of N concurrent runners cold-filling one
+            # content address, exactly one computes; the rest replay its entry.
+            fill_start = time.perf_counter()
+            if self.use_cache:
+                filled = self.cache.fill([(name, key) for _index, name, _config, key in cold], compute)
+            else:
+                filled = [(entry, True) for entry in compute(list(range(len(cold))))]
+            for (index, name, config, key), (entry, computed) in zip(cold, filled):
+                prepared[index] = (
+                    RunReport.computed(name, config, key, entry)
+                    if computed
+                    else RunReport.replayed(name, config, key, entry, fill_start)
+                )
             for index, key in duplicates:
                 source = prepared[cold[cold_position[key]][0]]
                 prepared[index] = replace(

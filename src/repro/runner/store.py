@@ -21,13 +21,13 @@ bytes, wrong schema, broken document shape) are **quarantined** to
 ``<root>/corrupt/<name>/`` and tallied, and the read behaves as a miss;
 a file that simply vanished (raced ``unlink``) stays a plain miss.
 
-Fills go through one first-writer-wins path, :meth:`ContentStore.fill`:
-claim the address, re-check it (:meth:`ContentStore.recheck_claim`),
-compute, put -- or, when a concurrent filler owns the claim,
-:meth:`ContentStore.wait_for_fill` for its entry (taking the claim over if
-the winner died).  Artifact production and cold experiment runs both fill
-through it; a runner batching its cold cells claims and re-checks them up
-front the same way.
+Fills go through one first-writer-wins path, the batch
+:meth:`ContentStore.fill`: claim every cell, re-check the won ones,
+compute those that missed in one call, put -- and, for each cell a
+concurrent filler owns, :meth:`ContentStore.wait_for_fill` for its entry
+(taking the claim over if the winner died).  Artifact production fills
+one cell through it; a runner's cold experiment cells fill through it as
+one batch.
 
 Counters are one :class:`StoreStats` vocabulary: a ``Counter`` keyed by
 the persisted flat names (``result_claims``, ``artifact_corrupt``,
@@ -36,6 +36,7 @@ the persisted flat names (``result_claims``, ``artifact_corrupt``,
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -223,6 +224,11 @@ class ContentStore:
         self._recent = StoreStats()
         self._recent_lock = threading.Lock()
 
+    def __reduce__(self):
+        # A worker process gets a fresh store over the same backend and
+        # budget; counters and locks stay behind.
+        return functools.partial(type(self), backend=self.backend, max_bytes=self.max_bytes), ()
+
     # -- configuration hooks --------------------------------------------------------
 
     def encode(self, document: dict[str, object]) -> bytes:
@@ -327,21 +333,6 @@ class ContentStore:
         self._enforce_budget(name, filename)
         return path
 
-    def put_or_release(self, key: str, entry) -> None:
-        """:meth:`put` under a claim we own; a failing write degrades to uncached.
-
-        A full or read-only disk releases the claim (so waiters compute
-        instead of stalling) and the caller serves its entry uncached.
-        """
-        name = getattr(entry, self.KIND)
-        try:
-            self.put(key, entry)
-        except OSError as error:
-            self.release_claim(name, key)
-            logger.warning(
-                "%s write failed for %s %s (%s); continuing uncached", self.SITE_PREFIX, self.KIND, name, error
-            )
-
     # -- concurrent-fill claims -----------------------------------------------------
 
     def claim(self, name: str, key: str) -> bool:
@@ -349,8 +340,8 @@ class ContentStore:
 
         ``True`` means this process computes the entry (and its ``put``
         clears the claim); ``False`` means a concurrent filler owns it and
-        the caller should wait via :meth:`wait_for_fill` (or hand
-        ``claimed=False`` to :meth:`fill`).
+        the caller should wait via :meth:`wait_for_fill`.  :meth:`fill`
+        runs the whole protocol; callers outside this class use it.
         """
         address = self._address(name, key)
         if not self.backend.claim(*address):
@@ -369,25 +360,9 @@ class ContentStore:
         """The in-flight fill ticket for an address, if any."""
         return self.backend.claim_info(*self._address(name, key))
 
-    def recheck_claim(self, name: str, key: str):
-        """After winning a claim: the entry if it already landed, else ``None``.
-
-        A caller whose miss predates another filler's put can still win a
-        fresh claim (the put cleared the old one), so every won claim checks
-        once more before computing.  A found entry releases the claim.
-        """
-        entry = self.get(name, key)
-        if entry is not None:
-            self.release_claim(name, key)
-        return entry
-
     def release_claim(self, name: str, key: str) -> bool:
         """Drop the claim on an address (no-op if none is held)."""
         return self.backend.release(*self._address(name, key))
-
-    def break_claim(self, name: str, key: str, ticket: ClaimTicket) -> bool:
-        """Remove exactly ``ticket`` (a stale claim); fails if re-claimed."""
-        return self.backend.release(*self._address(name, key), owner=ticket)
 
     def wait_for_fill(self, name: str, key: str, *, poll_seconds: float = CLAIM_POLL_SECONDS):
         """Poll until a concurrent filler's entry lands, or the caller must compute.
@@ -400,8 +375,8 @@ class ContentStore:
         deterministic, never corrupting.  Deadline expiries tally
         ``claim_wait_timeouts``; :meth:`ClaimTicket.is_mine` on
         :meth:`claim_info` distinguishes the two ``None`` cases.  Like any
-        won claim, a takeover goes through :meth:`recheck_claim` before
-        computing (:meth:`fill` does this).
+        won claim, a takeover is re-checked before computing (:meth:`fill`
+        does this).
         """
         deadline = time.monotonic() + claim_wait_seconds()
         ttl = claim_ttl_seconds()
@@ -421,7 +396,7 @@ class ContentStore:
                     return entry
                 # Break exactly that ticket and take the claim over.
                 if ticket is not None:
-                    self.break_claim(name, key, ticket)
+                    self.backend.release(*self._address(name, key), owner=ticket)
                 if self.claim(name, key):
                     return None  # we own the claim: re-check, then compute
             if time.monotonic() >= deadline:
@@ -433,42 +408,79 @@ class ContentStore:
                 return None
             time.sleep(poll_seconds)
 
-    def fill(self, name: str, key: str, compute: Callable[[], object], *, claimed: bool | None = None):
-        """First-writer-wins load-or-compute of one address: ``(entry, computed)``.
+    def fill(self, cells: list[tuple[str, str]], compute: Callable[[list[int]], list]) -> list[tuple[object, bool]]:
+        """First-writer-wins load-or-compute of ``(name, key)`` cells: ``(entry, computed)`` each.
 
-        ``claimed=None`` tries the claim first; ``claimed=False`` means the
-        caller already lost it.  A loser tallies a claim wait and waits for
-        the winner's entry (``computed`` is ``False``).  A dead winner's claim is taken over and the entry
-        computed; a blown wait deadline computes *uncached*, never touching
-        the claim some live filler still owns.  ``compute()`` returns the
-        entry; an owned claim is released if it raises, and on success the
-        entry is stored via :meth:`put_or_release`.  Every owned claim, won
-        up front or taken over, first goes through :meth:`recheck_claim`.
+        Every cell is claimed first.  A won claim is re-checked: a miss that
+        predates another filler's put can still win a fresh claim.
+        ``compute(indices)`` receives, in one call, the won cells whose
+        re-check missed and returns their entries in that order, so a
+        caller can fan them out as one batch.  Each lost cell tallies a
+        claim wait and waits for the winner's entry (``computed`` is
+        ``False``); a dead winner's claim is taken over, re-checked and the
+        cell computed, while a blown wait deadline computes the cell
+        *uncached*, never touching the claim some live filler still owns.
+        A put that fails with ``OSError`` (a full or read-only disk)
+        releases its claim and serves the entry uncached.  Any exception
+        releases every owned claim that is still held.
         """
-        owns_claim = self.claim(name, key) if claimed is None else claimed
-        if not owns_claim:
-            self.note_wait()
-            entry = self.wait_for_fill(name, key)
+        filled: list[tuple[object, bool] | None] = [None] * len(cells)
+        held: set[int] = set()  # owned claims that no put or release has cleared yet
+
+        def missed(index: int) -> bool:
+            entry = self.get(*cells[index])
             if entry is not None:
-                return entry, False
-            # Either we took the claim over (dead winner) or the deadline
-            # expired and someone else still owns it; only an owned claim
-            # may be released or cleared by our put.
-            ticket = self.claim_info(name, key)
-            owns_claim = ticket is not None and ticket.is_mine()
-        if owns_claim:
-            entry = self.recheck_claim(name, key)
-            if entry is not None:
-                return entry, False
+                self.release_claim(*cells[index])
+                held.discard(index)
+                filled[index] = entry, False
+            return entry is None
+
+        def compute_into(indices: list[int]) -> None:
+            for index, entry in zip(indices, compute(indices)):
+                if index in held:
+                    try:
+                        self.put(cells[index][1], entry)
+                    except OSError as error:
+                        name = cells[index][0]
+                        self.release_claim(name, cells[index][1])
+                        logger.warning(
+                            "%s write failed for %s %s (%s); continuing uncached",
+                            self.SITE_PREFIX, self.KIND, name, error,
+                        )
+                    held.discard(index)
+                filled[index] = entry, True
+
         try:
-            entry = compute()
+            lost = []
+            for index, (name, key) in enumerate(cells):
+                if self.claim(name, key):
+                    held.add(index)
+                else:
+                    self.note_wait()
+                    lost.append(index)
+            won = [index for index in sorted(held) if missed(index)]
+            if won:
+                compute_into(won)
+            for index in lost:
+                name, key = cells[index]
+                entry = self.wait_for_fill(name, key)
+                if entry is not None:
+                    filled[index] = entry, False
+                    continue
+                # Took the claim over (dead winner), or the deadline expired
+                # while someone else still owns it.
+                ticket = self.claim_info(name, key)
+                if ticket is not None and ticket.is_mine():
+                    held.add(index)
+                    if not missed(index):
+                        continue
+                compute_into([index])
         except BaseException:
-            if owns_claim:
-                self.release_claim(name, key)
+            # Never leak a claim: waiters elsewhere would stall until the TTL.
+            for index in held:
+                self.release_claim(*cells[index])
             raise
-        if owns_claim:
-            self.put_or_release(key, entry)
-        return entry, True
+        return filled
 
     # -- bounded store --------------------------------------------------------------
 

@@ -249,15 +249,9 @@ class ServiceApp:
             experiments = [body.experiment]
             kind = "sweep"
         else:
-            experiments = (
-                list(self.runner.registry) if body.experiment == "all" else [body.experiment]
+            experiments = api.validate_targets(
+                None if body.experiment == "all" else [body.experiment], body.params, runner=self.runner
             )
-            if body.params and len(experiments) != 1:
-                raise ServiceError(
-                    400, "invalid_body", "shared params require a single experiment, not 'all'"
-                )
-            for target in experiments:
-                api.validate_params(target, body.params, runner=self.runner)
             kind = "run"
         record, created = self.jobs.submit(
             kind=kind,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.circuit import (
-    ClockConfig,
     CriticalPath,
     TECH_40NM_LP_LVT,
     Technology,
@@ -83,10 +82,3 @@ class TestVoltageScaling:
 class TestClock:
     def test_constant_throughput(self):
         assert constant_throughput_frequency(500.0, 4) == 125.0
-        clock = ClockConfig(125.0, 4)
-        assert clock.throughput_mops == pytest.approx(500.0)
-        assert clock.period_ns == pytest.approx(8.0)
-
-    def test_invalid_clock(self):
-        with pytest.raises(ValueError):
-            ClockConfig(0.0, 1)

@@ -136,10 +136,6 @@ class TestCharacterization:
 
 
 class TestOperatingPoints:
-    def test_mode_label(self):
-        point = OperatingPoint(8, 2, 250.0, 0.9, 0.9)
-        assert point.mode_label == "2x8b"
-
     def test_invalid_operating_point(self):
         with pytest.raises(ValueError):
             OperatingPoint(0, 1, 100.0, 1.0, 1.0)

@@ -27,7 +27,7 @@ class TestModes:
         point = mode.operating_point(constant_throughput=True)
         assert point.frequency_mhz == pytest.approx(50.0)
         assert point.as_voltage == pytest.approx(0.65)
-        assert point.throughput_mops == pytest.approx(200.0)
+        assert point.frequency_mhz * point.parallelism == pytest.approx(200.0)
 
 
 class TestPowerModel:

@@ -1,9 +1,9 @@
-"""Unit tests for the cell library, netlist framework and carry-lookahead adder model."""
+"""Unit tests for the cell library and carry-lookahead adder model."""
 
 import pytest
 
 from repro.arithmetic.adder import CarryLookaheadModel
-from repro.arithmetic.gates import CELL_COSTS, Netlist, cell_cost, popcount
+from repro.arithmetic.gates import CELL_COSTS, cell_cost, popcount
 
 
 class TestBitUtilities:
@@ -28,39 +28,6 @@ class TestCellCosts:
 
     def test_full_adder_bigger_than_half_adder(self):
         assert cell_cost("full_adder").gate_equivalents > cell_cost("half_adder").gate_equivalents
-
-
-class TestNetlist:
-    def _xor_netlist(self):
-        netlist = Netlist()
-        netlist.add_input("a")
-        netlist.add_input("b")
-        netlist.add_cell("xor2", ["a", "b"], ["y"])
-        netlist.add_output("y")
-        return netlist
-
-    def test_evaluate_function(self):
-        netlist = self._xor_netlist()
-        assert netlist.evaluate({"a": 0, "b": 0})["y"] == 0
-        assert netlist.evaluate({"a": 1, "b": 0})["y"] == 1
-
-    def test_toggle_counting(self):
-        netlist = self._xor_netlist()
-        netlist.evaluate({"a": 0, "b": 0})
-        before = netlist.toggle_counter.weighted_toggles
-        netlist.evaluate({"a": 1, "b": 0})  # output flips 0 -> 1
-        assert netlist.toggle_counter.weighted_toggles > before
-
-    def test_missing_input_rejected(self):
-        netlist = self._xor_netlist()
-        with pytest.raises(ValueError):
-            netlist.evaluate({"a": 1})
-
-    def test_duplicate_input_rejected(self):
-        netlist = Netlist()
-        netlist.add_input("a")
-        with pytest.raises(ValueError):
-            netlist.add_input("a")
 
 
 class TestCarryLookaheadModel:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import pickle
 import socket
 import time
 import uuid
@@ -313,6 +314,22 @@ class TestTiered:
         assert list(tiered.iter()) == []
         assert tiered.get("ns", "k.json") == b"blob"  # and re-promotes on demand
         tiered.close()
+
+    def test_a_pickled_store_reconnects_to_the_same_server(self, tmp_path, server):
+        # Worker processes receive their artifact store this way.
+        from repro.runner.executor import open_stores
+
+        _cache, store = open_stores(tmp_path / "cache", server.url)
+        store.max_bytes = 12_345
+        clone = pickle.loads(pickle.dumps(store))
+        assert type(clone) is type(store) and clone.max_bytes == 12_345
+        assert clone.root == tmp_path / "cache" / "artifacts"
+        assert clone.backend.url == server.url
+        clone.backend.put("ns", "k.pkl", b"blob")  # the rebuilt tiers write through
+        assert (server.root / "artifacts" / "ns" / "k.pkl").read_bytes() == b"blob"
+        assert store.backend.get("ns", "k.pkl") == b"blob"
+        store.backend.close()
+        clone.backend.close()
 
     def test_dead_server_degrades_every_operation_to_local(self, tmp_path):
         tiered = TieredBackend(

@@ -281,10 +281,15 @@ class TestConcurrentFill:
     def test_threads_racing_one_address_compute_once(self, tmp_path):
         store = ArtifactStore(tmp_path)
         calls = []
+        # The producer holds its claim until the five losers have tallied
+        # their waits, so no thread can arrive after the fill and hit.
+        waiting = threading.Semaphore(0)
+        handshakes = []
+        store.note_wait = _signalling(store.note_wait, waiting)
 
         def producer(*, x):
             calls.append(x)
-            time.sleep(0.1)  # hold the claim long enough for losers to wait
+            handshakes.append(all(waiting.acquire(timeout=30) for _ in range(5)))
             return {"value": x * 2}
 
         results = [None] * 6
@@ -295,8 +300,10 @@ class TestConcurrentFill:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         assert calls == [21]  # exactly one compute
+        assert handshakes == [True]
         assert all(entry.payload == {"value": 42} for entry in results)
         drained = store.drain_stats()
         assert drained["artifact_claims"] == 1
@@ -627,6 +634,64 @@ class TestRunnerUnderPressure:
         assert runner.cache.claim_info("toy", late.key) is None  # the re-check released it
         counters = load_stats(runner.cache.root)
         assert counters.result_misses == counters.result_claims == 2
+
+    def test_runners_racing_overlapping_batches_compute_each_cell_once(self, tmp_path, monkeypatch):
+        # The runners meet at a barrier after claiming the first half of
+        # their lists and again after claiming all of it, before either
+        # computes: every batch fill wins two claims and loses two.
+        first = _toy_runner(tmp_path, monkeypatch)
+        second = ExperimentRunner(cache=ResultCache(tmp_path / "cache"), registry=first.registry)
+        module = first.spec("toy").module
+        computed = []
+        run = module.run
+        monkeypatch.setattr(module, "run", lambda **config: computed.append(config["x"]) or run(**config))
+        barrier = threading.Barrier(2, timeout=30)
+        for runner in (first, second):
+            claim, claimed = runner.cache.claim, []
+
+            def claim_in_halves(name, key, claim=claim, claimed=claimed):
+                if len(claimed) == 2:
+                    barrier.wait()
+                claimed.append(key)
+                won = claim(name, key)
+                if len(claimed) == 4:
+                    barrier.wait()
+                return won
+
+            monkeypatch.setattr(runner.cache, "claim", claim_in_halves)
+        orders = {first: [1, 2, 3, 4], second: [4, 3, 2, 1]}
+        reports = {}
+
+        def race(runner):
+            reports[runner] = runner.run_many([("toy", {"x": x}) for x in orders[runner]])
+
+        threads = [threading.Thread(target=race, args=(runner,)) for runner in orders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert sorted(computed) == [1, 2, 3, 4]  # each address computed once
+        rows = {runner: {r.config["x"]: json.dumps(r.rows) for r in reports[runner]} for runner in orders}
+        assert rows[first] == rows[second]
+        assert sum(r.cached for r in reports[first]) == sum(r.cached for r in reports[second]) == 2
+        counters = load_stats(first.cache.root)
+        assert counters.result_misses == 8
+        assert counters.result_claims == counters.result_claim_waits == 4
+        assert counters.result_misses == counters.result_claims + counters.result_claim_waits
+
+    def test_failed_put_releases_every_owned_claim(self, tmp_path, monkeypatch):
+        from repro.faults import FaultInjected, injected
+
+        runner = _toy_runner(tmp_path, monkeypatch)
+        requests = [("toy", {"x": x}) for x in (1, 2, 3)]
+        with injected("cache.write:exc"):  # the first owned cell's put raises
+            with pytest.raises(FaultInjected):
+                runner.run_many(requests)
+        for name, overrides in requests:
+            _config, key, _fingerprint = runner.address(name, overrides)
+            assert runner.cache.claim_info(name, key) is None
+        assert [report.cached for report in runner.run_many(requests)] == [False] * 3
 
 
 # -- stats: append-only log ---------------------------------------------------------
