@@ -190,10 +190,17 @@ class ExperimentRunner:
     def address(self, name: str, overrides: Mapping[str, object] | None = None) -> tuple[dict[str, object], str, str]:
         """``(canonical config, cache key, fingerprint)`` for one request.
 
-        This is the single addressing path every consumer shares: the CLI,
-        the batch scheduler and the HTTP warm path all hash configs through
-        here, so a request can never address a different entry than the run
-        that stored it.
+        The HTTP warm path (:meth:`lookup` and the service's in-memory
+        cache) hashes configs through here.  Runs, the CLI's included, go
+        through the batch scheduler (:meth:`run_many`), which does not: it
+        repeats the same three steps inline with a per-call fingerprint memo,
+        because
+        :func:`code_fingerprint` re-reads and hashes a driver's whole source
+        closure on every call (~2 ms for table2's 25 modules).  Both spell
+        the key as ``cache_key(name, canonical json, fingerprint)``, so a
+        request addresses the entry the run stored; folding them into one
+        path waits on a fingerprint memo that cannot replay a stale source
+        (ROADMAP item 9).
         """
         spec = self.spec(name)
         config = spec.canonical_config(overrides)

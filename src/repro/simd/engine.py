@@ -12,18 +12,32 @@ This module removes that cost without giving up bit-exactness:
 * because the ISA has no vector-to-scalar transfers, scalar control flow is
   data independent, so the trip count of such a loop is a closed form of the
   registers at loop entry;
-* each straight-line **vector trace** (the loop body) is then executed across
-  *all* iterations at once: every instruction becomes one numpy operation on
-  an ``(iterations, lanes)`` value array, including packed-subword modes
-  (parallelism > 1) and the data-dependent zero-operand guard counts.
+* each straight-line **vector trace** (the loop body) is compiled once, with
+  the analysis, into a :class:`TracePlan`: every scalar operand a body
+  instruction reads (``VLOAD``/``VSTORE`` addresses, ``VBCAST`` values) is an
+  affine sequence ``register + offset + stride * t`` over the iterations
+  ``t``, and every vector value is one *slot* of a ``(lanes, slots,
+  iterations)`` bank;
+* a run evaluates all those sequences in one numpy expression, fills every
+  ``VLOAD`` slot with **one** gather from the memory banks, and turns each run
+  of ``VMAC`` instructions between accumulator events (``VCLR``/``VSTACC``)
+  into one stacked multiply, one zero-product count (the guard count) and one
+  sum -- packed-subword modes (parallelism > 1) included.
 
 Memory contents, event counters, opcode histograms, register-file access
 counts and the returned :class:`~repro.simd.processor.ExecutionResult` are
-bit-identical to the interpreter.  Any program (or loop entry state) the
-analysis cannot prove safe -- extra scalar writes, nested branches, aliased
-load/store ranges, wrap-around arithmetic, data-dependent trip counts beyond
-the watchdog -- simply falls back to the interpreter's dispatch loop, so the
-engine accepts every program the interpreter accepts.
+bit-identical to the interpreter.  A loop (or loop entry state) the engine
+cannot prove safe falls back to the interpreter's dispatch loop for the rest
+of the run, so the engine accepts every program the interpreter accepts:
+
+* statically -- extra scalar writes, nested branches, loop-carried vector
+  registers, a ``VSTACC`` whose carry chain a later ``VMAC`` extends;
+* at entry -- no finite trip count, the cycle watchdog, induction wrap-around
+  in the 32-bit register file, more than :data:`MAX_TRACE_ELEMENTS` values, an
+  address outside the banks, or a store whose address set meets another
+  store's or a load's.  Address sets are arithmetic progressions with one
+  common stride, so range and aliasing are decided in closed form from their
+  first addresses.
 """
 
 from __future__ import annotations
@@ -110,6 +124,9 @@ _BODY_FORBIDDEN = {Opcode.JMP, Opcode.HALT, Opcode.SETPREC, Opcode.BNE, Opcode.B
 #: Scalar-register-writing opcodes.
 _SCALAR_WRITERS = {Opcode.LI, Opcode.ADD, Opcode.ADDI, Opcode.SUB, Opcode.MUL}
 
+#: The two-operand element-wise vector opcodes as numpy ufuncs.
+_ELEMENTWISE = {Opcode.VMUL: np.multiply, Opcode.VADD: np.add}
+
 
 @dataclass
 class BasicBlock:
@@ -117,6 +134,61 @@ class BasicBlock:
 
     start: int
     end: int
+
+
+@dataclass(frozen=True, eq=False)
+class TracePlan:
+    """A loop body compiled to a few whole-trace numpy operations.
+
+    Scalar operands are rows of one affine table, evaluated per run as
+    ``registers[row_registers] + row_offsets + row_strides * t``.  The rows
+    are laid out ``[VBCAST operands | bank rows | stores]``: bank row ``k``
+    gathers slot ``k`` of the value bank, so the ``loads`` VLOAD slots come
+    first and every later slot (an entry register or a computed value)
+    gathers address 0 as a placeholder that is overwritten before any read.
+
+    Attributes
+    ----------
+    row_registers, row_offsets, row_strides:
+        The affine table; a stride is the induction step for rows based on
+        the induction register (offsets already hold the step for reads
+        after its update) and 0 for loop-invariant bases.
+    broadcasts:
+        Number of leading ``VBCAST`` rows.
+    loads, slots:
+        VLOAD slots and all slots of the value bank.
+    entries:
+        ``(slot, register)``: vector registers the body reads but never
+        writes, i.e. their loop-entry values.
+    steps:
+        The vector instructions in body order, loads and stores aside:
+        ``(VMAC, [a_0..a_m, b_0..b_m], m)`` for one run of ``m`` VMACs,
+        ``(VCLR,)``, ``(VSTACC, slot, carry-in)``, ``(VBCAST, slot, row)``
+        and ``(VMUL | VADD | VRELU, slot, *source slots)``.
+    stores:
+        ``(slot, strided)`` per ``VSTORE``, in the order of the store rows.
+    accesses:
+        ``(row, strided)`` per memory access, loads then stores; a strided
+        access walks with the induction, the others stay at one address.
+    writeback:
+        ``(register, slot)``: the final value of every register the body
+        writes.
+    has_vclr:
+        Whether the body clears the accumulators.
+    """
+
+    row_registers: np.ndarray
+    row_offsets: np.ndarray
+    row_strides: np.ndarray
+    broadcasts: int
+    loads: int
+    slots: int
+    entries: tuple[tuple[int, int], ...]
+    steps: tuple[tuple, ...]
+    stores: tuple[tuple[int, bool], ...]
+    accesses: tuple[tuple[int, bool], ...]
+    writeback: tuple[tuple[int, int], ...]
+    has_vclr: bool
 
 
 @dataclass(frozen=True)
@@ -143,6 +215,8 @@ class LoopTrace:
         Whether the induction register is the branch's first operand.
     bound:
         The loop-invariant register the induction is compared against.
+    plan:
+        The body compiled for whole-trace execution.
     """
 
     start: int
@@ -162,7 +236,7 @@ class LoopTrace:
     load_positions: tuple[int, ...] = ()
     store_positions: tuple[int, ...] = ()
     register_accesses: tuple[int, int, int, int] = (0, 0, 0, 0)
-    written_vregs: frozenset[int] = frozenset()
+    plan: TracePlan | None = field(default=None, compare=False, repr=False)
 
 
 def basic_blocks(program: Program) -> list[BasicBlock]:
@@ -199,13 +273,35 @@ def analyze_program(program: Program) -> dict[int, LoopTrace]:
     Works over the basic-block decomposition: every control transfer ends a
     block, so a candidate loop is a block whose closing conditional branch
     targets a leader at or before it; the region from that leader to the
-    branch is then validated as a straight-line affine trace.
+    branch is then validated as a straight-line affine trace and compiled.
 
     The analysis depends only on the (frozen) instructions, so it is
     memoised per process on them; execution never mutates a trace, so
-    reruns of one program share its traces.
+    reruns of one program share its traces and plans.
     """
-    return dict(_analyze_instructions(tuple(program.instructions)))
+    return dict(_program_traces(program))
+
+
+#: Traces by the identity of a program's instruction objects, in front of the
+#: equality memo: a seed sweep reruns the same assembled instructions, and a
+#: tuple of their ids hashes in C, where hashing the instructions themselves
+#: calls two Python ``__hash__`` methods per instruction.  Each entry keeps
+#: its instructions alive, so no live object can reuse one of its ids.  It
+#: starts over when full (one atomic ``clear``, safe under threads).
+_TRACES_BY_IDENTITY: dict[tuple[int, ...], tuple[tuple[Instruction, ...], dict[int, LoopTrace]]] = {}
+_IDENTITY_ENTRIES = 64
+
+
+def _program_traces(program: Program) -> dict[int, LoopTrace]:
+    """The memoised trace map of ``program`` (shared: callers must not mutate it)."""
+    key = tuple(map(id, program.instructions))
+    hit = _TRACES_BY_IDENTITY.get(key)
+    if hit is None:
+        instructions = tuple(program.instructions)
+        if len(_TRACES_BY_IDENTITY) >= _IDENTITY_ENTRIES:
+            _TRACES_BY_IDENTITY.clear()
+        hit = _TRACES_BY_IDENTITY[key] = (instructions, _analyze_instructions(instructions))
+    return hit[1]
 
 
 @lru_cache(maxsize=64)
@@ -333,7 +429,114 @@ def _analyze_loop(program: Program, start: int, end: int) -> LoopTrace | None:
         load_positions=tuple(loads),
         store_positions=tuple(stores),
         register_accesses=(reads_s, writes_s, reads_v, writes_v),
-        written_vregs=frozenset(written_anywhere),
+        plan=_compile_plan(body, induction, step, update_position),
+    )
+
+
+def _compile_plan(
+    body: tuple[Instruction, ...], induction: int, step: int, update_position: int
+) -> TracePlan:
+    """Compile a validated loop body into a :class:`TracePlan`.
+
+    A single pass renames every vector register write to a fresh bank slot
+    (reads resolve to the slot of the register's latest write, or to its
+    entry value), so a ``VMAC`` keeps the operands it saw at its position
+    even when the body reuses the register later.
+    """
+    broadcast_rows: list[tuple[int, int, int]] = []
+    load_rows: list[tuple[int, int, int]] = []
+    store_rows: list[tuple[int, int, int]] = []
+    loads = slots = sum(1 for instr in body if instr.opcode is Opcode.VLOAD)
+    current: dict[int, int] = {}  # vector register -> slot of its value
+    written: set[int] = set()
+    entries: list[tuple[int, int]] = []
+    steps: list[tuple] = []
+    stores: list[tuple[int, bool]] = []
+    macs: list[tuple[int, int]] = []
+    has_vclr = any(instr.opcode is Opcode.VCLR for instr in body)
+    seen_vclr = False
+
+    def affine(register: int, offset: int, position: int) -> tuple[int, int, int]:
+        if register != induction:
+            return register, offset, 0
+        return register, offset + (step if position > update_position else 0), step
+
+    def new_slot() -> int:
+        nonlocal slots
+        slots += 1
+        return slots - 1
+
+    def read(register: int) -> int:
+        if register not in current:  # never written in the body: entry value
+            current[register] = new_slot()
+            entries.append((current[register], register))
+        return current[register]
+
+    def write(register: int, slot: int) -> None:
+        current[register] = slot
+        written.add(register)
+
+    def flush_macs() -> None:
+        if macs:
+            operands = [a for a, _ in macs] + [b for _, b in macs]
+            steps.append((Opcode.VMAC, np.array(operands, dtype=np.intp), len(macs)))
+            macs.clear()
+
+    for position, instr in enumerate(body[:-1]):
+        opcode, operands = instr.opcode, instr.operands
+        if opcode is Opcode.VLOAD:
+            write(operands[0], len(load_rows))
+            load_rows.append(affine(operands[1], operands[2], position))
+        elif opcode is Opcode.VSTORE:
+            stores.append((read(operands[0]), operands[1] == induction))
+            store_rows.append(affine(operands[1], operands[2], position))
+        elif opcode is Opcode.VBCAST:
+            slot = new_slot()
+            steps.append((opcode, slot, len(broadcast_rows)))
+            broadcast_rows.append(affine(operands[1], 0, position))
+            write(operands[0], slot)
+        elif opcode in (Opcode.VMUL, Opcode.VADD, Opcode.VRELU):
+            sources = [read(operands[index]) for index in _VECTOR_READS[opcode]]
+            slot = new_slot()
+            steps.append((opcode, slot, *sources))
+            write(operands[0], slot)
+        elif opcode is Opcode.VMAC:
+            macs.append((read(operands[0]), read(operands[1])))
+        elif opcode is Opcode.VCLR:
+            flush_macs()
+            steps.append((opcode,))
+            seen_vclr = True
+        elif opcode is Opcode.VSTACC:
+            flush_macs()
+            # Accumulator carry-in: a VCLR earlier in the body leaves only
+            # this iteration's products; a later one lets only iteration 0
+            # see the entry accumulators; with none, the carry chain runs
+            # across all iterations (every VMAC precedes this VSTACC).
+            carry = "segment" if seen_vclr else ("first" if has_vclr else "running")
+            slot = new_slot()
+            steps.append((opcode, slot, carry))
+            write(operands[0], slot)
+    flush_macs()
+
+    placeholders = [(0, 0, 0)] * (slots - loads)
+    rows = broadcast_rows + load_rows + placeholders + store_rows
+    registers, offsets, strides = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    first_store = len(broadcast_rows) + slots
+    access_rows = [*range(len(broadcast_rows), len(broadcast_rows) + loads)]
+    access_rows += range(first_store, first_store + len(stores))
+    return TracePlan(
+        row_registers=np.array(registers, dtype=np.intp),
+        row_offsets=np.array(offsets, dtype=np.int64),
+        row_strides=np.array(strides, dtype=np.int64).reshape(-1, 1),
+        broadcasts=len(broadcast_rows),
+        loads=loads,
+        slots=slots,
+        entries=tuple(entries),
+        steps=tuple(steps),
+        stores=tuple(stores),
+        accesses=tuple((row, strides[row] != 0) for row in access_rows),
+        writeback=tuple((register, current[register]) for register in sorted(written)),
+        has_vclr=has_vclr,
     )
 
 
@@ -367,6 +570,32 @@ def _trip_count(trace: LoopTrace, start_value: int, bound_value: int) -> int | N
     return 1 if start_value + step <= bound_value else None
 
 
+def _accesses_safe(
+    plan: TracePlan, first: list[int], iterations: int, step: int, words: int
+) -> bool:
+    """Whether every access stays in the banks and no store's address set
+    meets another store's or a load's.
+
+    Access ``i`` walks ``first[i] + step * t`` for ``t <= span_i`` (``span``
+    is ``iterations - 1`` when it follows the induction, else 0), so its
+    endpoints bound it, and accesses ``i`` and ``j`` meet iff ``first[j] -
+    first[i] == step * k`` for an integer ``k`` with ``-span_j <= k <=
+    span_i``.
+    """
+    accesses = [(first[row], iterations - 1 if strided else 0) for row, strided in plan.accesses]
+    for start, span in accesses:
+        end = start + step * span
+        if min(start, end) < 0 or max(start, end) >= words:
+            return False
+    for store in range(plan.loads, len(accesses)):
+        start, span = accesses[store]
+        for other, (other_start, other_span) in enumerate(accesses):
+            shift, remainder = divmod(other_start - start, step)
+            if other != store and remainder == 0 and -other_span <= shift <= span:
+                return False
+    return True
+
+
 class TraceEngine:
     """Executes programs on a :class:`SimdProcessor` via trace compilation.
 
@@ -375,17 +604,23 @@ class TraceEngine:
     :meth:`SimdProcessor.run`; analyzable affine loops are executed as whole
     vectorised traces, everything else through the interpreter's
     dispatch-table decode.
+
+    ``vectorised`` and ``fallbacks`` count, over the engine's lifetime, the
+    trace executions run as whole traces and those handed back to the
+    interpreter (which then interprets that loop for the rest of its run).
     """
 
     def __init__(self, processor: SimdProcessor):
         self.processor = processor
+        self.vectorised = 0
+        self.fallbacks = 0
 
     def run(self, program: Program, *, max_cycles: int = 2_000_000) -> ExecutionResult:
         """Execute ``program`` until HALT (or the cycle watchdog expires)."""
         processor = self.processor
         if len(program) == 0:
             raise ExecutionError("program is empty")
-        traces = analyze_program(program)
+        traces = _program_traces(program)
         disabled: set[int] = set()
         counters = ExecutionCounters()
         pc = 0
@@ -396,8 +631,10 @@ class TraceEngine:
             if pc in traces and pc not in disabled:
                 next_pc = self._execute_trace(traces[pc], counters, max_cycles)
                 if next_pc is None:
+                    self.fallbacks += 1
                     disabled.add(pc)  # interpret this loop for the rest of the run
                 else:
+                    self.vectorised += 1
                     pc = next_pc
                     continue
             instruction = program[pc]
@@ -448,188 +685,85 @@ class TraceEngine:
         if iterations * lanes * max(1, vector_instructions) > MAX_TRACE_ELEMENTS:
             return None
 
-        plan = self._plan_memory(trace, iterations, start_value)
-        if plan is None:
+        plan = trace.plan
+        first = np.array(scalars, dtype=np.int64)[plan.row_registers] + plan.row_offsets
+        # Out of range: the interpreter raises the faithful IndexError.  A
+        # store meeting another access: scatter order would matter, or a
+        # load would see this loop's stores.
+        if not _accesses_safe(plan, first.tolist(), iterations, trace.step, processor.memory.words_per_bank):
             return None
-        addresses = plan
-
-        state = self._evaluate_body(trace, iterations, start_value, addresses)
-        if state is None:
-            return None
-        self._commit(trace, iterations, final_value, counters, state)
+        sequences = first[:, None] + plan.row_strides * np.arange(iterations)
+        bank, accumulators, guarded = self._evaluate(plan, sequences, iterations)
+        self._commit(trace, iterations, final_value, counters, sequences, bank, accumulators, guarded)
         return trace.end + 1
 
-    def _scalar_values(self, trace: LoopTrace, register: int, position: int,
-                       iterations: int, start_value: int):
-        """Value(s) of ``register`` at body ``position``: int or (n,) array."""
-        if register == trace.induction:
-            base = start_value + (trace.step if position > trace.update_position else 0)
-            return base + trace.step * np.arange(iterations, dtype=np.int64)
-        return int(self.processor.scalar_registers._registers[register])
+    def _evaluate(self, plan: TracePlan, sequences: np.ndarray, iterations: int):
+        """Fill the ``(lanes, slots, iterations)`` value bank in body order.
 
-    def _plan_memory(
-        self, trace: LoopTrace, iterations: int, start_value: int
-    ) -> dict[int, np.ndarray] | None:
-        """Per-position address arrays; None on out-of-range or aliasing."""
-        memory = self.processor.memory
-        addresses: dict[int, np.ndarray] = {}
-        load_arrays, store_arrays = [], []
-        for position in trace.load_positions + trace.store_positions:
-            instr = trace.body[position]
-            base = self._scalar_values(trace, instr.operands[1], position,
-                                       iterations, start_value)
-            addrs = np.asarray(base + instr.operands[2], dtype=np.int64)
-            if addrs.ndim == 0:
-                addrs = addrs[None]  # constant address
-            # Affine in the iteration (or constant): the endpoints bound it.
-            low, high = sorted((int(addrs[0]), int(addrs[-1])))
-            if low < 0 or high >= memory.words_per_bank:
-                return None  # interpreter will raise the faithful IndexError
-            addresses[position] = addrs
-            if position in trace.load_positions:
-                load_arrays.append(addrs)
-            else:
-                store_arrays.append(addrs)
-        if store_arrays:
-            stores = np.concatenate(store_arrays)
-            # Distinct-per-instruction is guaranteed (affine, step != 0, or a
-            # deduplicated constant); cross-instruction collisions would make
-            # scatter order matter.
-            if np.unique(stores).size != stores.size:
-                return None
-            if load_arrays and np.intersect1d(
-                np.concatenate(load_arrays), stores
-            ).size:
-                return None  # loads must observe pre-loop memory only
-        return addresses
-
-    def _evaluate_body(
-        self,
-        trace: LoopTrace,
-        iterations: int,
-        start_value: int,
-        addresses: dict[int, np.ndarray],
-    ):
-        """Position-major symbolic evaluation of the body over all iterations.
-
-        Returns the pending state to commit: vector-register values, store
-        values, accumulator outcome and the data-dependent guard count.
+        Returns the bank, the accumulators after the last iteration and the
+        zero-operand guard count.
         """
         processor = self.processor
         vectors = processor.vector_registers
         unit = processor.vector_unit
         lanes = processor.simd_width
         element_lo, element_hi = _element_range(processor.word_bits)
-        shape = (iterations, lanes)
-
-        values: dict[int, np.ndarray] = {}
-
-        def read(register: int) -> np.ndarray:
-            if register not in values:
-                # Never written in the body: loop-invariant entry value.
-                values[register] = np.broadcast_to(
-                    vectors._registers[register], shape
-                )
-            return values[register]
-
-        def write(register: int, array: np.ndarray) -> None:
-            values[register] = _wrap_array(array, vectors.element_bits)
-
+        # One gather fills every VLOAD slot.  No wrap: register and memory
+        # words share ``word_bits``, and memory only holds range-checked
+        # writes or register values, so the interpreter's VLOAD wrap is the
+        # identity.
+        start = plan.broadcasts
+        bank = np.take(processor.memory._storage, sequences[start : start + plan.slots], axis=1)
+        for slot, register in plan.entries:
+            bank[:, slot] = vectors._registers[register][:, None]
+        entry_accumulators = vectors._accumulators
         # With one subword per word, ``unpack`` is the identity on register
         # values (always inside the element range) plus a trailing axis.
-        single_subword = unit.mode.parallelism == 1
+        packed = unit.mode.parallelism > 1
+        segment: list[np.ndarray] = []  # (lanes, iterations) sums since the last VCLR
+        guarded = 0
 
-        # Accumulator bookkeeping (see module docstring): products since the
-        # last VCLR, whether that segment began at the body start, and every
-        # product for the cross-iteration carry chain.
-        entry_accumulators = vectors._accumulators
-        segment: list[np.ndarray] = []
-        crosses_entry = True
-        has_vclr = False
-        all_products: list[np.ndarray] = []
-        guarded_total = 0
-        store_values: list[tuple[int, np.ndarray]] = []
-
-        for position, instr in enumerate(trace.body[:-1]):
-            opcode = instr.opcode
-            operands = instr.operands
-            if opcode in SCALAR_OPCODES:
-                continue  # induction update / r0 no-ops: handled in closed form
-            if opcode is Opcode.VLOAD:
-                addrs = addresses[position]
-                gathered = processor.memory._storage[:, addrs].T  # (n, lanes)
-                if gathered.shape[0] != iterations:  # constant address
-                    gathered = np.broadcast_to(gathered[0], shape)
-                # No wrap: register and memory words share ``word_bits``, and
-                # memory only holds range-checked writes or register values,
-                # so the wrap the interpreter applies on VLOAD is the identity.
-                values[operands[0]] = gathered
-            elif opcode is Opcode.VSTORE:
-                store_values.append((position, read(operands[0])))
-            elif opcode is Opcode.VBCAST:
-                scalar = self._scalar_values(
-                    trace, operands[1], position, iterations, start_value
-                )
-                column = np.broadcast_to(
-                    np.asarray(scalar, dtype=np.int64).reshape(-1, 1), shape
-                )
-                write(operands[0], column)
-            elif opcode is Opcode.VMAC:
-                if single_subword:
-                    sub_a = read(operands[0])[..., None]  # (n, lanes, 1)
-                    sub_b = read(operands[1])[..., None]
-                else:
-                    sub_a = unit.unpack(read(operands[0]))  # (n, lanes, N) subwords
-                    sub_b = unit.unpack(read(operands[1]))
+        for step in plan.steps:
+            opcode = step[0]
+            if opcode is Opcode.VMAC:
+                _, operands, count = step
+                pair = bank[:, operands]
+                subwords = unit.unpack(pair) if packed else pair[..., None]
+                products = subwords[:, :count] * subwords[:, count:]
                 if unit.guard_zero_operands:
-                    guarded_total += int(np.sum((sub_a == 0) | (sub_b == 0)))
-                products = (sub_a * sub_b).sum(axis=-1)
-                segment.append(products)
-                all_products.append(products)
-            elif opcode is Opcode.VMUL:
-                result = read(operands[1]) * read(operands[2])
-                write(operands[0], np.clip(result, element_lo, element_hi))
-            elif opcode is Opcode.VADD:
-                result = read(operands[1]) + read(operands[2])
-                write(operands[0], np.clip(result, element_lo, element_hi))
-            elif opcode is Opcode.VRELU:
-                write(operands[0], np.maximum(read(operands[1]), 0))
+                    # Subword products are exact in int64, so a product is
+                    # zero exactly where an operand is: the interpreter's
+                    # per-pair ``(a == 0) | (b == 0)`` count.
+                    guarded += products.size - int(np.count_nonzero(products))
+                segment.append(products.sum(axis=(1, 3)))
             elif opcode is Opcode.VCLR:
                 segment = []
-                crosses_entry = False
-                has_vclr = True
             elif opcode is Opcode.VSTACC:
-                partial = sum(segment) if segment else np.zeros(shape, dtype=np.int64)
-                if not crosses_entry:
-                    accumulated = partial
-                elif not has_vclr and trace.opcode_counts.get(Opcode.VCLR.value, 0):
-                    # A VCLR occurs later in the body: only iteration 0 sees
-                    # the entry accumulators, later iterations carry in zero.
-                    accumulated = partial.copy()
-                    accumulated[0] += entry_accumulators
-                else:
-                    # No VCLR anywhere: the carry chain is a running sum of
-                    # the per-iteration totals (analysis guarantees every
-                    # VMAC precedes this VSTACC, so partial == total).
-                    accumulated = entry_accumulators + np.cumsum(partial, axis=0)
-                wrapped = _wrap_array(accumulated, vectors.accumulator_bits)
-                write(
-                    operands[0],
-                    saturate_to_element_range(wrapped, vectors.element_bits),
-                )
-            elif opcode is not Opcode.NOP:  # pragma: no cover - analysis gate
-                return None
-        return {
-            "values": values,
-            "store_values": store_values,
-            "segment": segment,
-            "crosses_entry": crosses_entry,
-            "has_vclr": has_vclr,
-            "all_products": all_products,
-            "entry_accumulators": entry_accumulators,
-            "guarded": guarded_total,
-            "addresses": addresses,
-        }
+                _, slot, carry = step
+                partial = sum(segment) if segment else np.zeros((lanes, iterations), dtype=np.int64)
+                if carry == "first":
+                    partial[:, 0] += entry_accumulators
+                elif carry == "running":
+                    partial = entry_accumulators[:, None] + np.cumsum(partial, axis=1)
+                wrapped = _wrap_array(partial, vectors.accumulator_bits)
+                bank[:, slot] = saturate_to_element_range(wrapped, vectors.element_bits)
+            elif opcode is Opcode.VBCAST:
+                _, slot, row = step
+                bank[:, slot] = _wrap_array(sequences[row], vectors.element_bits)
+            elif opcode is Opcode.VRELU:
+                _, slot, a = step
+                bank[:, slot] = np.maximum(bank[:, a], 0)
+            else:  # VMUL, VADD: saturating, like the interpreter
+                _, slot, a, b = step
+                result = _ELEMENTWISE[opcode](bank[:, a], bank[:, b])
+                bank[:, slot] = np.clip(result, element_lo, element_hi)
+
+        if plan.has_vclr:
+            # Only the products since the last VCLR survive the final iteration.
+            final = sum(sums[:, -1] for sums in segment) if segment else np.zeros(lanes, dtype=np.int64)
+        else:
+            final = entry_accumulators + sum(sums.sum(axis=1) for sums in segment)
+        return bank, _wrap_array(np.asarray(final, dtype=np.int64), vectors.accumulator_bits), guarded
 
     def _commit(
         self,
@@ -637,39 +771,33 @@ class TraceEngine:
         iterations: int,
         final_value: int,
         counters: ExecutionCounters,
-        state: dict,
+        sequences: np.ndarray,
+        bank: np.ndarray,
+        accumulators: np.ndarray,
+        guarded: int,
     ) -> None:
         """Apply the evaluated trace to the processor and the counters."""
         processor = self.processor
+        plan = trace.plan
         vectors = processor.vector_registers
         memory = processor.memory
         lanes = processor.simd_width
         body_length = len(trace.body)
 
-        # Memory: scatter stores (addresses proven collision-free).
-        for position, values in state["store_values"]:
-            addrs = state["addresses"][position]
-            if addrs.size == 1:
-                memory._storage[:, addrs[0]] = values[-1]
+        # Memory: scatter stores (addresses proven collision-free); a
+        # constant-address store keeps its last iteration's value.
+        first_store = plan.broadcasts + plan.slots
+        for row, (slot, strided) in enumerate(plan.stores, start=first_store):
+            if strided:
+                memory._storage[:, sequences[row]] = bank[:, slot]
             else:
-                memory._storage[:, addrs] = values.T
+                memory._storage[:, sequences[row, 0]] = bank[:, slot, -1]
 
         # Architectural state: final-iteration vector registers, the
         # accumulator carry-out, and the post-loop induction value.
-        for register in trace.written_vregs:
-            if register in state["values"]:
-                vectors._registers[register] = state["values"][register][-1]
-        if state["has_vclr"]:
-            final_acc = sum(product[-1] for product in state["segment"])
-            if isinstance(final_acc, int):  # empty trailing segment
-                final_acc = np.zeros(lanes, dtype=np.int64)
-        else:
-            final_acc = state["entry_accumulators"] + sum(
-                product.sum(axis=0) for product in state["all_products"]
-            )
-        vectors._accumulators = _wrap_array(
-            np.asarray(final_acc, dtype=np.int64), vectors.accumulator_bits
-        )
+        for register, slot in plan.writeback:
+            vectors._registers[register] = bank[:, slot, -1]
+        vectors._accumulators = accumulators
         processor.scalar_registers._registers[trace.induction] = int(final_value)
 
         # Event counters, in closed form.
@@ -703,9 +831,8 @@ class TraceEngine:
         )
         unit.counters.mac_operations += iterations * vmacs * lanes * mode.parallelism
         unit.counters.mac_cycles += iterations * vmacs
-        unit.counters.guarded_macs += state["guarded"]
+        unit.counters.guarded_macs += guarded
         unit.counters.alu_operations += iterations * elementwise * lanes
-
         reads_s, writes_s, reads_v, writes_v = trace.register_accesses
         processor.scalar_registers.reads += iterations * reads_s
         processor.scalar_registers.writes += iterations * writes_s

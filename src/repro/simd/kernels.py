@@ -179,12 +179,7 @@ def load_workload(processor: SimdProcessor, workload: ConvolutionWorkload) -> No
 
 def read_outputs(processor: SimdProcessor, workload: ConvolutionWorkload) -> np.ndarray:
     """Read the convolution outputs back from the processor memory."""
-    outputs = np.zeros((processor.simd_width, workload.output_length), dtype=np.int64)
-    for bank in range(processor.simd_width):
-        outputs[bank] = processor.memory.dump_bank(
-            bank, workload.output_base, workload.output_length
-        )
-    return outputs
+    return processor.memory.dump_banks(workload.output_base, workload.output_length)
 
 
 def run_convolution(

@@ -118,13 +118,15 @@ class BankedMemory:
         self._check_range(values)
         self._storage[:, address : address + count] = values
 
-    def dump_bank(self, bank: int, address: int, count: int) -> np.ndarray:
-        """Read back ``count`` words of a bank without counting energy."""
-        if not 0 <= bank < self.banks:
-            raise IndexError(f"bank {bank} out of range")
-        if address + count > self.words_per_bank:
-            raise IndexError("dump exceeds bank capacity")
-        return self._storage[bank, address : address + count].copy()
+    def dump_banks(self, address: int, count: int) -> np.ndarray:
+        """Read back ``count`` words of every bank from ``address`` (no energy counted).
+
+        The read-back mirror of :meth:`load_banks`: one ``(banks, count)``
+        copy, one row per bank.
+        """
+        if address < 0 or count < 0 or address + count > self.words_per_bank:
+            raise IndexError("bank dump exceeds bank capacity")
+        return self._storage[:, address : address + count].copy()
 
     def reset_counters(self) -> None:
         """Clear the access counters."""

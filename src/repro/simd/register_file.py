@@ -110,15 +110,18 @@ def saturate_to_element_range(values: np.ndarray, element_bits: int) -> np.ndarr
     """
     lo = -(1 << (element_bits - 1))
     hi = (1 << (element_bits - 1)) - 1
-    return np.clip(values, lo, hi).astype(np.int64)
+    return np.minimum(np.maximum(np.asarray(values, dtype=np.int64), lo), hi)
 
 
 def _wrap_array(values: np.ndarray, bits: int) -> np.ndarray:
-    """Vectorised two's-complement wrap of ``values`` to ``bits`` bits."""
-    modulus = np.int64(1) << bits if bits < 63 else None
-    if modulus is None:
-        return values.astype(np.int64)
-    wrapped = np.mod(values, modulus)
-    sign_bit = np.int64(1) << (bits - 1)
-    wrapped = np.where(wrapped >= sign_bit, wrapped - modulus, wrapped)
-    return wrapped.astype(np.int64)
+    """Vectorised two's-complement wrap of ``values`` to ``bits`` bits.
+
+    Computes ``(x + 2^(b-1)) mod 2^b - 2^(b-1)`` with the modulus taken by a
+    mask.  int64 additions wrap modulo 2^64, which 2^b divides, so the mask
+    is exact for every int64 input.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if bits >= 63:
+        return values.copy()
+    half = 1 << (bits - 1)
+    return ((values + half) & ((1 << bits) - 1)) - half

@@ -124,7 +124,7 @@ class TestProcessorVector:
             """
         )
         processor.run(program)
-        outputs = [int(processor.memory.dump_bank(bank, 20, 1)[0]) for bank in range(4)]
+        outputs = processor.memory.dump_banks(20, 1)[:, 0].tolist()
         assert outputs == [(bank + 1) * 3 + 2 * 4 for bank in range(4)]
 
     def test_setprec_changes_mode(self):
@@ -137,8 +137,7 @@ class TestProcessorVector:
         processor = SimdProcessor(2)
         processor.memory.load_banks(0, np.array([[-5], [7]]))
         processor.run(assemble("vload v0, r0, 0\nvrelu v1, v0\nvstore v1, r0, 1\nhalt\n"))
-        assert int(processor.memory.dump_bank(0, 1, 1)[0]) == 0
-        assert int(processor.memory.dump_bank(1, 1, 1)[0]) == 7
+        assert processor.memory.dump_banks(1, 1).tolist() == [[0], [7]]
 
 
 class TestConvolutionKernel:
@@ -272,6 +271,7 @@ class TestCompileOnce:
         monkeypatch.setattr(engine, "basic_blocks", counted("analyze", engine.basic_blocks))
         kernels._assembled_convolution.cache_clear()
         engine._analyze_instructions.cache_clear()
+        engine._TRACES_BY_IDENTITY.clear()
         try:
             programs = set()
             for seed in random.Random("sweep:1").sample(range(1, 1_000_000), 128):
@@ -282,6 +282,7 @@ class TestCompileOnce:
         finally:
             kernels._assembled_convolution.cache_clear()
             engine._analyze_instructions.cache_clear()
+            engine._TRACES_BY_IDENTITY.clear()
         # Both SIMD widths run the same program text: the buffer bases
         # depend on the input length and tap count only.
         assert len(programs) == 1
@@ -374,6 +375,26 @@ class TestPreload:
         expected[:, 12:14] = extremes
         assert np.array_equal(memory._storage, expected)
 
+    def test_dump_banks_reads_back_without_counting(self):
+        from repro.simd.memory import BankedMemory
+
+        rows = np.arange(-12, 12).reshape(3, 8)
+        memory = BankedMemory(3, 16)
+        memory.load_banks(4, rows)
+        dumped = memory.dump_banks(4, 8)
+        assert np.array_equal(dumped, rows)
+        dumped[:] = 0  # a copy: the banks keep their words
+        assert np.array_equal(memory.dump_banks(4, 8), rows)
+        assert memory.dump_banks(16, 0).shape == (3, 0)
+        assert memory.counters.accesses == 0
+
+    @pytest.mark.parametrize("address, count", [(10, 7), (-1, 3), (0, -1)])
+    def test_dump_banks_rejects_out_of_capacity(self, address, count):
+        from repro.simd.memory import BankedMemory
+
+        with pytest.raises(IndexError, match="exceeds bank capacity"):
+            BankedMemory(2, 16).dump_banks(address, count)
+
 
 class TestFastPathInvariants:
     """The invariants the trace engine's VLOAD and VMAC fast paths rely on."""
@@ -411,3 +432,33 @@ class TestFastPathInvariants:
             extremes = np.array([[-(1 << 15), -1, 0, 1, (1 << 15) - 1]])
             for values in (extremes, held[None]):
                 assert np.array_equal(unit.unpack(values), values[..., None])
+
+    @pytest.mark.parametrize("bits", [2, 16, 47, 48, 62, 63])
+    def test_array_wrap_matches_the_scalar_wrap(self, bits):
+        # Engine and interpreter share ``_wrap_array``, so the differential
+        # suite cannot see a fault in it; the scalar ``wrap_signed`` can.
+        from repro.arithmetic.fixed_point import wrap_signed
+        from repro.simd.register_file import _wrap_array
+
+        extremes = [-(1 << 63), (1 << 63) - 1, 0, -1, 1]
+        edges = [
+            sign * (1 << shift) + delta
+            for shift in (15, 46, 47, 48, 61, 62)
+            for sign in (1, -1)
+            for delta in (-1, 0, 1)
+        ]
+        randoms = np.random.default_rng(bits).integers(-(1 << 63), (1 << 63) - 1, size=200, dtype=np.int64).tolist()
+        values = extremes + [v for v in edges if -(1 << 63) <= v < (1 << 63)] + randoms
+        expected = values if bits >= 63 else [wrap_signed(value, bits) for value in values]
+        assert _wrap_array(np.array(values, dtype=np.int64), bits).tolist() == expected
+
+    @pytest.mark.parametrize("precision", [16, 8, 4])
+    def test_a_subword_product_is_zero_exactly_where_an_operand_is(self, precision):
+        # VMAC counts the guard from its products instead of the operands:
+        # subword products are exact in int64, so no non-zero pair cancels.
+        unit = SimdProcessor(1).vector_unit
+        unit.set_precision(precision)
+        words = np.array([-(1 << 15), -(1 << 15) + 1, -1, 0, 1, 0x0101, 0x1000, (1 << 15) - 1])
+        a, b = np.meshgrid(words, words)
+        sub_a, sub_b = unit.unpack(a), unit.unpack(b)
+        assert np.array_equal(sub_a * sub_b == 0, (sub_a == 0) | (sub_b == 0))

@@ -193,6 +193,17 @@ class TestStartupImports:
         for package in ("arithmetic", "circuit", "core", "envision", "nn", "simd"):
             assert not _loaded(modules, f"repro.{package}"), package
 
+    def test_table2_run_leaves_numpy_ma_unimported(self, tmp_path):
+        # The trace engine decides aliasing in closed form; ``np.unique``
+        # would import ``numpy.ma`` on its first call.
+        code = (
+            "import json, sys\nfrom repro.experiments import table2\n"
+            "table2.run()\nprint(json.dumps(sorted(sys.modules)))\n"
+        )
+        _out, modules = _fresh(code, cache_dir=tmp_path)
+        assert "repro.simd.engine" in modules
+        assert _loaded(modules, "numpy.ma") == []
+
     def test_store_still_exports_the_cache_root(self):
         from repro.runner import default_cache_root, store
 
