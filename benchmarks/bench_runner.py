@@ -44,7 +44,7 @@ def _clear_process_memos() -> None:
 
     fingerprint._IMPORTS.clear()
     fingerprint._find_spec.cache_clear()
-    registry._read_declarations.cache_clear()
+    registry._DECLARATIONS.clear()
     kernels._assembled_convolution.cache_clear()
     engine._analyze_instructions.cache_clear()
     engine._TRACES_BY_IDENTITY.clear()

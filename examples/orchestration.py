@@ -3,8 +3,8 @@
 Shows the PR 3 experiment runner from Python (the same machinery behind
 ``python -m repro``): a cold run lands in the content-addressed result
 cache, the replay is bit-identical and orders of magnitude faster, and a
-parameter sweep fans out over worker processes with deterministic record
-order.
+sweep fans its cold cells out over worker processes, caches each cell and
+returns the records in grid order.
 
 Run with:  python examples/orchestration.py
 """
@@ -12,22 +12,9 @@ Run with:  python examples/orchestration.py
 import json
 import tempfile
 
-from repro.analysis import format_table, parameter_sweep
+from repro import api
+from repro.analysis import format_table
 from repro.runner import ExperimentRunner, ResultCache
-
-
-def evaluate_energy(simd_width: int, precision: int) -> dict[str, object]:
-    """One sweep cell: relative DVAFS energy of a fig4-style configuration.
-
-    Module-level so ``jobs > 1`` can ship it to worker processes.
-    """
-    from repro.experiments import fig4
-
-    rows = fig4.run(
-        simd_widths=(simd_width,), precisions=(precision,), input_length=24, taps=5
-    )
-    dvafs = next(row for row in rows if row["technique"] == "DVAFS")
-    return {"relative_energy_per_word": dvafs["relative_energy_per_word"]}
 
 
 def main() -> None:
@@ -46,12 +33,16 @@ def main() -> None:
     # 2. Rendering works identically from live or cached rows.
     print(runner.render(warm))
 
-    # 3. A deterministic parallel sweep: records arrive in grid order no
-    #    matter which worker finishes first.
-    sweep = parameter_sweep(
-        {"simd_width": [8, 64], "precision": [16, 8, 4]}, evaluate_energy, jobs=2
-    )
-    print(format_table(sweep.records, title="DVAFS energy/word sweep (2 worker processes)"))
+    # 3. A cached sweep: each grid cell is one content-addressed request, the
+    #    cold cells fan out over 2 worker processes, and the records arrive in
+    #    grid order no matter which worker finishes first.  A second sweep
+    #    replays every cell from the cache.
+    grid = {"samples": [100, 200], "seed": [1, 2]}
+    sweep = api.sweep("table1", grid, runner=runner, jobs=2)
+    again = api.sweep("table1", grid, runner=runner)
+    assert again.cached_cells == len(again.assignments) and again.records == sweep.records
+    rows = [record for record in sweep.records if record["precision"] == 8]
+    print(format_table(rows, title="Table I 8b scaling factors per sampling (cold cells over 2 worker processes)"))
 
     # 4. Provenance of everything computed so far.
     print(format_table(runner.cache.ls(), title="result cache contents"))

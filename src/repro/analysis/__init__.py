@@ -1,4 +1,4 @@
-"""Analysis utilities: metrics, parameter sweeps and result reporting."""
+"""Analysis utilities: metrics, sweep results and grids, and result reporting."""
 
 from .metrics import (
     EfficiencyReport,
@@ -9,7 +9,7 @@ from .metrics import (
     tops_per_watt,
 )
 from .reporting import format_table, format_value, to_csv, to_json
-from .sweep import SweepResult, parameter_sweep, sweep_grid
+from .sweep import SweepResult, sweep_grid
 
 __all__ = [
     "EfficiencyReport",
@@ -23,6 +23,5 @@ __all__ = [
     "to_csv",
     "to_json",
     "SweepResult",
-    "parameter_sweep",
     "sweep_grid",
 ]

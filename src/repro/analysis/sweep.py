@@ -1,11 +1,11 @@
-"""Generic parameter-sweep helper used by the experiment drivers.
+"""Result records and sweep grids for the runner and the API.
 
-``parameter_sweep`` evaluates a callable over the Cartesian grid of its
-parameters.  Since PR 3 the grid can be fanned out over worker processes
-(``jobs=N``) through :mod:`repro.runner.executor`; the record order is the
-deterministic grid order in both cases, regardless of completion order.
-:class:`SweepResult` round-trips through JSON (``to_json``/``from_json``),
-which is what the content-addressed result cache stores on disk.
+:class:`SweepResult` holds one experiment's records, each cell coerced to
+a JSON scalar by :func:`sanitize_value`.  It round-trips through JSON
+(``to_json``/``from_json``), which is what the content-addressed result
+cache stores on disk.  :func:`sweep_grid` spells the Cartesian grid of
+``repro sweep`` and :func:`repro.api.sweep` in row-major order; each cell
+then runs as one cached request through the runner's batch scheduler.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 
 def sanitize_value(value: object) -> object:
@@ -40,22 +40,9 @@ def sanitize_value(value: object) -> object:
 
 @dataclass
 class SweepResult:
-    """Outcome of a parameter sweep: one record per parameter combination."""
+    """One experiment's records (rows), JSON-serialisable through :meth:`to_jsonable`."""
 
     records: list[dict[str, object]] = field(default_factory=list)
-
-    def filter(self, **conditions: object) -> "SweepResult":
-        """Records matching every ``key=value`` condition."""
-        kept = [
-            record
-            for record in self.records
-            if all(record.get(key) == value for key, value in conditions.items())
-        ]
-        return SweepResult(records=kept)
-
-    def column(self, name: str) -> list[object]:
-        """Values of one column across all records."""
-        return [record[name] for record in self.records]
 
     def to_jsonable(self) -> list[dict[str, object]]:
         """Records with every value coerced to a JSON-serialisable scalar."""
@@ -92,33 +79,3 @@ def sweep_grid(parameters: Mapping[str, Iterable[object]]) -> list[dict[str, obj
         dict(zip(names, combination))
         for combination in itertools.product(*(parameters[name] for name in names))
     ]
-
-
-def parameter_sweep(
-    parameters: Mapping[str, Iterable[object]],
-    evaluate: Callable[..., Mapping[str, object]],
-    *,
-    jobs: int | None = None,
-) -> SweepResult:
-    """Evaluate ``evaluate(**combination)`` over the Cartesian parameter grid.
-
-    Each record contains the swept parameters plus whatever the evaluation
-    returns; evaluation outputs win on key collisions.  With ``jobs`` > 1 the
-    grid is fanned out over a process pool (``evaluate`` must then be a
-    picklable module-level callable); the records come back in grid order
-    either way.
-    """
-    if jobs is not None and jobs > 1:
-        # Dynamic import: avoids an import cycle AND keeps the executor (whose
-        # worker bodies reach the registry and through it every driver) out of
-        # the drivers' static fingerprint closures -- editing one experiment
-        # must not invalidate the cached results of all the others.
-        import importlib
-
-        executor = importlib.import_module("repro.runner.executor")
-        return executor.parallel_sweep(parameters, evaluate, jobs=jobs)
-    result = SweepResult()
-    for assignment in sweep_grid(parameters):
-        outcome = dict(evaluate(**assignment))
-        result.records.append({**assignment, **outcome})
-    return result

@@ -302,7 +302,7 @@ class SweepReport:
 
     ``records`` are the grid-order rows, each tagged with its grid
     assignment (assignment keys win nothing -- row values win on
-    collisions, matching ``parameter_sweep``).
+    collisions).
     """
 
     experiment: str

@@ -54,8 +54,7 @@ Sites
 -----
 ``executor.pool`` (pool spawn), ``executor.unit`` (experiment worker
 body, key = experiment name), ``executor.artifact`` (artifact producer
-body, key = artifact name), ``executor.sweep`` (sweep cell body),
-``cache.write`` / ``cache.written`` (result-cache put, before/after the
+body, key = artifact name), ``cache.write`` / ``cache.written`` (result-cache put, before/after the
 atomic replace; ``cache.written`` carries the entry path for
 ``corrupt``), ``artifact.write`` / ``artifact.written`` (artifact-store
 put), ``cache.claim`` / ``artifact.claim`` (fired just after winning a

@@ -20,8 +20,8 @@ The runner unifies how the reproduction executes (PR 3, extended in PR 5):
 * :mod:`repro.runner.artifacts` -- the pickled store for shared
   sub-experiment intermediates (key = artifact + canonical params +
   producer fingerprint) and the persisted hit/miss statistics;
-* :mod:`repro.runner.executor` -- process-parallel sweep/artifact/experiment
-  fan-out with deterministic record ordering, and ``open_stores``, the one
+* :mod:`repro.runner.executor` -- process-parallel artifact/experiment
+  fan-out with deterministic result ordering, and ``open_stores``, the one
   place that lays out both stores under a cache root;
 * :mod:`repro.runner.service` -- the cache- and artifact-aware
   :class:`ExperimentRunner` scheduling cold runs as topological DAG waves;
@@ -73,7 +73,7 @@ _SUBMODULE_EXPORTS = {
         "UnknownExperimentError",
         "UnknownParamError",
     ),
-    "executor": ("execute_requests", "parallel_sweep", "produce_artifacts"),
+    "executor": ("execute_requests", "produce_artifacts"),
     "fingerprint": ("code_fingerprint", "module_closure"),
     "registry": ("ArtifactBinding", "ExperimentSpec", "ParamSpec", "build_registry"),
     "service": ("ArtifactUnit", "ExperimentRunner", "Observer", "RunReport"),

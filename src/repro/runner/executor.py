@@ -1,13 +1,6 @@
-"""Process-parallel execution: sweep grids, artifact waves and experiment fan-out.
+"""Process-parallel execution: artifact waves and experiment fan-out.
 
-Three fan-out shapes live here:
-
-* :func:`parallel_sweep` -- the engine behind
-  ``repro.analysis.parameter_sweep(jobs=N)``: the Cartesian grid is mapped
-  over a worker pool and the records are assembled **in grid order**, so
-  the output is byte-identical to a serial sweep regardless of worker
-  completion order.  Determinism inside each evaluation is the caller's
-  contract (seeds travel in the parameters).
+Two fan-out shapes live here:
 
 * :func:`produce_artifacts` -- computes missing sub-experiment artifacts
   (one worker per unit) and persists them into the content-addressed
@@ -15,10 +8,10 @@ Three fan-out shapes live here:
   calls it once per topological wave of the producer/consumer DAG.
 
 * :func:`execute_requests` -- runs ``(experiment, canonical config)``
-  requests, one worker process each, used by the runner service and the CLI
-  for ``--jobs N``.
+  requests, one worker process each, used by the runner service for every
+  batch: ``run``, ``run all`` and the cells of a ``sweep``.
 
-All three run through one fault-tolerant engine governed by an
+Both run through one fault-tolerant engine governed by an
 :class:`ExecutionPolicy`:
 
 * **timeouts** -- each unit gets a wall-clock budget; a hung worker is
@@ -51,9 +44,9 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
-from ..analysis.sweep import SweepResult, sweep_grid
+from ..analysis.sweep import SweepResult
 from ..faults import fault_point
 from .backends import backoff_delay
 from .errors import UnitTimeoutError, WorkerCrashError
@@ -351,41 +344,6 @@ def _run_resilient(
         serial_worker=serial_worker,
     )
     return run.run()
-
-
-def _evaluate_combination(
-    task: tuple[Callable[..., Mapping[str, object]], dict[str, object]],
-) -> dict[str, object]:
-    evaluate, assignment = task
-    fault_point(
-        "executor.sweep", key=",".join(f"{key}={value}" for key, value in assignment.items())
-    )
-    return dict(evaluate(**assignment))
-
-
-def parallel_sweep(
-    parameters: Mapping[str, Iterable[object]],
-    evaluate: Callable[..., Mapping[str, object]],
-    *,
-    jobs: int | None = None,
-    policy: ExecutionPolicy | None = None,
-    outcome: ExecutionOutcome | None = None,
-) -> SweepResult:
-    """Cartesian sweep with the grid fanned out over worker processes.
-
-    ``jobs`` of ``None``/``0``/``1`` runs serially in-process (identical to
-    the classic ``parameter_sweep`` loop); records always come back in
-    deterministic grid order.
-    """
-    assignments = sweep_grid(parameters)
-    tasks = [(evaluate, assignment) for assignment in assignments]
-    outcomes = _run_resilient(
-        tasks, _evaluate_combination, jobs=jobs, policy=policy, outcome=outcome, label="sweep"
-    )
-    records = [
-        {**assignment, **outcome} for assignment, outcome in zip(assignments, outcomes)
-    ]
-    return SweepResult(records=records)
 
 
 def open_stores(root: Path | str | None = None, url: str | None = None) -> tuple["ResultCache", "ArtifactStore"]:

@@ -25,12 +25,12 @@ from pathlib import Path
 # CPython's ``ast.parse`` keeps its AST-to-object recursion depth in shared
 # interpreter state on some versions (3.11 raises ``SystemError: AST
 # constructor recursion depth mismatch`` under concurrent parses), so parsing
-# is serialised.  Cheap: each source text is parsed at most once per process
-# (see ``_IMPORTS``), so repeat fingerprints never reach the parser at all.
+# is serialised.  Cheap: each source is parsed at most once per process (see
+# ``_IMPORTS``), so repeat fingerprints never reach the parser at all.
 _PARSE_LOCK = threading.Lock()
 
 
-def _parse_source(source: str) -> ast.Module:
+def _parse_source(source: str | bytes) -> ast.Module:
     with _PARSE_LOCK:
         return ast.parse(source)
 
@@ -107,32 +107,34 @@ def _imports_in(tree: ast.Module, module_name: str, root: str) -> frozenset[str]
     return frozenset(found)
 
 
-#: ``(module, source text, root) -> imports``: keyed on the source text itself,
-#: so edits re-parse while repeat fingerprints of unchanged modules skip the
-#: AST walk.  Module specs are memoised per process -- module files are
-#: assumed not to *move* while a process runs (edits to their contents are
-#: picked up, as the source is re-read on every fingerprint).
+#: ``(module, source sha256, root) -> imports``: keyed on the digest of the
+#: source, so edits re-parse while repeat fingerprints of unchanged modules
+#: skip the AST walk.  Module specs are memoised per process -- module files
+#: are assumed not to *move* while a process runs (edits to their contents
+#: are picked up, as the source is re-read on every fingerprint).
 _IMPORTS: dict[tuple[str, str, str], frozenset[str]] = {}
 
 
-def parse_module(module_name: str, source: str, *, root: str = "repro") -> ast.Module:
-    """``source``'s AST, for a reader that needs more than its imports.
+def read_source(module_name: str) -> tuple[bytes, str] | None:
+    """``(source bytes, sha256 hex)`` of ``module_name``, or ``None`` without a .py origin."""
+    path = module_path(module_name)
+    if path is None:
+        return None
+    source = path.read_bytes()
+    return source, hashlib.sha256(source).hexdigest()
+
+
+def parse_module(module_name: str, source: bytes, digest: str, *, root: str = "repro") -> ast.Module:
+    """``source``'s AST (``digest`` is its sha256), for a reader that needs more than its imports.
 
     The imports are recorded on the way, so fingerprinting the same source
-    text later never parses it a second time.
+    later never parses it a second time.
     """
     tree = _parse_source(source)
-    key = (module_name, source, root)
+    key = (module_name, digest, root)
     if key not in _IMPORTS:
         _IMPORTS[key] = _imports_in(tree, module_name, root)
     return tree
-
-
-def _imported_modules(module_name: str, source: str, root: str) -> frozenset[str]:
-    key = (module_name, source, root)
-    if key not in _IMPORTS:
-        parse_module(module_name, source, root=root)
-    return _IMPORTS[key]
 
 
 def _is_main_guard(node: ast.AST) -> bool:
@@ -197,27 +199,33 @@ def _walk_importable(tree: ast.AST):
             pending.extend(getattr(node, field, ()))
 
 
+def _closure_digests(module_name: str, root: str) -> dict[str, str]:
+    """``module -> sha256(source)`` over ``module_name``'s import closure; each file is read once."""
+    digests: dict[str, str] = {}
+    pending = [module_name]
+    while pending:
+        current = pending.pop()
+        if current in digests:
+            continue
+        read = read_source(current)
+        if read is None:
+            continue
+        source, digest = read
+        digests[current] = digest
+        key = (current, digest, root)
+        if key not in _IMPORTS:
+            parse_module(current, source, digest, root=root)
+        pending.extend(imported for imported in _IMPORTS[key] if imported not in digests)
+    return digests
+
+
 def module_closure(module_name: str, *, root: str = "repro") -> list[str]:
     """Transitive in-package import closure of ``module_name``, sorted.
 
     Includes ``module_name`` itself.  Resolution is purely static; modules
     whose source cannot be located are skipped.
     """
-    closure: set[str] = set()
-    pending = [module_name]
-    while pending:
-        current = pending.pop()
-        if current in closure:
-            continue
-        path = module_path(current)
-        if path is None:
-            continue
-        closure.add(current)
-        source = path.read_text()
-        for imported in _imported_modules(current, source, root):
-            if imported not in closure:
-                pending.append(imported)
-    return sorted(closure)
+    return sorted(_closure_digests(module_name, root))
 
 
 def code_fingerprint(module_name: str, *, root: str = "repro") -> str:
@@ -227,10 +235,6 @@ def code_fingerprint(module_name: str, *, root: str = "repro") -> str:
     closure is sorted and each module contributes ``name:sha256(source)``.
     """
     digest = hashlib.sha256()
-    for name in module_closure(module_name, root=root):
-        path = module_path(name)
-        if path is None:  # pragma: no cover - raced module removal
-            continue
-        source_hash = hashlib.sha256(path.read_bytes()).hexdigest()
+    for name, source_hash in sorted(_closure_digests(module_name, root).items()):
         digest.update(f"{name}:{source_hash}\n".encode())
     return digest.hexdigest()

@@ -29,7 +29,6 @@ always hash to the same cache key.
 from __future__ import annotations
 
 import ast
-import functools
 import importlib
 import inspect
 import json
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .errors import ParamTypeError, ParamValueError, UnknownParamError
-from .fingerprint import module_path, parse_module
+from .fingerprint import parse_module, read_source
 from ..experiments import DRIVERS
 
 
@@ -306,13 +305,17 @@ def _signature(function: ast.FunctionDef) -> tuple[dict[str, object], bool]:
     return {argument.arg: _literal(default) for argument, default in pairs}, arguments.kwarg is not None
 
 
-@functools.lru_cache(maxsize=None)
-def _read_declarations(module_name: str, source: str) -> _Declarations:
-    """The declarations of one source text (parsed once; keyed on the text, so edits re-read)."""
+#: ``(module, source sha256) -> declarations``: an edited source is re-read,
+#: an unchanged one is never parsed twice.
+_DECLARATIONS: dict[tuple[str, str], _Declarations] = {}
+
+
+def _read_declarations(module_name: str, source: bytes, digest: str) -> _Declarations:
+    """The declarations of one source (``digest`` is its sha256)."""
     values: dict[str, object] = {}
     functions: set[str] = set()
     run = None
-    for node in parse_module(module_name, source).body:
+    for node in parse_module(module_name, source, digest).body:
         if isinstance(node, ast.FunctionDef):
             functions.add(node.name)
             if node.name == "run":
@@ -336,10 +339,13 @@ def _read_declarations(module_name: str, source: str) -> _Declarations:
 
 
 def _declarations(module_name: str) -> _Declarations:
-    path = module_path(module_name)
-    if path is None:
+    read = read_source(module_name)
+    if read is None:
         raise TypeError(f"no Python source found for module {module_name!r}")
-    return _read_declarations(module_name, path.read_text())
+    source, digest = read
+    if (module_name, digest) not in _DECLARATIONS:
+        _DECLARATIONS[module_name, digest] = _read_declarations(module_name, source, digest)
+    return _DECLARATIONS[module_name, digest]
 
 
 def _check_top_level_def(producer: str) -> None:

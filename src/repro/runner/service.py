@@ -151,6 +151,14 @@ class ArtifactUnit:
     level: int
 
 
+def _fingerprint(module_name: str, fingerprints: dict[str, str] | None) -> str:
+    """``module_name``'s code fingerprint, through the batch memo ``fingerprints`` when given."""
+    fingerprints = {} if fingerprints is None else fingerprints
+    if module_name not in fingerprints:
+        fingerprints[module_name] = code_fingerprint(module_name)
+    return fingerprints[module_name]
+
+
 class ExperimentRunner:
     """Unified, cache-aware front end over the experiment registry.
 
@@ -187,24 +195,25 @@ class ExperimentRunner:
             known = ", ".join(sorted(self.registry))
             raise UnknownExperimentError(f"unknown experiment {name!r}; known: {known}") from None
 
-    def address(self, name: str, overrides: Mapping[str, object] | None = None) -> tuple[dict[str, object], str, str]:
+    def address(
+        self,
+        name: str,
+        overrides: Mapping[str, object] | None = None,
+        *,
+        fingerprints: dict[str, str] | None = None,
+    ) -> tuple[dict[str, object], str, str]:
         """``(canonical config, cache key, fingerprint)`` for one request.
 
-        The HTTP warm path (:meth:`lookup` and the service's in-memory
-        cache) hashes configs through here.  Runs, the CLI's included, go
-        through the batch scheduler (:meth:`run_many`), which does not: it
-        repeats the same three steps inline with a per-call fingerprint memo,
-        because
-        :func:`code_fingerprint` re-reads and hashes a driver's whole source
-        closure on every call (~2 ms for table2's 25 modules).  Both spell
-        the key as ``cache_key(name, canonical json, fingerprint)``, so a
-        request addresses the entry the run stored; folding them into one
-        path waits on a fingerprint memo that cannot replay a stale source
-        (ROADMAP item 9).
+        Every consumer addresses requests through here: the batch scheduler
+        (:meth:`run_many`), the warm probe (:meth:`lookup`) and the
+        service's in-memory cache.  ``fingerprints`` is one batch's
+        ``module -> fingerprint`` memo (:meth:`run_many` passes a fresh one
+        per call, so the memo never outlives its batch); without it the
+        driver's source closure is read and hashed afresh.
         """
         spec = self.spec(name)
         config = spec.canonical_config(overrides)
-        fingerprint = code_fingerprint(spec.module_name)
+        fingerprint = _fingerprint(spec.module_name, fingerprints)
         return config, cache_key(name, spec.canonical_json(config), fingerprint), fingerprint
 
     def lookup(self, name: str, overrides: Mapping[str, object] | None = None) -> RunReport | None:
@@ -247,27 +256,23 @@ class ExperimentRunner:
     # -- artifact graph ---------------------------------------------------------
 
     def _plan_artifacts(
-        self, cold: list[tuple[str, dict[str, object]]]
+        self, cold: list[tuple[str, dict[str, object]]], fingerprints: dict[str, str]
     ) -> list[ArtifactUnit]:
         """Deduplicated artifact units the cold requests need, plan order.
 
         Units are keyed like the result cache: artifact name + canonical
-        params + the *producer's* code fingerprint.  Identical units required
-        by several experiments collapse onto one entry -- that is the
-        cross-experiment reuse.
+        params + the *producer's* code fingerprint (memoised in the batch's
+        ``fingerprints``).  Identical units required by several experiments
+        collapse onto one entry -- that is the cross-experiment reuse.
         """
         units: dict[str, ArtifactUnit] = {}
-        fingerprints: dict[str, str] = {}
         for name, config in cold:
             spec = self.spec(name)
             for binding in spec.artifacts.values():
                 if binding.when is not None and not config.get(binding.when):
                     continue
                 params = {pname: config[pname] for pname in binding.params}
-                if binding.producer not in fingerprints:
-                    module_name = binding.producer.partition(":")[0]
-                    fingerprints[binding.producer] = code_fingerprint(module_name)
-                fingerprint = fingerprints[binding.producer]
+                fingerprint = _fingerprint(binding.producer.partition(":")[0], fingerprints)
                 key = artifact_key(binding.name, params, fingerprint)
                 if key not in units:
                     units[key] = ArtifactUnit(
@@ -353,13 +358,9 @@ class ExperimentRunner:
         cold: list[tuple[int, str, dict[str, object], str]] = []
         cold_position: dict[str, int] = {}  # key -> index into `cold` (dedupe)
         duplicates: list[tuple[int, str]] = []  # (request index, key)
-        fingerprints: dict[str, str] = {}
+        fingerprints: dict[str, str] = {}  # this batch's module -> fingerprint memo
         for index, (name, overrides) in enumerate(requests):
-            spec = self.spec(name)
-            config = spec.canonical_config(overrides)
-            if name not in fingerprints:
-                fingerprints[name] = code_fingerprint(spec.module_name)
-            key = cache_key(name, spec.canonical_json(config), fingerprints[name])
+            config, key, _fingerprint = self.address(name, overrides, fingerprints=fingerprints)
             lookup_start = time.perf_counter()
             entry = self.cache.get(name, key) if self.use_cache else None
             if entry is not None:
@@ -395,7 +396,8 @@ class ExperimentRunner:
                 batch = [(name, config) for _index, name, config, _key in cells]
                 if self.use_cache:
                     stats.update(self._ensure_artifacts(
-                        self._plan_artifacts(batch), jobs=jobs, observer=observer, policy=policy, outcome=outcome
+                        self._plan_artifacts(batch, fingerprints),
+                        jobs=jobs, observer=observer, policy=policy, outcome=outcome,
                     ))
                 if observer is not None:
                     observer({"event": "executing", "experiments": len(cells)})
@@ -407,7 +409,7 @@ class ExperimentRunner:
                     CacheEntry(
                         experiment=name,
                         params=json.loads(self.spec(name).canonical_json(config)),
-                        fingerprint=fingerprints[name],
+                        fingerprint=fingerprints[self.spec(name).module_name],
                         result=SweepResult(records=rows),
                         elapsed_seconds=elapsed,
                         provenance=run_provenance(),

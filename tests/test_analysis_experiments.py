@@ -7,7 +7,6 @@ from repro.analysis import (
     EfficiencyReport,
     classification_accuracy,
     format_table,
-    parameter_sweep,
     rmse,
     to_csv,
     top1_agreement,
@@ -55,11 +54,6 @@ class TestReporting:
         text = to_csv(rows)
         assert text.splitlines()[0] == "x,y"
         assert len(text.splitlines()) == 3
-
-    def test_parameter_sweep(self):
-        result = parameter_sweep({"a": [1, 2], "b": [3]}, lambda a, b: {"sum": a + b})
-        assert len(result) == 2
-        assert result.filter(a=2).column("sum") == [5]
 
 
 class TestExperimentDrivers:

@@ -228,7 +228,7 @@ class TestRegistryArtifacts:
             ("fig3", runner.spec("fig3").canonical_config({**CHAR_PARAMS, "rmse_samples": 50})),
             ("table3", runner.spec("table3").canonical_config({})),  # from_substrate=False
         ]
-        units = runner._plan_artifacts(cold)
+        units = runner._plan_artifacts(cold, {})
         assert [unit.artifact for unit in units] == ["multiplier_characterization"]
         assert dict(units[0].params) == {"samples": 40, "seed": 11}
 

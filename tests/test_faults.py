@@ -50,7 +50,7 @@ from repro.runner.errors import (
     UnitTimeoutError,
     WorkerCrashError,
 )
-from repro.runner.executor import ExecutionOutcome, ExecutionPolicy, parallel_sweep
+from repro.runner.executor import ExecutionOutcome, ExecutionPolicy, _run_resilient
 from repro.runner.journal import Journal
 from repro.runner.registry import ExperimentSpec
 from repro.runner.service import ExperimentRunner
@@ -98,9 +98,10 @@ def toy_runner(tmp_path, monkeypatch):
     return _toy_runner(tmp_path, monkeypatch)
 
 
-def _grid_cell(*, x):
-    """Module-level so ProcessPoolExecutor can pickle it."""
-    return {"y": 2 * x, "parity": x % 2}
+def _chaos_cell(x):
+    """One unit of the chaos batch; module-level so ProcessPoolExecutor can pickle it."""
+    fault_point("test.cell", key=f"x={x}")
+    return {"x": x, "y": 2 * x, "parity": x % 2}
 
 
 def _wait_for(predicate, *, timeout=30.0, message="condition"):
@@ -235,21 +236,24 @@ class TestFaultActions:
 # -- executor recovery --------------------------------------------------------------
 
 
-CHAOS_GRID = {"x": [1, 2, 3, 4]}
+CHAOS_CELLS = [1, 2, 3, 4]
+
+
+def _run_cells(*, jobs, policy=None, outcome=None):
+    """The chaos batch through the executor's fault-tolerant engine, in cell order."""
+    return _run_resilient(CHAOS_CELLS, _chaos_cell, jobs=jobs, policy=policy, outcome=outcome, label="cell")
 
 
 class TestExecutorRecovery:
     def _clean_records(self):
-        return parallel_sweep(CHAOS_GRID, _grid_cell, jobs=1).records
+        return _run_cells(jobs=1)
 
     def test_killed_worker_is_retried_bit_identically(self, tmp_path):
         outcome = ExecutionOutcome()
         policy = ExecutionPolicy(oversubscribe=True, retries=3)
-        with injected("executor.sweep:kill:match=x=3", state_dir=tmp_path / "state"):
-            result = parallel_sweep(
-                CHAOS_GRID, _grid_cell, jobs=2, policy=policy, outcome=outcome
-            )
-        assert json.dumps(result.records) == json.dumps(self._clean_records())
+        with injected("test.cell:kill:match=x=3", state_dir=tmp_path / "state"):
+            result = _run_cells(jobs=2, policy=policy, outcome=outcome)
+        assert json.dumps(result) == json.dumps(self._clean_records())
         assert outcome.crashes >= 1
         assert outcome.retries >= 1
         assert outcome.respawns >= 1
@@ -259,12 +263,10 @@ class TestExecutorRecovery:
         outcome = ExecutionOutcome()
         policy = ExecutionPolicy(oversubscribe=True, timeout=1.0, retries=3)
         with injected(
-            "executor.sweep:hang:seconds=30:match=x=2", state_dir=tmp_path / "state"
+            "test.cell:hang:seconds=30:match=x=2", state_dir=tmp_path / "state"
         ):
-            result = parallel_sweep(
-                CHAOS_GRID, _grid_cell, jobs=2, policy=policy, outcome=outcome
-            )
-        assert json.dumps(result.records) == json.dumps(self._clean_records())
+            result = _run_cells(jobs=2, policy=policy, outcome=outcome)
+        assert json.dumps(result) == json.dumps(self._clean_records())
         assert outcome.timeouts >= 1
         assert outcome.retries >= 1
 
@@ -273,9 +275,9 @@ class TestExecutorRecovery:
         # the retry budget must run out -- and the failure must surface as
         # the typed taxonomy error, never a raw BrokenProcessPool.
         policy = ExecutionPolicy(oversubscribe=True, retries=1, pool_respawns=5)
-        with injected("executor.sweep:kill:times=100"):
+        with injected("test.cell:kill:times=100"):
             with pytest.raises(WorkerCrashError) as excinfo:
-                parallel_sweep(CHAOS_GRID, _grid_cell, jobs=2, policy=policy)
+                _run_cells(jobs=2, policy=policy)
         assert excinfo.value.code == "worker_crashed"
         assert isinstance(excinfo.value, ExecutionError)
         assert isinstance(excinfo.value, ReproError)
@@ -284,9 +286,9 @@ class TestExecutorRecovery:
         policy = ExecutionPolicy(
             oversubscribe=True, timeout=0.4, retries=1, pool_respawns=5
         )
-        with injected("executor.sweep:hang:seconds=30:times=100:match=x=1"):
+        with injected("test.cell:hang:seconds=30:times=100:match=x=1"):
             with pytest.raises(UnitTimeoutError) as excinfo:
-                parallel_sweep(CHAOS_GRID, _grid_cell, jobs=2, policy=policy)
+                _run_cells(jobs=2, policy=policy)
         assert excinfo.value.code == "unit_timeout"
         assert isinstance(excinfo.value, ExecutionError)
 
@@ -294,20 +296,18 @@ class TestExecutorRecovery:
         outcome = ExecutionOutcome()
         policy = ExecutionPolicy(oversubscribe=True)
         with injected("executor.pool:exc:times=100"):
-            result = parallel_sweep(
-                CHAOS_GRID, _grid_cell, jobs=2, policy=policy, outcome=outcome
-            )
+            result = _run_cells(jobs=2, policy=policy, outcome=outcome)
         assert outcome.degraded is True
-        assert json.dumps(result.records) == json.dumps(self._clean_records())
+        assert json.dumps(result) == json.dumps(self._clean_records())
 
     def test_driver_exceptions_are_not_retried(self):
         # A deterministic driver bug re-raised N times is N times the
         # wasted compute: only crashes/timeouts are retryable.
         outcome = ExecutionOutcome()
         policy = ExecutionPolicy(oversubscribe=True, retries=3)
-        with injected("executor.sweep:exc:match=x=4:times=100"):
+        with injected("test.cell:exc:match=x=4:times=100"):
             with pytest.raises(FaultInjected):
-                parallel_sweep(CHAOS_GRID, _grid_cell, jobs=2, policy=policy, outcome=outcome)
+                _run_cells(jobs=2, policy=policy, outcome=outcome)
         assert outcome.retries == 0
 
     def test_capstone_cold_run_with_midwave_kill_is_bit_identical(self, tmp_path):

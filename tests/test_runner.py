@@ -7,8 +7,8 @@ The contracts gated here:
 * code fingerprints track the static import closure and change with source;
 * a cache hit replays rows bit-identically (fig4/table2), and the entry
   invalidates when either the params or the code fingerprint change;
-* a parallel sweep (``jobs=N``) produces records byte-identical to and in
-  the same order as the serial sweep;
+* a parallel batch (``run_many`` / ``repro sweep`` with ``jobs=N``)
+  produces records byte-identical to and in the same order as a serial one;
 * the ``python -m repro`` CLI round-trips rows through JSON/CSV and manages
   the cache.
 """
@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import ast
 import json
+import uuid
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.analysis.sweep import SweepResult, parameter_sweep, sweep_grid
+from repro.analysis.sweep import SweepResult, sweep_grid
 from repro.runner import service as service_module
 from repro.runner.cache import CacheEntry, ResultCache, cache_key, run_provenance
 from repro.runner.cli import main
-from repro.runner.executor import parallel_sweep
 from repro.runner.fingerprint import (
     _is_main_guard,
     _is_type_checking_guard,
@@ -35,17 +35,12 @@ from repro.runner.fingerprint import (
     code_fingerprint,
     module_closure,
 )
-from repro.runner.registry import ParamSpec, build_registry
+from repro.runner.registry import ExperimentSpec, ParamSpec, build_registry
 from repro.runner.service import ExperimentRunner
 
 #: Small fig4/table2 configs so cache tests stay fast.
 FIG4_SMALL = {"input_length": 24, "taps": 5, "simd_widths": (8,)}
 TABLE2_SMALL = {"input_length": 24, "taps": 5, "simd_widths": (8,)}
-
-
-def _evaluate_pair(x, y):
-    """Module-level so ProcessPoolExecutor can pickle it."""
-    return {"product": x * y, "mean": (x + y) / 2}
 
 
 @pytest.fixture()
@@ -211,6 +206,22 @@ class TestFingerprint:
         (package / "dep.py").write_text("VALUE = 2\n")
         assert code_fingerprint("fppkg.entry", root="fppkg") != before
 
+    def test_fingerprint_reads_each_source_once(self, monkeypatch):
+        closure = module_closure("repro.experiments.table2")
+        reads: list[Path] = []
+
+        def counted(method):
+            def read(path, *args, **kwargs):
+                reads.append(path)
+                return method(path, *args, **kwargs)
+
+            return read
+
+        monkeypatch.setattr(Path, "read_bytes", counted(Path.read_bytes))
+        monkeypatch.setattr(Path, "read_text", counted(Path.read_text))
+        code_fingerprint("repro.experiments.table2")
+        assert len(reads) == len(set(reads)) == len(closure)
+
     def test_only_exact_main_guard_excluded(self, tmp_path, monkeypatch):
         # ``if __name__ != "__main__"`` DOES run on import; its imports must
         # stay in the closure.  Only the exact equality guard is dead code.
@@ -277,26 +288,11 @@ class TestSweepResultJson:
 class TestParallelSweep:
     GRID = {"x": [1, 2, 3, 4], "y": [5, 6, 7]}
 
-    def test_parallel_byte_identical_to_serial(self):
-        serial = parameter_sweep(self.GRID, _evaluate_pair)
-        parallel = parameter_sweep(self.GRID, _evaluate_pair, jobs=4)
-        assert json.dumps(serial.records) == json.dumps(parallel.records)
-        assert serial.to_json() == parallel.to_json()
-
     def test_grid_order_is_row_major(self):
         grid = sweep_grid(self.GRID)
         assert grid[0] == {"x": 1, "y": 5}
         assert grid[1] == {"x": 1, "y": 6}
         assert grid[-1] == {"x": 4, "y": 7}
-        result = parallel_sweep(self.GRID, _evaluate_pair, jobs=3)
-        assert [record["x"] for record in result] == [g["x"] for g in grid]
-        assert [record["y"] for record in result] == [g["y"] for g in grid]
-
-    def test_jobs_one_matches_classic_loop(self):
-        assert (
-            parallel_sweep(self.GRID, _evaluate_pair, jobs=1).records
-            == parameter_sweep(self.GRID, _evaluate_pair).records
-        )
 
 
 class TestResultCache:
@@ -404,6 +400,28 @@ class TestExperimentRunner:
         assert second.key != first.key
         # Same (synthetic) fingerprint again: now it hits.
         assert runner.run("fig4", **FIG4_SMALL).cached is True
+
+    def test_source_edit_between_batches_gets_a_new_key(self, tmp_path, monkeypatch):
+        # The guard against a stale replay: a batch memoises fingerprints, and
+        # that memo must never outlive its batch on a long-lived runner.
+        package = f"stalepkg_{uuid.uuid4().hex[:8]}"
+        (tmp_path / package).mkdir()
+        (tmp_path / package / "__init__.py").write_text("")
+        (tmp_path / package / "dep.py").write_text("VALUE = 1\n")
+        (tmp_path / package / "driver.py").write_text(
+            "from .dep import VALUE\n\nPARAMS = {'n': 2}\n\n\ndef run(*, n=2):\n    return [{'n': n, 'value': VALUE}]\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setattr(service_module, "code_fingerprint", lambda name: code_fingerprint(name, root=package))
+        spec = ExperimentSpec.from_source("stale", f"{package}.driver")
+        runner = ExperimentRunner(cache=ResultCache(tmp_path / "cache"), registry={"stale": spec})
+        [first] = runner.run_many([("stale", {})])
+        assert runner.lookup("stale", {}).key == first.key
+        (tmp_path / package / "dep.py").write_text("VALUE = 2\n")
+        assert runner.lookup("stale", {}) is None
+        [second] = runner.run_many([("stale", {})])
+        assert second.cached is False
+        assert second.key != first.key
 
     def test_no_cache_mode_never_stores(self, tmp_path):
         runner = ExperimentRunner(cache=ResultCache(tmp_path), use_cache=False)

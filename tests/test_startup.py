@@ -92,7 +92,7 @@ class TestRegistryFromSource:
         parse = fingerprint._parse_source
         monkeypatch.setattr(fingerprint, "_IMPORTS", {})
         monkeypatch.setattr(fingerprint, "_parse_source", lambda source: parsed.append(source) or parse(source))
-        registry_module._read_declarations.cache_clear()
+        monkeypatch.setattr(registry_module, "_DECLARATIONS", {})
         registry = build_registry()
         build_registry()
         for spec in registry.values():
