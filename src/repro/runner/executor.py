@@ -33,6 +33,11 @@ Exhausted budgets surface as :class:`~repro.runner.errors.WorkerCrashError`
 
 Callables shipped to workers must be picklable, i.e. module-level.  A
 store ships as itself: it pickles as a fresh store over the same backend.
+An experiment ships as its :class:`~repro.runner.registry.ExperimentSpec`,
+resolved once in the parent; it pickles without its imported driver, which
+the worker imports by name.  ``concurrent.futures.process`` (and with it
+``multiprocessing``) is imported only when a batch actually starts a pool,
+so the in-process path never loads it.
 """
 
 from __future__ import annotations
@@ -40,8 +45,7 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
@@ -53,8 +57,11 @@ from .errors import UnitTimeoutError, WorkerCrashError
 from .store import StoreStats
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
     from .artifacts import ArtifactStore
     from .cache import ResultCache
+    from .registry import ExperimentSpec
     from .service import ArtifactUnit
 
 
@@ -160,11 +167,9 @@ class _ResilientRun:
         policy: ExecutionPolicy,
         outcome: ExecutionOutcome,
         label: str,
-        serial_worker: Callable | None = None,
     ):
         self.tasks = tasks
         self.worker = worker
-        self.serial_worker = serial_worker if serial_worker is not None else worker
         self.workers = workers
         self.policy = policy
         self.outcome = outcome
@@ -235,7 +240,7 @@ class _ResilientRun:
         self.queue.clear()
         for index in range(len(self.tasks)):
             if not self.done[index]:
-                self.results[index] = self.serial_worker(self.tasks[index])
+                self.results[index] = self.worker(self.tasks[index])
                 self.done[index] = True
 
     # -- main loop ----------------------------------------------------------------
@@ -251,7 +256,7 @@ class _ResilientRun:
             index = self.queue.popleft()
             try:
                 future = self.pool.submit(self.worker, self.tasks[index])
-            except (BrokenProcessPool, RuntimeError):
+            except RuntimeError:  # a broken (``BrokenExecutor``) or shut-down pool
                 self.queue.appendleft(index)
                 return False
             self.in_flight[future] = (index, time.monotonic())
@@ -265,6 +270,8 @@ class _ResilientRun:
         return max(0.0, min(deadlines) - now)
 
     def run(self) -> list:
+        from concurrent.futures import ProcessPoolExecutor  # loads ``multiprocessing``: pooled batches only
+
         try:
             while self.queue or self.in_flight:
                 if self.pool is None:
@@ -289,7 +296,7 @@ class _ResilientRun:
                     try:
                         self.results[index] = future.result()
                         self.done[index] = True
-                    except BrokenProcessPool:
+                    except BrokenExecutor:
                         crash_victims.append(index)
                 if crash_victims:
                     self._on_crash(crash_victims)
@@ -317,23 +324,15 @@ def _run_resilient(
     policy: ExecutionPolicy | None,
     outcome: ExecutionOutcome | None,
     label: str,
-    serial_worker: Callable | None = None,
 ) -> list:
-    """Run ``worker`` over ``tasks`` under the fault-tolerance policy.
-
-    Results come back in task order.  ``serial_worker`` (when given) is
-    used on the in-process paths -- the ``jobs<=1`` fast path and the
-    degraded tail -- and may close over unpicklable state (the injected
-    registry); the pooled path always ships the module-level ``worker``.
-    """
+    """Run ``worker`` over ``tasks`` under the fault-tolerance policy; results in task order."""
     policy = policy if policy is not None else DEFAULT_POLICY
     outcome = outcome if outcome is not None else ExecutionOutcome()
-    inline = serial_worker if serial_worker is not None else worker
     workers = _worker_count(jobs or 1, len(tasks), oversubscribe=policy.oversubscribe)
     if workers <= 1:
         # Serial in-process execution: no worker to crash and no safe way
         # to preempt ourselves, so timeouts/retries do not apply here.
-        return [inline(task) for task in tasks]
+        return [worker(task) for task in tasks]
     run = _ResilientRun(
         tasks,
         worker,
@@ -341,7 +340,6 @@ def _run_resilient(
         policy=policy,
         outcome=outcome,
         label=label,
-        serial_worker=serial_worker,
     )
     return run.run()
 
@@ -428,25 +426,22 @@ def produce_artifacts(
 
 
 def _execute_request(
-    task: tuple[str, dict[str, object], object],
-    registry: Mapping[str, object] | None = None,
+    task: tuple["ExperimentSpec", dict[str, object], object],
 ) -> tuple[list[dict[str, object]], float, StoreStats]:
     """Worker body: run one experiment with a canonical config.
 
-    Imports happen here (inside the worker) so spawned processes build their
-    own module state; rows are sanitised before crossing the process
-    boundary so the parent sees exactly what the cache would store.  The
-    artifact store (``None`` = reuse disabled) is activated around the run
-    so driver resolvers load the pre-produced intermediates.  The store's
-    drained counters (a resolver quarantining a corrupt entry and
-    recomputing it, say) travel back with the rows.
+    The spec imports its driver here (inside the worker) so spawned
+    processes build their own module state; rows are sanitised before
+    crossing the process boundary so the parent sees exactly what the
+    cache would store.  The artifact store (``None`` = reuse disabled) is
+    activated around the run so driver resolvers load the pre-produced
+    intermediates.  The store's drained counters (a resolver quarantining a
+    corrupt entry and recomputing it, say) travel back with the rows.
     """
     from .artifacts import activated
-    from .registry import build_registry
 
-    name, config, store = task
-    fault_point("executor.unit", key=name)
-    spec = (registry if registry is not None else build_registry())[name]
+    spec, config, store = task
+    fault_point("executor.unit", key=spec.name)
     with activated(store):
         start = time.perf_counter()
         rows = spec.execute(config)
@@ -460,7 +455,7 @@ def execute_requests(
     *,
     jobs: int | None = None,
     store: "ArtifactStore | None" = None,
-    registry: Mapping[str, object] | None = None,
+    registry: Mapping[str, "ExperimentSpec"] | None = None,
     policy: ExecutionPolicy | None = None,
     outcome: ExecutionOutcome | None = None,
     stats: StoreStats | None = None,
@@ -468,22 +463,26 @@ def execute_requests(
     """Run experiment requests, optionally in parallel; results in input order.
 
     ``store`` is the artifact store driver resolvers read (``None`` = no
-    reuse); workers rebuild it as :func:`produce_artifacts` does.
-    ``registry`` (when given) resolves specs on the inline path, so runners
-    with injected registries (tests, embedders) can execute experiments that
-    ``build_registry`` does not know about.  Worker processes always rebuild
-    the canonical registry -- custom specs are not shipped across the
-    process boundary.  ``stats`` (when given) accumulates the artifact-store
-    counters the executions tallied, like ``outcome`` does for recovery.
+    reuse); workers rebuild it as :func:`produce_artifacts` does.  Each
+    request's spec is resolved once here, from ``registry`` (default: the
+    canonical :func:`~repro.runner.registry.build_registry`), and travels
+    with its task, so runners with injected registries (tests, embedders)
+    execute specs that ``build_registry`` does not know about on the inline
+    and the pooled path alike.  ``stats`` (when given) accumulates the
+    artifact-store counters the executions tallied, like ``outcome`` does
+    for recovery.
     """
+    if registry is None:
+        from .registry import build_registry
+
+        registry = build_registry()
     results = _run_resilient(
-        [(name, config, store) for name, config in requests],
+        [(registry[name], config, store) for name, config in requests],
         _execute_request,
         jobs=1 if store is not None and store.root is None else jobs,
         policy=policy,
         outcome=outcome,
         label="experiment",
-        serial_worker=lambda task: _execute_request(task, registry),
     )
     if stats is not None:
         for _rows, _elapsed, drained in results:

@@ -8,8 +8,10 @@ valid.
 
 The import closure is resolved statically (``ast`` walk over ``import`` /
 ``from ... import`` statements) so computing a fingerprint never executes
-experiment code; only modules inside the root package (``repro`` by default)
-participate.
+experiment code; only modules inside ``repro`` and inside the fingerprinted
+module's own top-level package participate, so a driver registered from
+outside ``repro`` is keyed on both its own package and the science it
+imports.
 """
 
 from __future__ import annotations
@@ -84,12 +86,17 @@ def _resolve_import_base(node: ast.ImportFrom, module_name: str) -> str | None:
     return f"{base}.{node.module}" if node.module else base
 
 
-def _imports_in(tree: ast.Module, module_name: str, root: str) -> frozenset[str]:
-    """Root-package modules imported directly by ``tree`` (``module_name``'s AST)."""
+#: The package every closure follows, besides the fingerprinted module's own.
+_PACKAGE = __name__.partition(".")[0]
+
+
+def _imports_in(tree: ast.Module, module_name: str) -> frozenset[str]:
+    """Modules of ``repro`` or of ``module_name``'s top-level package imported directly by ``tree`` (its AST)."""
+    roots = {_PACKAGE, module_name.partition(".")[0]}
     found: set[str] = set()
 
     def keep(candidate: str | None) -> None:
-        if candidate and (candidate == root or candidate.startswith(root + ".")):
+        if candidate and candidate.partition(".")[0] in roots:
             if module_path(candidate) is not None:
                 found.add(candidate)
 
@@ -100,19 +107,19 @@ def _imports_in(tree: ast.Module, module_name: str, root: str) -> frozenset[str]
         elif isinstance(node, ast.ImportFrom):
             base = _resolve_import_base(node, module_name)
             keep(base)
-            if base and (base == root or base.startswith(root + ".")):
+            if base and base.partition(".")[0] in roots:
                 # ``from pkg import name`` may name a submodule.
                 for alias in node.names:
                     keep(f"{base}.{alias.name}")
     return frozenset(found)
 
 
-#: ``(module, source sha256, root) -> imports``: keyed on the digest of the
+#: ``(module, source sha256) -> imports``: keyed on the digest of the
 #: source, so edits re-parse while repeat fingerprints of unchanged modules
 #: skip the AST walk.  Module specs are memoised per process -- module files
 #: are assumed not to *move* while a process runs (edits to their contents
 #: are picked up, as the source is re-read on every fingerprint).
-_IMPORTS: dict[tuple[str, str, str], frozenset[str]] = {}
+_IMPORTS: dict[tuple[str, str], frozenset[str]] = {}
 
 
 def read_source(module_name: str) -> tuple[bytes, str] | None:
@@ -124,16 +131,15 @@ def read_source(module_name: str) -> tuple[bytes, str] | None:
     return source, hashlib.sha256(source).hexdigest()
 
 
-def parse_module(module_name: str, source: bytes, digest: str, *, root: str = "repro") -> ast.Module:
+def parse_module(module_name: str, source: bytes, digest: str) -> ast.Module:
     """``source``'s AST (``digest`` is its sha256), for a reader that needs more than its imports.
 
     The imports are recorded on the way, so fingerprinting the same source
     later never parses it a second time.
     """
     tree = _parse_source(source)
-    key = (module_name, digest, root)
-    if key not in _IMPORTS:
-        _IMPORTS[key] = _imports_in(tree, module_name, root)
+    if (module_name, digest) not in _IMPORTS:
+        _IMPORTS[module_name, digest] = _imports_in(tree, module_name)
     return tree
 
 
@@ -199,7 +205,7 @@ def _walk_importable(tree: ast.AST):
             pending.extend(getattr(node, field, ()))
 
 
-def _closure_digests(module_name: str, root: str) -> dict[str, str]:
+def _closure_digests(module_name: str) -> dict[str, str]:
     """``module -> sha256(source)`` over ``module_name``'s import closure; each file is read once."""
     digests: dict[str, str] = {}
     pending = [module_name]
@@ -212,29 +218,28 @@ def _closure_digests(module_name: str, root: str) -> dict[str, str]:
             continue
         source, digest = read
         digests[current] = digest
-        key = (current, digest, root)
-        if key not in _IMPORTS:
-            parse_module(current, source, digest, root=root)
-        pending.extend(imported for imported in _IMPORTS[key] if imported not in digests)
+        if (current, digest) not in _IMPORTS:
+            parse_module(current, source, digest)
+        pending.extend(imported for imported in _IMPORTS[current, digest] if imported not in digests)
     return digests
 
 
-def module_closure(module_name: str, *, root: str = "repro") -> list[str]:
+def module_closure(module_name: str) -> list[str]:
     """Transitive in-package import closure of ``module_name``, sorted.
 
     Includes ``module_name`` itself.  Resolution is purely static; modules
     whose source cannot be located are skipped.
     """
-    return sorted(_closure_digests(module_name, root))
+    return sorted(_closure_digests(module_name))
 
 
-def code_fingerprint(module_name: str, *, root: str = "repro") -> str:
+def code_fingerprint(module_name: str) -> str:
     """Hex digest over the sources of ``module_name``'s import closure.
 
     Deterministic across processes and machines for identical sources: the
     closure is sorted and each module contributes ``name:sha256(source)``.
     """
     digest = hashlib.sha256()
-    for name, source_hash in sorted(_closure_digests(module_name, root).items()):
+    for name, source_hash in sorted(_closure_digests(module_name).items()):
         digest.update(f"{name}:{source_hash}\n".encode())
     return digest.hexdigest()

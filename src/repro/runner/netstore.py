@@ -11,13 +11,15 @@ point of failure demands:
   ``release``/``delete``/``iter``/``touch``/``quarantine`` (plus
   ``ping`` for health probes);
 * **server** -- :class:`StoreServer` (``python -m repro store serve``),
-  a threaded TCP server over a :class:`DiskBackend` root.  Claim
-  semantics are enforced server-side: the ``O_CREAT | O_EXCL`` ticket is
-  created on the server with the *client's* ``{pid, host}`` identity, so
-  same-host staleness probing still works and cross-host staleness
-  degrades to the ``REPRO_CLAIM_TTL_SECONDS`` TTL exactly as documented;
-* **client** -- :class:`RemoteBackend`, the same protocol with
-  per-operation deadlines (``$REPRO_STORE_TIMEOUT_SECONDS``), bounded
+  a threaded TCP server over a :class:`DiskBackend` root whose requests
+  are all answered by :func:`_dispatch`.  Claim semantics are
+  enforced server-side: the ``O_CREAT | O_EXCL`` ticket is created on the
+  server with the *client's* ``{pid, host}`` identity, so same-host
+  staleness probing still works and cross-host staleness degrades to the
+  ``REPRO_CLAIM_TTL_SECONDS`` TTL exactly as documented;
+* **client** -- :class:`RemoteBackend`, the same protocol with one retry
+  loop per operation (:meth:`RemoteBackend._call`), per-operation
+  deadlines (``$REPRO_STORE_TIMEOUT_SECONDS``), bounded
   retries with the shared deterministic sha256-jittered exponential
   backoff (:func:`~repro.runner.backends.backoff_delay`) and a
   closed -> open -> half-open circuit breaker;
@@ -77,7 +79,6 @@ ARTIFACT_SUBROOT = "artifacts"
 _SUBROOTS = ("", ARTIFACT_SUBROOT)
 
 #: Client knobs (read at :class:`RemoteBackend` construction).
-ENV_STORE_URL = "REPRO_STORE_URL"
 ENV_STORE_TIMEOUT = "REPRO_STORE_TIMEOUT_SECONDS"
 ENV_STORE_RETRIES = "REPRO_STORE_RETRIES"
 
@@ -173,22 +174,114 @@ def _owner(document: object) -> ClaimTicket | None:
     return ClaimTicket.from_document(document) if isinstance(document, dict) else None
 
 
-class _StoreRequestHandler(socketserver.BaseRequestHandler):
-    """One connection: a loop of request frames until the client hangs up."""
+#: The reply field of each op answered by one boolean; the client reads the same map.
+_FLAG_REPLIES = {"delete": "deleted", "claim": "claimed", "release": "released", "quarantine": "quarantined"}
 
-    def handle(self) -> None:  # noqa: D102 - socketserver hook
-        server: _ThreadedTCPServer = self.server  # type: ignore[assignment]
-        sock: socket.socket = self.request
-        sock.settimeout(server.idle_timeout)
+
+def _dispatch(
+    server: "StoreServer", header: dict[str, object], blob: bytes
+) -> tuple[dict[str, object], bytes]:
+    """The reply to one request; an exception raised here is answered as an application error."""
+    op = str(header.get("op", ""))
+    fault_point("net.server", key=op)
+    if int(header.get("v", PROTOCOL_VERSION)) != PROTOCOL_VERSION:
+        return {"ok": False, "error": f"unsupported protocol version {header.get('v')}"}, b""
+    sub = str(header.get("sub", ""))
+    backend = server.backends.get(sub)
+    if backend is None:
+        return {"ok": False, "error": f"unknown subroot {sub!r}"}, b""
+    if op == "ping":
+        return {
+            "ok": True,
+            "server": {"root": str(server.root), "pid": os.getpid(), "v": PROTOCOL_VERSION},
+        }, b""
+    namespace = str(header.get("ns", ""))
+    filename = str(header.get("fn", ""))
+    # Names must stay inside the root; only ``iter`` may leave them empty.
+    for kind, name in (("ns", namespace), ("fn", filename)):
+        if name or op != "iter":
+            path_component(name, kind)
+    if op in _FLAG_REPLIES:
+        # Claims are made and released with the *client's* identity, so
+        # staleness probing sees the real owner, not the server process.
+        owner = {"owner": _owner(header.get("owner"))} if op in ("claim", "release") else {}
+        return {"ok": True, _FLAG_REPLIES[op]: getattr(backend, op)(namespace, filename, **owner)}, b""
+    if op == "get":
+        entry = backend.get(namespace, filename, touch=bool(header.get("touch", True)))
+        return {"ok": True, "found": entry is not None}, entry or b""
+    if op == "put":
+        backend.put(namespace, filename, blob)
+        budget = server.max_bytes
+        if budget:
+            evicted, freed = evict_lru(backend, budget, keep={(namespace, filename)})
+            if evicted:
+                logger.info("store server evicted %d entries (%d bytes)", evicted, freed)
+        return {"ok": True}, b""
+    if op == "stat":
+        stamp = backend.stat(namespace, filename)
+        if stamp is None:
+            return {"ok": True, "found": False}, b""
+        return {
+            "ok": True,
+            "found": True,
+            "size": stamp.size_bytes,
+            "accessed": stamp.accessed_unix,
+        }, b""
+    if op == "touch":
+        backend.touch(namespace, filename)
+        return {"ok": True}, b""
+    if op == "iter":
+        target = namespace or None
+        entries = [[ns, fn] for ns, fn in backend.iter(target)]
+        return {"ok": True, "entries": entries}, b""
+    if op == "claim_info":
+        ticket = backend.claim_info(namespace, filename)
+        return {"ok": True, "ticket": ticket.to_document() if ticket is not None else None}, b""
+    return {"ok": False, "error": f"unknown op {op!r}"}, b""
+
+
+class StoreServer(socketserver.ThreadingTCPServer):
+    """A threaded store server over a local :class:`DiskBackend` root.
+
+    ``port=0`` binds an ephemeral port (read it back via :attr:`port`);
+    ``max_bytes`` bounds each sub-store with LRU eviction after every
+    ``put`` (claimed entries and reserved namespaces survive, exactly as
+    for a local bounded store).  Usable as a context manager in tests.
+    """
+
+    allow_reuse_address = True
+    daemon_threads = True
+    #: Seconds a connection may sit idle between frames before the server
+    #: reclaims its thread.
+    idle_timeout = 300.0
+
+    def __init__(
+        self,
+        root: Path | str,
+        *,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        max_bytes: int | None = None,
+    ):
+        self.root = Path(root)
+        self.max_bytes = max_bytes
+        self.backends = {sub: DiskBackend(self.root / sub if sub else self.root) for sub in _SUBROOTS}
+        self._thread: threading.Thread | None = None
+        # No handler class: :meth:`finish_request` serves each connection itself.
+        super().__init__((host, port), None)
+        self.host, self.port = self.server_address[:2]  # the bound address (``port=0`` picks one)
+        self.url = f"tcp://{self.host}:{self.port}"
+
+    def finish_request(self, sock: socket.socket, client_address: object) -> None:
+        """One connection: a loop of request frames until the client hangs up."""
+        sock.settimeout(self.idle_timeout)
         while True:
             try:
                 header, blob = read_frame(sock)
-            except EOFError:
-                return  # clean hang-up between frames
-            except (OSError, StoreProtocolError):
-                return  # torn frame / dead socket: nothing to answer
+            except (EOFError, OSError, StoreProtocolError):
+                return  # clean hang-up between frames, torn frame or dead socket: nothing to answer
             try:
-                response, payload = self._dispatch(server, header, blob)
+                response, payload = _dispatch(self, header, blob)
             except FaultInjected:
                 # An injected server fault behaves like a crashed request:
                 # drop the connection so the client exercises its retries.
@@ -200,129 +293,10 @@ class _StoreRequestHandler(socketserver.BaseRequestHandler):
             except OSError:
                 return
 
-    def _dispatch(
-        self, server: "_ThreadedTCPServer", header: dict[str, object], blob: bytes
-    ) -> tuple[dict[str, object], bytes]:
-        op = str(header.get("op", ""))
-        fault_point("net.server", key=op)
-        if int(header.get("v", PROTOCOL_VERSION)) != PROTOCOL_VERSION:
-            return {"ok": False, "error": f"unsupported protocol version {header.get('v')}"}, b""
-        sub = str(header.get("sub", ""))
-        backend = server.backends.get(sub)
-        if backend is None:
-            return {"ok": False, "error": f"unknown subroot {sub!r}"}, b""
-        if op == "ping":
-            return {
-                "ok": True,
-                "server": {"root": str(server.root), "pid": os.getpid(), "v": PROTOCOL_VERSION},
-            }, b""
-        namespace = str(header.get("ns", ""))
-        filename = str(header.get("fn", ""))
-        # Names must stay inside the root; only ``iter`` may leave them empty.
-        for kind, name in (("ns", namespace), ("fn", filename)):
-            if name or op != "iter":
-                path_component(name, kind)
-        if op == "get":
-            entry = backend.get(namespace, filename, touch=bool(header.get("touch", True)))
-            return {"ok": True, "found": entry is not None}, entry or b""
-        if op == "put":
-            backend.put(namespace, filename, blob)
-            budget = server.max_bytes
-            if budget:
-                evicted, freed = evict_lru(backend, budget, keep={(namespace, filename)})
-                if evicted:
-                    logger.info("store server evicted %d entries (%d bytes)", evicted, freed)
-            return {"ok": True}, b""
-        if op == "stat":
-            stamp = backend.stat(namespace, filename)
-            if stamp is None:
-                return {"ok": True, "found": False}, b""
-            return {
-                "ok": True,
-                "found": True,
-                "size": stamp.size_bytes,
-                "accessed": stamp.accessed_unix,
-            }, b""
-        if op == "touch":
-            backend.touch(namespace, filename)
-            return {"ok": True}, b""
-        if op == "delete":
-            return {"ok": True, "deleted": backend.delete(namespace, filename)}, b""
-        if op == "iter":
-            target = namespace or None
-            entries = [[ns, fn] for ns, fn in backend.iter(target)]
-            return {"ok": True, "entries": entries}, b""
-        if op == "claim":
-            # Server-side claim with the *client's* identity, so staleness
-            # probing sees the real owner, not the server process.
-            return {"ok": True, "claimed": backend.claim(namespace, filename, owner=_owner(header.get("owner")))}, b""
-        if op == "claim_info":
-            ticket = backend.claim_info(namespace, filename)
-            return {"ok": True, "ticket": ticket.to_document() if ticket is not None else None}, b""
-        if op == "release":
-            owner = _owner(header.get("owner"))
-            return {"ok": True, "released": backend.release(namespace, filename, owner=owner)}, b""
-        if op == "quarantine":
-            return {"ok": True, "quarantined": backend.quarantine(namespace, filename)}, b""
-        return {"ok": False, "error": f"unknown op {op!r}"}, b""
-
-
-class _ThreadedTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], root: Path, max_bytes: int | None):
-        self.root = Path(root)
-        self.max_bytes = max_bytes
-        #: Seconds a connection may sit idle between frames before the
-        #: server reclaims its thread.
-        self.idle_timeout = 300.0
-        self.backends: dict[str, DiskBackend] = {
-            sub: DiskBackend(self.root / sub if sub else self.root) for sub in _SUBROOTS
-        }
-        super().__init__(address, _StoreRequestHandler)
-
-
-class StoreServer:
-    """A threaded store server over a local :class:`DiskBackend` root.
-
-    ``port=0`` binds an ephemeral port (read it back via :attr:`port`);
-    ``max_bytes`` bounds each sub-store with LRU eviction after every
-    ``put`` (claimed entries and reserved namespaces survive, exactly as
-    for a local bounded store).  Usable as a context manager in tests.
-    """
-
-    def __init__(
-        self,
-        root: Path | str,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_bytes: int | None = None,
-    ):
-        self._server = _ThreadedTCPServer((host, port), Path(root), max_bytes)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def root(self) -> Path:
-        return self._server.root
-
-    @property
-    def host(self) -> str:
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"tcp://{self.host}:{self.port}"
-
     def start(self) -> "StoreServer":
         """Serve in a daemon thread; returns self for chaining."""
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
+            target=self.serve_forever,
             kwargs={"poll_interval": 0.05},
             name="repro-store-server",
             daemon=True,
@@ -330,16 +304,13 @@ class StoreServer:
         self._thread.start()
         return self
 
-    def serve_forever(self) -> None:
-        """Serve in the calling thread (the CLI's blocking path)."""
-        self._server.serve_forever(poll_interval=0.2)
-
     def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
         if self._thread is not None:
+            # ``shutdown`` waits for a serving loop; only a started server has one.
+            self.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self.server_close()
 
     def __enter__(self) -> "StoreServer":
         return self.start()
@@ -356,7 +327,7 @@ def serve_store(
     budget = f", max-bytes={max_bytes}" if max_bytes else ""
     print(f"repro store serving {server.root} at {server.url}{budget}", flush=True)
     try:
-        server.serve_forever()
+        server.serve_forever(poll_interval=0.2)
     except KeyboardInterrupt:
         pass
     finally:
@@ -391,14 +362,9 @@ class CircuitBreaker:
     def allow(self) -> bool:
         """Whether a call may proceed (True flips open -> half-open on expiry)."""
         with self._lock:
-            if self.state == "closed":
-                return True
-            if self.state == "open":
-                if time.monotonic() - self._cooldown_from >= self.reset_seconds:
-                    self.state = "half_open"
-                    return True
-                return False
-            return True  # half-open: let the probe(s) through
+            if self.state == "open" and time.monotonic() - self._cooldown_from >= self.reset_seconds:
+                self.state = "half_open"
+            return self.state != "open"  # closed, or half-open: let the probe(s) through
 
     def record_success(self) -> None:
         with self._lock:
@@ -474,22 +440,13 @@ class RemoteBackend:
         self.breaker = CircuitBreaker(failures=breaker_failures, reset_seconds=breaker_reset_seconds)
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
-        #: Cumulative gauges (``/v1/metrics``) and drainable deltas
-        #: (folded into the persisted store counters by the runner).
+        #: Cumulative gauges (``/v1/metrics``), and their values at the last
+        #: :meth:`drain_counters` (whose deltas the runner persists).
         self.hits_total = 0
         self.errors_total = 0
-        self.recent_hits = 0
-        self.recent_errors = 0
-        self.recent_opens = 0
-        self._drained_opens = 0
+        self._drained: dict[str, int] = {}
 
     # -- transport ------------------------------------------------------------------
-
-    def _connect(self, op: str) -> socket.socket:
-        fault_point("net.connect", key=op)
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        sock.settimeout(self.timeout)
-        return sock
 
     def _drop_connection(self) -> None:
         if self._sock is not None:
@@ -498,16 +455,6 @@ class RemoteBackend:
             except OSError:  # pragma: no cover - close never matters
                 pass
             self._sock = None
-
-    def _roundtrip(
-        self, op: str, header: dict[str, object], blob: bytes
-    ) -> tuple[dict[str, object], bytes]:
-        if self._sock is None:
-            self._sock = self._connect(op)
-        fault_point("net.send", key=op)
-        write_frame(self._sock, header, blob)
-        fault_point("net.recv", key=op)
-        return read_frame(self._sock)
 
     def _call(
         self,
@@ -529,13 +476,19 @@ class RemoteBackend:
             "sub": self.subroot,
             "ns": namespace,
             "fn": filename,
+            **extra,
         }
-        header.update(extra)
         last_error: BaseException | None = None
         with self._lock:
             for attempt in range(1, self.retries + 2):
                 try:
-                    response, payload = self._roundtrip(op, header, blob)
+                    if self._sock is None:
+                        fault_point("net.connect", key=op)
+                        self._sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
+                    fault_point("net.send", key=op)
+                    write_frame(self._sock, header, blob)
+                    fault_point("net.recv", key=op)
+                    response, payload = read_frame(self._sock)
                 except _TRANSPORT_ERRORS as error:
                     last_error = error
                     self._drop_connection()
@@ -552,14 +505,16 @@ class RemoteBackend:
                     raise StoreProtocolError(str(response.get("error", "unknown server error")))
                 self.breaker.record_success()
                 return response, payload
-        self.recent_errors += 1
         self.errors_total += 1
-        before = self.breaker.opens
         self.breaker.record_failure()
-        self.recent_opens += self.breaker.opens - before
         raise StoreUnavailableError(
             f"store {self.url} unreachable after {self.retries + 1} attempt(s): {last_error}"
         )
+
+    def _flag(self, op: str, namespace: str, filename: str, **extra: object) -> bool:
+        """One of the ops answered by one boolean (:data:`_FLAG_REPLIES`)."""
+        response, _payload = self._call(op, namespace=namespace, filename=filename, **extra)
+        return bool(response.get(_FLAG_REPLIES[op]))
 
     def close(self) -> None:
         with self._lock:
@@ -596,14 +551,13 @@ class RemoteBackend:
 
     def drain_counters(self) -> dict[str, int]:
         """Deltas since the last drain (for the persisted store counters)."""
-        drained = {
-            "remote_hits": self.recent_hits,
-            "remote_errors": self.recent_errors,
-            "breaker_opens": self.recent_opens,
+        totals = {
+            "remote_hits": self.hits_total,
+            "remote_errors": self.errors_total,
+            "breaker_opens": self.breaker.opens,
         }
-        self.recent_hits = 0
-        self.recent_errors = 0
-        self.recent_opens = 0
+        drained = {name: total - self._drained.get(name, 0) for name, total in totals.items()}
+        self._drained = totals
         return drained
 
     # -- StoreBackend protocol --------------------------------------------------------
@@ -615,7 +569,6 @@ class RemoteBackend:
         response, payload = self._call("get", namespace=namespace, filename=filename, touch=touch)
         if not response.get("found"):
             return None
-        self.recent_hits += 1
         self.hits_total += 1
         return payload
 
@@ -623,8 +576,7 @@ class RemoteBackend:
         self._call("put", namespace=namespace, filename=filename, blob=bytes(blob))
 
     def delete(self, namespace: str, filename: str) -> bool:
-        response, _payload = self._call("delete", namespace=namespace, filename=filename)
-        return bool(response.get("deleted"))
+        return self._flag("delete", namespace, filename)
 
     def iter(self, namespace: str | None = None):
         response, _payload = self._call("iter", namespace=namespace or "")
@@ -647,24 +599,17 @@ class RemoteBackend:
         self._call("touch", namespace=namespace, filename=filename)
 
     def claim(self, namespace: str, filename: str, *, owner: ClaimTicket | None = None) -> bool:
-        document = (owner or ClaimTicket.mine()).to_document()
-        response, _payload = self._call(
-            "claim", namespace=namespace, filename=filename, owner=document
-        )
-        return bool(response.get("claimed"))
+        return self._flag("claim", namespace, filename, owner=(owner or ClaimTicket.mine()).to_document())
 
     def claim_info(self, namespace: str, filename: str) -> ClaimTicket | None:
         response, _payload = self._call("claim_info", namespace=namespace, filename=filename)
         return _owner(response.get("ticket"))
 
     def release(self, namespace: str, filename: str, *, owner: ClaimTicket | None = None) -> bool:
-        document = owner.to_document() if owner is not None else None
-        response, _payload = self._call("release", namespace=namespace, filename=filename, owner=document)
-        return bool(response.get("released"))
+        return self._flag("release", namespace, filename, owner=owner.to_document() if owner is not None else None)
 
     def quarantine(self, namespace: str, filename: str) -> bool:
-        response, _payload = self._call("quarantine", namespace=namespace, filename=filename)
-        return bool(response.get("quarantined"))
+        return self._flag("quarantine", namespace, filename)
 
 
 # -- tiered composition -------------------------------------------------------------
@@ -705,11 +650,10 @@ class TieredBackend:
     def _remote_call(self, op: str, *args: object, **kwargs: object) -> tuple[bool, object]:
         """``(True, result)`` of one remote operation, ``(False, None)`` while degraded.
 
-        Every remote failure is absorbed here: an open circuit skips the
-        call, and an unreachable or incoherent server counts as degraded.
+        Every remote failure is absorbed here: an open circuit (which the
+        remote fast-fails without touching the network), an unreachable
+        server and an incoherent one all count as degraded.
         """
-        if not self.remote.breaker.allow():
-            return False, None
         try:
             return True, getattr(self.remote, op)(*args, **kwargs)
         except (StoreUnavailableError, StoreProtocolError) as error:

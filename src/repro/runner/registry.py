@@ -375,6 +375,10 @@ class ExperimentSpec:
             object.__setattr__(self, "_module", importlib.import_module(self.module_name))
         return self._module
 
+    def __getstate__(self) -> dict[str, object]:
+        # A module does not pickle: a worker process imports the driver by name.
+        return {**self.__dict__, "_module": None}
+
     @classmethod
     def from_module(cls, name: str, module: types.ModuleType) -> "ExperimentSpec":
         """The spec of an imported (or in-memory) driver module."""

@@ -9,9 +9,9 @@ explicit length, so HTTP/1.1 keep-alive lets a client pipeline warm-cache
 hits over one connection.  Transport rejections (malformed framing,
 oversized heads or bodies) carry the service's JSON error body too.
 
-:class:`BackgroundServer` runs the server on a daemon thread for tests
-and benchmarks; the blocking :func:`serve_forever` behind ``python -m
-repro serve`` reuses it.
+:class:`BackgroundServer` is the server, serving from a daemon thread for
+tests and benchmarks; the blocking :func:`serve_forever` behind ``python
+-m repro serve`` reuses it.
 """
 
 from __future__ import annotations
@@ -112,16 +112,7 @@ class _Handler(BaseHTTPRequestHandler):
         """Silent: the app writes the access log."""
 
 
-class _Server(ThreadingHTTPServer):
-    # socketserver's default backlog of 5 resets connections in a 32-way burst.
-    request_queue_size = 100
-
-    def __init__(self, address: tuple[str, int], app):
-        self.app = app
-        super().__init__(address, _Handler)
-
-
-class BackgroundServer:
+class BackgroundServer(ThreadingHTTPServer):
     """The server on a daemon thread; closing it also closes the app.
 
     Usage::
@@ -130,12 +121,15 @@ class BackgroundServer:
             http.client.HTTPConnection("127.0.0.1", server.port)
     """
 
+    # socketserver's default backlog of 5 resets connections in a 32-way burst.
+    request_queue_size = 100
+
     def __init__(self, app, host: str = "127.0.0.1", port: int = 0):
         self.app = app
-        self._server = _Server((host, port), app)
-        self.port: int = self._server.server_address[1]
+        super().__init__((host, port), _Handler)
+        self.port: int = self.server_address[1]
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
+            target=self.serve_forever,
             kwargs={"poll_interval": 0.05},
             name="repro-service",
             daemon=True,
@@ -143,13 +137,10 @@ class BackgroundServer:
         self._thread.start()
 
     def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        self.shutdown()
+        self.server_close()
         self._thread.join(timeout=10)
         self.app.close()
-
-    def __enter__(self) -> "BackgroundServer":
-        return self
 
     def __exit__(self, *_exc_info: object) -> None:
         self.close()

@@ -380,9 +380,9 @@ class TestInvalidationChain:
         the effect of editing the file, without touching the tree.
         """
 
-        def edited(module_name, *, root="repro"):
-            digest = code_fingerprint(module_name, root=root)
-            if "repro.core.scaling" in module_closure(module_name, root=root):
+        def edited(module_name):
+            digest = code_fingerprint(module_name)
+            if "repro.core.scaling" in module_closure(module_name):
                 return hashlib.sha256((digest + ":edited").encode()).hexdigest()
             return digest
 

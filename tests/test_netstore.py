@@ -13,20 +13,25 @@ never correctness (rows stay bit-identical to a local-only run).
 from __future__ import annotations
 
 import importlib
+import itertools
 import json
 import pickle
+import re
 import socket
+import threading
 import time
 import uuid
+from pathlib import Path
 
 import pytest
 
 from repro.faults import injected
 from repro.runner.artifacts import load_stats
-from repro.runner.backends import DiskBackend
+from repro.runner.backends import ClaimTicket, DiskBackend
 from repro.runner.cache import ResultCache
 from repro.runner.cli import main
 from repro.runner.netstore import (
+    ARTIFACT_SUBROOT,
     MAX_HEADER_BYTES,
     _FRAME_HEADER,
     CircuitBreaker,
@@ -201,6 +206,15 @@ class TestServerBasics:
             assert len(survivors) == 2  # the budget pruned the two oldest
             assert "3.json" in survivors  # newest always survives
             remote.close()
+
+    def test_closing_a_server_that_never_served_returns(self, tmp_path):
+        # ``serve_store`` closes a server whose loop never ran when its
+        # start-up banner fails; ``shutdown`` would wait for that loop forever.
+        unstarted = StoreServer(tmp_path / "server")
+        closer = threading.Thread(target=unstarted.close, daemon=True)
+        closer.start()
+        closer.join(timeout=5)
+        assert not closer.is_alive()
 
 
 # -- deadlines, retries, breaker ----------------------------------------------------
@@ -481,3 +495,151 @@ class TestStoreCommand:
         assert remote["url"] == server.url
         assert remote["reachable"] is True
         assert summary["recovery"]["claim_wait_timeouts"] == 0
+
+
+# -- wire bytes ---------------------------------------------------------------------
+
+#: Every frame of one session covering each operation, as recorded from the
+#: protocol-version-1 server and clients (see :func:`_wire_session`).
+WIRE_PINS = json.loads((Path(__file__).resolve().parent / "golden" / "netstore_wire.json").read_text())
+
+#: Header fields that vary per process, per machine or per second.
+_VOLATILE = re.compile(rb'"(pid|host|root|created_unix|accessed)":("[^"]*"|[-+.\deE]+)')
+
+
+class _WireTap:
+    """A TCP relay in front of a server that records the bytes each side writes."""
+
+    def __init__(self, url: str):
+        self._target = parse_store_url(url)
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"tcp://127.0.0.1:{self._listener.getsockname()[1]}"
+        #: Per accepted connection: ``[client -> server bytes, server -> client bytes]``.
+        self.streams: list[list[bytearray]] = []
+        self._sockets: list[socket.socket] = []
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                client, _address = self._listener.accept()
+            except OSError:
+                return
+            upstream = socket.create_connection(self._target)
+            self._sockets += [client, upstream]
+            stream = [bytearray(), bytearray()]
+            self.streams.append(stream)
+            for source, sink, record in ((client, upstream, stream[0]), (upstream, client, stream[1])):
+                threading.Thread(target=self._pump, args=(source, sink, record), daemon=True).start()
+
+    @staticmethod
+    def _pump(source: socket.socket, sink: socket.socket, record: bytearray) -> None:
+        try:
+            while chunk := source.recv(1 << 16):
+                record += chunk  # recorded before forwarding: a reply is on record once its reader has it
+                sink.sendall(chunk)
+            sink.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+
+    def close(self) -> None:
+        for sock in [self._listener, *self._sockets]:
+            sock.close()
+
+    def frames(self) -> list[str]:
+        """``"<connection> > request"`` / ``"<connection> < reply"`` lines, volatile fields masked."""
+
+        def split(data: bytes):
+            offset = 0
+            while offset < len(data):
+                header_size, blob_size = _FRAME_HEADER.unpack_from(data, offset)
+                start = offset + _FRAME_HEADER.size
+                offset = start + header_size + blob_size
+                yield data[start : start + header_size], data[start + header_size : offset]
+
+        lines = []
+        for connection, (requests, replies) in enumerate(self.streams):
+            for request, reply in itertools.zip_longest(split(requests), split(replies), fillvalue=(b"", b"")):
+                for arrow, (header, blob) in ((">", request), ("<", reply)):
+                    header = _VOLATILE.sub(rb'"\1":"*"', header).decode()
+                    lines.append(f"{connection} {arrow} {header} {blob.hex()}".rstrip())
+        return lines
+
+
+def _raw_request(url: str, header: dict[str, object]) -> None:
+    """One request frame over a bare socket; returns once the reply's header has arrived."""
+    with socket.create_connection(parse_store_url(url), timeout=5) as sock:
+        write_frame(sock, header)
+        header_size, _blob_size = _FRAME_HEADER.unpack(sock.recv(_FRAME_HEADER.size, socket.MSG_WAITALL))
+        sock.recv(header_size, socket.MSG_WAITALL)
+
+
+#: Malformed requests; the golden file pins their exact error replies.  The
+#: server's own checks answer bare messages; a rejected name is a
+#: ``ValueError`` raised by the backend helpers, checked before the op is
+#: looked up.
+RAW_ERRORS = [
+    {"op": "frob", "ns": "ns", "fn": "f"},
+    {"op": "frob"},
+    {"v": 2, "op": "ping"},
+    {"op": "ping", "sub": "nope"},
+    {"v": 1, "op": "iter", "fn": "../x"},
+    {"v": 1, "op": "stat", "ns": "ns", "fn": ""},
+]
+
+
+def _wire_session(tmp_path, url: str) -> None:
+    """Every operation through the real clients, with a hit and a miss where an op has both."""
+    remote = RemoteBackend(url, retries=0)
+    owner = ClaimTicket(pid=4242, host="pinned-host", created_unix=1700000000.5)
+    assert remote.ping() is not None
+    remote.put("ns", "a.json", b"alpha")
+    assert remote.get("ns", "a.json") == b"alpha"
+    assert remote.get("ns", "a.json", touch=False) == b"alpha"
+    assert remote.get("ns", "missing.json") is None
+    assert remote.stat("ns", "a.json").size_bytes == 5
+    assert remote.stat("ns", "missing.json") is None
+    remote.touch("ns", "a.json")
+    remote.put("other", "b.json", b"\x00\xffbeta")
+    assert list(remote.iter()) == [("ns", "a.json"), ("other", "b.json")]
+    assert list(remote.iter("ns")) == [("ns", "a.json")]
+    assert remote.claim("ns", "c.json", owner=owner) is True
+    assert remote.claim("ns", "c.json") is False
+    assert remote.claim_info("ns", "c.json") == owner
+    assert remote.claim_info("ns", "a.json") is None
+    assert remote.release("ns", "c.json", owner=owner) is True
+    assert remote.claim("ns", "d.json") is True
+    assert remote.release("ns", "d.json") is True  # ``owner: null``
+    assert remote.release("ns", "d.json") is False
+    assert remote.delete("other", "b.json") is True
+    assert remote.delete("other", "b.json") is False
+    assert remote.quarantine("ns", "a.json") is True
+    assert remote.quarantine("ns", "a.json") is False
+    remote.close()
+
+    shared = RemoteBackend(url, subroot=ARTIFACT_SUBROOT, retries=0)
+    shared.put("art", "s.pkl", b"shared")
+    shared.close()
+    tiered = make_store_backend(tmp_path / "local", url, subroot=ARTIFACT_SUBROOT)
+    tiered.put("art", "t.pkl", b"tiered")
+    assert tiered.get("art", "t.pkl") == b"tiered"  # local hit: no frame
+    assert tiered.get("art", "s.pkl") == b"shared"  # remote hit, promoted
+    assert tiered.get("art", "none.pkl") is None
+    assert tiered.stat("art", "u.pkl") is None
+    assert tiered.claim("art", "u.pkl", owner=owner) is True
+    assert tiered.claim_info("art", "u.pkl") == owner
+    assert tiered.release("art", "u.pkl", owner=owner) is True
+    assert tiered.quarantine("art", "t.pkl") is True
+    tiered.close()
+
+
+class TestWireBytes:
+    def test_every_frame_matches_the_recorded_session(self, tmp_path, server):
+        tap = _WireTap(server.url)
+        try:
+            _wire_session(tmp_path, tap.url)
+            for header in RAW_ERRORS:
+                _raw_request(tap.url, header)
+        finally:
+            tap.close()
+        assert tap.frames() == WIRE_PINS

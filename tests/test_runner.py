@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import uuid
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from repro.analysis.sweep import SweepResult, sweep_grid
 from repro.runner import service as service_module
 from repro.runner.cache import CacheEntry, ResultCache, cache_key, run_provenance
 from repro.runner.cli import main
+from repro.runner.executor import ExecutionPolicy
 from repro.runner.fingerprint import (
     _is_main_guard,
     _is_type_checking_guard,
@@ -190,9 +192,22 @@ class TestFingerprint:
         (package / "alpha.py").write_text("from .beta import VALUE\n")
         (package / "gamma.py").write_text("OTHER = 2\n")
         monkeypatch.syspath_prepend(str(tmp_path))
-        closure = module_closure("fakepkg.alpha", root="fakepkg")
+        closure = module_closure("fakepkg.alpha")
         assert "fakepkg.beta" in closure
         assert "fakepkg.gamma" not in closure
+
+    def test_closure_of_an_outside_driver_follows_repro(self, tmp_path, monkeypatch):
+        # A driver registered from outside ``repro`` is keyed on the science
+        # it imports, so editing that science invalidates its cached rows.
+        package = tmp_path / "outsidepkg"
+        package.mkdir()
+        (package / "__init__.py").write_text("")
+        (package / "helper.py").write_text("VALUE = 1\n")
+        (package / "driver.py").write_text("from repro.core import scaling\n\nfrom .helper import VALUE\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        closure = module_closure("outsidepkg.driver")
+        assert {"outsidepkg.helper", "repro.core.scaling"} <= set(closure)
+        assert set(module_closure("repro.core.scaling")) <= set(closure)
 
     def test_fingerprint_changes_with_source(self, tmp_path, monkeypatch):
         package = tmp_path / "fppkg"
@@ -201,10 +216,10 @@ class TestFingerprint:
         (package / "dep.py").write_text("VALUE = 1\n")
         (package / "entry.py").write_text("from .dep import VALUE\n")
         monkeypatch.syspath_prepend(str(tmp_path))
-        before = code_fingerprint("fppkg.entry", root="fppkg")
-        assert before == code_fingerprint("fppkg.entry", root="fppkg")  # stable
+        before = code_fingerprint("fppkg.entry")
+        assert before == code_fingerprint("fppkg.entry")  # stable
         (package / "dep.py").write_text("VALUE = 2\n")
-        assert code_fingerprint("fppkg.entry", root="fppkg") != before
+        assert code_fingerprint("fppkg.entry") != before
 
     def test_fingerprint_reads_each_source_once(self, monkeypatch):
         closure = module_closure("repro.experiments.table2")
@@ -237,7 +252,7 @@ class TestFingerprint:
             "    from .live import VALUE as LIVE\n"
         )
         monkeypatch.syspath_prepend(str(tmp_path))
-        closure = module_closure("guardpkg.entry", root="guardpkg")
+        closure = module_closure("guardpkg.entry")
         assert "guardpkg.live" in closure
         assert "guardpkg.dead" not in closure
 
@@ -403,7 +418,9 @@ class TestExperimentRunner:
 
     def test_source_edit_between_batches_gets_a_new_key(self, tmp_path, monkeypatch):
         # The guard against a stale replay: a batch memoises fingerprints, and
-        # that memo must never outlive its batch on a long-lived runner.
+        # that memo must never outlive its batch on a long-lived runner.  The
+        # driver lives outside ``repro``: its fingerprint follows its own
+        # package's imports.
         package = f"stalepkg_{uuid.uuid4().hex[:8]}"
         (tmp_path / package).mkdir()
         (tmp_path / package / "__init__.py").write_text("")
@@ -412,7 +429,6 @@ class TestExperimentRunner:
             "from .dep import VALUE\n\nPARAMS = {'n': 2}\n\n\ndef run(*, n=2):\n    return [{'n': n, 'value': VALUE}]\n"
         )
         monkeypatch.syspath_prepend(str(tmp_path))
-        monkeypatch.setattr(service_module, "code_fingerprint", lambda name: code_fingerprint(name, root=package))
         spec = ExperimentSpec.from_source("stale", f"{package}.driver")
         runner = ExperimentRunner(cache=ResultCache(tmp_path / "cache"), registry={"stale": spec})
         [first] = runner.run_many([("stale", {})])
@@ -422,6 +438,24 @@ class TestExperimentRunner:
         [second] = runner.run_many([("stale", {})])
         assert second.cached is False
         assert second.key != first.key
+
+    def test_injected_spec_computes_in_pool_workers(self, tmp_path, monkeypatch):
+        # The spec travels with each task, so a worker runs a driver that
+        # ``DRIVERS`` does not name instead of looking it up by name.
+        package = f"extpkg_{uuid.uuid4().hex[:8]}"
+        (tmp_path / package).mkdir()
+        (tmp_path / package / "__init__.py").write_text("")
+        (tmp_path / package / "driver.py").write_text(
+            "import os\n\nPARAMS = {'n': 1}\n\n\ndef run(*, n=1):\n    return [{'n': n, 'pid': os.getpid()}]\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        spec = ExperimentSpec.from_source("ext", f"{package}.driver")
+        runner = ExperimentRunner(cache=ResultCache(tmp_path / "cache"), registry={"ext": spec})
+        reports = runner.run_many(
+            [("ext", {"n": 1}), ("ext", {"n": 2})], jobs=2, policy=ExecutionPolicy(oversubscribe=True)
+        )
+        assert [report.rows[0]["n"] for report in reports] == [1, 2]
+        assert all(report.rows[0]["pid"] != os.getpid() for report in reports)
 
     def test_no_cache_mode_never_stores(self, tmp_path):
         runner = ExperimentRunner(cache=ResultCache(tmp_path), use_cache=False)

@@ -12,8 +12,8 @@ Covered here:
 * the import sets of fresh interpreters (``sys.modules`` only, no timing):
   ``repro list`` loads no driver, no science package, no service, no
   facade, no process pool and no store; ``sweep table2`` loads no other
-  driver; a warm ``run --json`` replay loads no driver and no science
-  package; ``import repro`` still loads numpy;
+  driver; a warm ``run --json`` replay loads no driver, no science
+  package and no process pool; ``import repro`` still loads numpy;
 * byte-identity pins taken before the registry stopped importing drivers:
   ``repro list`` stdout, the ``GET /v1/experiments`` body,
   ``api.list_experiments()`` and the import closure of every driver and
@@ -192,6 +192,9 @@ class TestStartupImports:
         assert not [name for name in modules if name.startswith("repro.experiments.")]
         for package in ("arithmetic", "circuit", "core", "envision", "nn", "simd"):
             assert not _loaded(modules, f"repro.{package}"), package
+        # Only a batch that starts a worker pool loads the process machinery.
+        assert _loaded(modules, "concurrent.futures") == ["concurrent.futures", "concurrent.futures._base"]
+        assert not _loaded(modules, "multiprocessing")
 
     def test_table2_run_leaves_numpy_ma_unimported(self, tmp_path):
         # The trace engine decides aliasing in closed form; ``np.unique``
