@@ -37,8 +37,3 @@ class CarryLookaheadModel:
     def gate_equivalents(self) -> float:
         """Area of the adder in gate equivalents."""
         return self.width * cell_cost("cla_stage").gate_equivalents
-
-    @property
-    def gate_equivalents_per_bit(self) -> float:
-        """Energy weight per toggling output bit of the adder."""
-        return cell_cost("cla_stage").gate_equivalents

@@ -291,7 +291,3 @@ class BoothWallaceMultiplier:
         xs = [int(v) for v in xs]
         ys = [int(v) for v in ys]
         return [self.multiply(x, y) for x, y in zip(xs, ys)]
-
-    def exact_reference(self, x: int, y: int) -> int:
-        """Exact full-precision product (for error measurements)."""
-        return x * y

@@ -16,7 +16,7 @@ per-precision profiles (the data behind Fig. 2) and as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class MultiplierCharacterization:
     technology: Technology
     base_frequency_mhz: float
     reconfiguration_overhead: float = 0.21
-    extra: dict[str, float] = field(default_factory=dict)
 
     def scaling_parameters(self) -> dict[int, ScalingParameters]:
         """Table I: per-precision k factors and subword parallelism."""

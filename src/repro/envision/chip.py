@@ -93,10 +93,6 @@ class EnvisionChip:
 
     # -- modes ----------------------------------------------------------------
 
-    def available_modes(self) -> list[EnvisionMode]:
-        """The 1 x 16 b, 2 x 8 b and 4 x 4 b modes."""
-        return [ENVISION_MODES[precision] for precision in sorted(ENVISION_MODES, reverse=True)]
-
     def select_mode(self, weight_bits: int, activation_bits: int) -> EnvisionMode:
         """Smallest mode covering both the weight and activation precision."""
         return mode_for_precision(max(weight_bits, activation_bits))

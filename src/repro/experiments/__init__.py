@@ -18,9 +18,10 @@ Each module exposes ``run(**kwargs) -> list[dict]`` returning the raw rows,
 ``render(rows) -> str`` formatting rows from a live run or the result cache
 alike, and ``report(**kwargs) -> str`` (= ``render(run(**kwargs))``).  The
 cacheable parameters are declared in each module's ``PARAMS`` mapping
-(name -> default) -- the schema consumed by :mod:`repro.runner.registry`;
-object-valued injection parameters are listed in ``OBJECT_PARAMS`` and
-bypass the cache.  ``python -m repro`` is the unified entry point.
+(name -> default) -- the schema consumed by :mod:`repro.runner.registry`.
+Object-valued injection parameters are listed in ``OBJECT_PARAMS``; they
+work in direct ``run()`` calls only, and the runner rejects them as
+unknown.  ``python -m repro`` is the unified entry point.
 
 Importing this package imports no driver: the registry reads the literal
 declarations from source, and ``EXPERIMENTS[name]`` or ``repro.experiments.<name>``

@@ -22,7 +22,7 @@ from ..core.scaling import (
 
 #: Cacheable run() parameters (name -> default); the runner registry's schema.
 PARAMS = {"samples": 300, "rmse_samples": 1500, "seed": 2017}
-#: Object-valued run() parameters; passing one bypasses the result cache.
+#: Object-valued run() parameters, for direct calls only (the runner rejects them).
 OBJECT_PARAMS = ("characterization",)
 #: Shared sub-experiment intermediates (artifact -> (producer, params subset)).
 ARTIFACTS = {

@@ -18,7 +18,7 @@ from ..envision import EnvisionChip
 #: Cacheable run() parameters (name -> default); the chip model is the only
 #: input and is an object parameter, so the default config has no knobs.
 PARAMS: dict[str, object] = {}
-#: Object-valued run() parameters; passing one bypasses the result cache.
+#: Object-valued run() parameters, for direct calls only (the runner rejects them).
 OBJECT_PARAMS = ("chip",)
 
 

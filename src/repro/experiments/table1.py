@@ -13,7 +13,7 @@ from ..core.scaling import MultiplierCharacterization, resolve_characterization
 
 #: Cacheable run() parameters (name -> default); the runner registry's schema.
 PARAMS = {"samples": 300, "seed": 2017}
-#: Object-valued run() parameters; passing one bypasses the result cache.
+#: Object-valued run() parameters, for direct calls only (the runner rejects them).
 OBJECT_PARAMS = ("characterization",)
 #: Shared sub-experiment intermediates (artifact -> (producer, params subset)).
 ARTIFACTS = {

@@ -77,11 +77,6 @@ class Layer:
         """Fraction of zero-valued weights."""
         return 0.0
 
-    @property
-    def has_weights(self) -> bool:
-        """Whether the layer carries learned parameters."""
-        return self.parameter_count() > 0
-
 
 class Conv2D(Layer):
     """2-D convolution layer (equation (4) of the paper).

@@ -100,10 +100,6 @@ class Network:
         """Total MAC count of one forward pass."""
         return sum(summary.macs for summary in self.layer_summaries())
 
-    def total_parameters(self) -> int:
-        """Total learned parameter count."""
-        return sum(summary.parameters for summary in self.layer_summaries())
-
     # -- inference ------------------------------------------------------------
 
     def forward(
@@ -167,9 +163,3 @@ class Network:
         if outputs.ndim != 2:
             raise ValueError("predict requires a network with a flat class output")
         return np.argmax(outputs, axis=1)
-
-    def input_sparsity_per_layer(self) -> dict[str, float]:
-        """Observed input sparsity of every weighted layer (needs prior forwards)."""
-        return {
-            layer.name: layer.statistics.input_sparsity for layer in self.weighted_layers()
-        }

@@ -254,23 +254,6 @@ class PrecisionSearch:
                 self._baseline_logits_cache = tensors
         return self._prefix_inputs
 
-    def relative_accuracy_incremental(self, layer_name: str, config: QuantizationConfig) -> float:
-        """Relative accuracy with exactly one layer quantised, prefix reused.
-
-        All layers before ``layer_name`` run unquantised, so the cached
-        baseline activations stand in for them; only the suffix from the
-        probed layer on is recomputed, on the whole batch.  The score counts
-        per-sample decisions, and those match
-        ``relative_accuracy({layer_name: config})`` (the guarantee is
-        decision-level, see the module docstring), at a fraction of the
-        arithmetic.
-        """
-        position, tensors = self._layer_prefix_inputs()[layer_name]
-        configs = {layer_name: config}
-        for layer in self.network.layers[position:]:
-            tensors = layer.forward_batch(tensors, configs.get(layer.name))
-        return self._score(tensors)
-
     def _quantize_weights(
         self, layer: Layer, weights: np.ndarray, bits: int, out: np.ndarray
     ) -> np.ndarray:
@@ -517,12 +500,3 @@ class PrecisionSearch:
             )
             for name in names
         ]
-
-    def uniform_configs(self, profiles: list[LayerPrecisionProfile]) -> dict[str, QuantizationConfig]:
-        """Quantisation configs applying every layer's found precisions at once."""
-        return {
-            profile.layer: QuantizationConfig(
-                weight_bits=profile.weight_bits, activation_bits=profile.activation_bits
-            )
-            for profile in profiles
-        }

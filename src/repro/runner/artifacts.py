@@ -45,13 +45,18 @@ thrash multi-MB trained networks) bounds the store with LRU eviction.
 Entries are pickles, which is safe here for the same reason the result
 cache's JSON is trusted: the store root is a local directory owned by the
 user running the experiments.
+
+Both stores' hit/miss/claim counters persist under the cache root in one
+append-only :class:`~repro.runner.journal.Journal`, ``_stats.jsonl``:
+:func:`record_stats` appends one delta line per run, :func:`load_stats`
+sums (and past :data:`STATS_COMPACT_LINES`, compacts) the lines, and
+:func:`reset_stats` deletes the log.  It is the only counter file read.
 """
 
 from __future__ import annotations
 
 import contextlib
 import importlib
-import json
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -68,10 +73,6 @@ from .store import ContentStore, StoreStats, content_key
 
 #: Bumped when the on-disk artifact layout changes; part of every key.
 ARTIFACT_SCHEMA_VERSION = 1
-
-#: Legacy snapshot file (under the shared cache root) of the counters.
-#: Still read for totals; new deltas land in :data:`STATS_LOG_FILENAME`.
-STATS_FILENAME = "_stats.json"
 
 #: Append-only counter log: one JSON delta per line (a :class:`Journal`),
 #: so concurrent recorders never lose increments.
@@ -235,24 +236,18 @@ def _total(documents: list[object]) -> StoreStats:
 def load_stats(root: Path | str) -> StoreStats:
     """The persisted counters at ``root`` (zeros when absent/corrupt).
 
-    Totals = the legacy ``_stats.json`` snapshot (pre-append-log caches)
-    plus every delta line in ``_stats.jsonl``; torn/invalid lines are
-    skipped rather than poisoning the total.  A log longer than
+    Totals = the sum of every delta line in ``_stats.jsonl``; torn/invalid
+    lines are skipped rather than poisoning the total.  A log longer than
     :data:`STATS_COMPACT_LINES` is compacted to one total line, which
     keeps this read bounded (best effort: a read-only root stays long).
     """
-    root = Path(root)
-    try:
-        document = json.loads((root / STATS_FILENAME).read_text())
-    except (OSError, ValueError):
-        document = None
-    log = Journal(root / STATS_LOG_FILENAME)
+    log = Journal(Path(root) / STATS_LOG_FILENAME)
     lines = log.read()
     if len(lines) > STATS_COMPACT_LINES:
         with contextlib.suppress(OSError):
             log.compact(lambda documents: [_total(documents).to_document()])
             lines = log.read()
-    return _total([document, *lines])
+    return _total(lines)
 
 
 def record_stats(root: Path | str, delta: StoreStats) -> None:
@@ -262,8 +257,5 @@ def record_stats(root: Path | str, delta: StoreStats) -> None:
 
 def reset_stats(root: Path | str) -> None:
     """Delete the persisted counters (the next run starts from zero)."""
-    for filename in (STATS_FILENAME, STATS_LOG_FILENAME):
-        try:
-            (Path(root) / filename).unlink()
-        except OSError:
-            pass
+    with contextlib.suppress(OSError):
+        (Path(root) / STATS_LOG_FILENAME).unlink()

@@ -287,8 +287,9 @@ class DiskBackend:
         try:
             os.utime(sidecar)
         except OSError:
+            if not self._file(namespace, filename).is_file():
+                return  # a missing entry gets no stamp: nothing would ever remove it
             try:
-                sidecar.parent.mkdir(parents=True, exist_ok=True)
                 sidecar.touch()
             except OSError:  # read-only store: LRU order degrades to mtime
                 pass

@@ -5,8 +5,9 @@ Builds one :class:`ExperimentSpec` per driver named in
 cacheable parameters in a ``PARAMS`` mapping (name -> default) and,
 optionally, the object-valued injection parameters its ``run()`` also
 accepts in ``OBJECT_PARAMS`` (pre-built characterizations, chip models,
-...).  Only ``PARAMS`` values participate in cache keys; passing an object
-parameter bypasses the cache.
+...).  Only ``PARAMS`` values participate in cache keys, and only they
+reach a driver through the runner: object parameters work in direct
+``run()`` calls, and every runner front end rejects them as unknown.
 
 The declarations are literals, so :func:`build_registry` reads them from
 each driver's source (one parse per source text, shared with the code
@@ -34,7 +35,7 @@ import inspect
 import json
 import types
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import ParamTypeError, ParamValueError, UnknownParamError
 from .fingerprint import parse_module, read_source
@@ -183,7 +184,6 @@ def _parse_artifacts(
     experiment: str,
     declared: Mapping[str, object],
     params: Mapping[str, ParamSpec],
-    check_producer: Callable[[str], object],
 ) -> dict[str, ArtifactBinding]:
     """Validate and normalise a driver's ``ARTIFACTS`` declaration."""
     bindings: dict[str, ArtifactBinding] = {}
@@ -209,7 +209,7 @@ def _parse_artifacts(
             raise TypeError(
                 f"{experiment}: ARTIFACTS[{name!r}] 'when' must name a bool parameter"
             )
-        check_producer(producer)  # fails fast on producers that cannot run
+        _check_top_level_def(producer)  # fails fast on producers that cannot run
         bindings[name] = ArtifactBinding(
             name=name,
             producer=producer,
@@ -380,44 +380,18 @@ class ExperimentSpec:
         return {**self.__dict__, "_module": None}
 
     @classmethod
-    def from_module(cls, name: str, module: types.ModuleType) -> "ExperimentSpec":
-        """The spec of an imported (or in-memory) driver module."""
-        from .artifacts import load_producer
-
-        params = _param_specs(getattr(module, "PARAMS", {}))
-        artifacts = _parse_artifacts(name, getattr(module, "ARTIFACTS", {}), params, load_producer)
-        signature = inspect.signature(module.run).parameters.values()
-        _check_run_defaults(
-            name,
-            params,
-            {parameter.name: parameter.default for parameter in signature},
-            any(parameter.kind is inspect.Parameter.VAR_KEYWORD for parameter in signature),
-        )
-        return cls(
-            name=name,
-            module_name=module.__name__,
-            params=params,
-            object_params=frozenset(getattr(module, "OBJECT_PARAMS", ())),
-            artifacts=artifacts,
-            _module=module,
-        )
-
-    @classmethod
     def from_source(cls, name: str, module_name: str) -> "ExperimentSpec":
         """The spec declared in ``module_name``'s source, read without importing it.
 
-        Runs the same checks as :meth:`from_module`, statically: ``PARAMS``
-        must agree with ``run()``'s keyword defaults and every producer must
-        be a top-level ``def``.  A declaration that is not a literal raises
-        :class:`TypeError`.
+        The checks are static: ``PARAMS`` must agree with ``run()``'s
+        keyword defaults and every producer must be a top-level ``def``.  A
+        declaration that is not a literal raises :class:`TypeError`.
         """
         declarations = _declarations(module_name)
         if declarations.run is None:
             raise TypeError(f"{name}: {module_name} has no top-level def run()")
         params = _param_specs(declarations.values.get("PARAMS", {}))
-        artifacts = _parse_artifacts(
-            name, declarations.values.get("ARTIFACTS", {}), params, _check_top_level_def
-        )
+        artifacts = _parse_artifacts(name, declarations.values.get("ARTIFACTS", {}), params)
         _check_run_defaults(name, params, *declarations.run)
         return cls(
             name=name,

@@ -232,25 +232,11 @@ class ExperimentRunner:
         return RunReport.replayed(name, config, key, entry, start) if entry is not None else None
 
     def run(self, name: str, **overrides: object) -> RunReport:
-        """Run one experiment (cache-aware).
+        """Run one experiment (cache-aware): ``run_many([(name, overrides)])[0]``.
 
-        Overrides naming object parameters (pre-built models) or unknown
-        keys fall through to the driver directly and bypass the cache --
-        object identity cannot participate in a content address.
+        Overrides must name declared ``PARAMS``; an object parameter or an
+        unknown key raises :class:`~repro.runner.errors.UnknownParamError`.
         """
-        spec = self.spec(name)
-        if any(key not in spec.params for key in overrides):
-            start = time.perf_counter()
-            rows = SweepResult(records=spec.module.run(**overrides)).to_jsonable()
-            elapsed = time.perf_counter() - start
-            return RunReport(
-                name=name,
-                rows=rows,
-                config=dict(overrides),
-                cached=False,
-                elapsed_seconds=elapsed,
-                compute_seconds=elapsed,
-            )
         return self.run_many([(name, dict(overrides))])[0]
 
     # -- artifact graph ---------------------------------------------------------

@@ -318,8 +318,8 @@ class ContentStore:
                 self._tally("quarantined")
             return None
 
-    def put(self, key: str, entry) -> Path | None:
-        """Atomically persist one entry; returns its path (``None`` off-disk).
+    def put(self, key: str, entry) -> None:
+        """Atomically persist one entry.
 
         The write clears any fill claim on the address (entry first, claim
         second -- waiters observing "no claim" are guaranteed the entry)
@@ -331,7 +331,6 @@ class ContentStore:
         path = self.backend.path(name, filename)
         fault_point(f"{self.SITE_PREFIX}.written", key=name, path=path)
         self._enforce_budget(name, filename)
-        return path
 
     # -- concurrent-fill claims -----------------------------------------------------
 
@@ -502,11 +501,6 @@ class ContentStore:
         self._tally("evicted_bytes", freed)
 
     # -- listings -------------------------------------------------------------------
-
-    def entries(self, name: str | None = None) -> Iterator[tuple[str, Path | None]]:
-        """(key, path) pairs of stored entries, sorted for stable listings."""
-        for namespace, filename in self._stored(name):
-            yield filename[: -len(self.SUFFIX)], self.backend.path(namespace, filename)
 
     def ls(self, name: str | None = None) -> list[dict[str, object]]:
         """Metadata summary of stored entries.

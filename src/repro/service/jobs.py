@@ -16,7 +16,8 @@ Durability and overload (PR 7):
 
 * with a ``state_dir``, every job state transition is journaled to disk
   (fsynced append to ``journal.jsonl``, compacted to one line per job on
-  startup), so ``GET /v1/jobs`` survives a service restart.  Jobs that
+  startup; the journal is the only job state a restart reads), so
+  ``GET /v1/jobs`` survives a service restart.  Jobs that
   were queued or running when the process died come back ``interrupted``
   and can be re-run via ``POST /v1/jobs/{id}/retry``.  Journaled records
   never include report/sweep payloads -- results live in the result
@@ -161,7 +162,7 @@ class JobManager:
         self._in_flight = 0
         self._journal = Journal(Path(state_dir) / "journal.jsonl") if state_dir is not None else None
         if self._journal is not None:
-            self._restore(Path(state_dir) / "snapshot.json")
+            self._restore()
 
     @staticmethod
     def _interrupt(record: JobRecord, message: str) -> None:
@@ -171,17 +172,9 @@ class JobManager:
         record.error = {"code": "interrupted", "message": message}
         record.progress["phase"] = "interrupted"
 
-    def _restore(self, snapshot: Path) -> None:
-        """Replay the journal (last record per id wins): unfinished -> interrupted.
-
-        A ``snapshot.json`` left by an older service is read first, then
-        removed once the compacted journal holds its records.
-        """
-        try:
-            documents = json.loads(snapshot.read_text())
-        except (OSError, ValueError):
-            documents = []
-        for document in [*(documents if isinstance(documents, list) else []), *self._journal.read()]:
+    def _restore(self) -> None:
+        """Replay the journal (last record per id wins): unfinished -> interrupted."""
+        for document in self._journal.read():
             try:
                 record = JobRecord.from_journal(document)
             except (KeyError, TypeError, ValueError):
@@ -198,7 +191,6 @@ class JobManager:
                 self._by_key[record.idempotency_key] = (record.id, digest)
         try:
             self._journal.compact(lambda _lines: [self._records[job_id].to_journal() for job_id in self._order])
-            snapshot.unlink(missing_ok=True)
         except OSError as error:
             logger.warning("job journal compaction failed (%s)", error)
 

@@ -206,9 +206,6 @@ class LoopTrace:
         Scalar register advanced by the single ``ADDI rd, rd, step``.
     step:
         Induction increment per iteration (non-zero).
-    update_position:
-        Body index of the induction ``ADDI`` (reads before it see the
-        pre-increment value, reads after it the post-increment value).
     compare:
         The closing branch opcode (``BLT`` or ``BNE``).
     induction_first:
@@ -224,7 +221,6 @@ class LoopTrace:
     body: tuple[Instruction, ...]
     induction: int
     step: int
-    update_position: int
     compare: Opcode
     induction_first: bool
     bound: int
@@ -419,7 +415,6 @@ def _analyze_loop(program: Program, start: int, end: int) -> LoopTrace | None:
         body=body,
         induction=induction,
         step=step,
-        update_position=update_position,
         compare=branch.opcode,
         induction_first=induction_first,
         bound=bound,

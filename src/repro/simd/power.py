@@ -350,23 +350,3 @@ class SimdPowerModel:
             cycles=counters.cycles,
             words=words,
         )
-
-    def mode_table(
-        self,
-        execution: ExecutionResult,
-        *,
-        modes: list[tuple[str, int]] | None = None,
-    ) -> list[SimdPowerReport]:
-        """Reports for a list of (technique, precision) modes (Table II rows)."""
-        if modes is None:
-            modes = [
-                ("DAS", 16),
-                ("DVAS", 8),
-                ("DVAS", 4),
-                ("DVAFS", 8),
-                ("DVAFS", 4),
-            ]
-        return [
-            self.report(execution, technique=technique, precision=precision)
-            for technique, precision in modes
-        ]

@@ -31,11 +31,6 @@ class VectorUnitCounters:
     alu_operations: int = 0
     mac_cycles: int = 0
 
-    @property
-    def executed_macs(self) -> int:
-        """MAC operations that actually exercised the multipliers."""
-        return self.mac_operations - self.guarded_macs
-
 
 class VectorUnit:
     """``lanes``-wide precision-scalable vector ALU/MAC array.

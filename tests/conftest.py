@@ -2,11 +2,15 @@
 
 Expensive artefacts (multiplier characterisation, SIMD kernel execution,
 trained LeNet) are built once per session and reused across test modules.
+Toy experiment drivers are written as source packages and registered
+through :func:`driver_spec`.
 """
 
 from __future__ import annotations
 
 import sys
+import textwrap
+import uuid
 from pathlib import Path
 
 import pytest
@@ -18,6 +22,7 @@ if str(_SRC) not in sys.path:
 
 from repro.core.scaling import characterize_multiplier  # noqa: E402
 from repro.nn import Trainer, lenet5, synthetic_digits  # noqa: E402
+from repro.runner.registry import ExperimentSpec  # noqa: E402
 from repro.simd import SimdProcessor, convolution_kernel, run_convolution  # noqa: E402
 
 
@@ -49,3 +54,25 @@ def trained_lenet(digit_dataset):
     trainer = Trainer(network, learning_rate=0.1)
     history = trainer.fit(digit_dataset, epochs=7, batch_size=24, seed=5)
     return network, history
+
+
+@pytest.fixture()
+def driver_spec(tmp_path, monkeypatch):
+    """Factory for toy drivers: ``driver_spec(source, name="toy", **modules) -> ExperimentSpec``.
+
+    Each call writes a fresh, uniquely named package under ``tmp_path``:
+    ``driver.py`` holds ``source`` and each keyword adds one
+    ``<module>.py`` (``__init__`` included; it is empty otherwise).  ``PKG``
+    in any text is replaced by the package name.  The spec is read with
+    :meth:`ExperimentSpec.from_source`, the builder every run path uses.
+    """
+
+    def build(source: str, *, name: str = "toy", **modules: str) -> ExperimentSpec:
+        package = f"driverpkg_{uuid.uuid4().hex[:8]}"
+        (tmp_path / package).mkdir()
+        for module, text in {"__init__": "", **modules, "driver": source}.items():
+            (tmp_path / package / f"{module}.py").write_text(textwrap.dedent(text).replace("PKG", package))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        return ExperimentSpec.from_source(name, f"{package}.driver")
+
+    return build

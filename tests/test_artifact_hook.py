@@ -10,11 +10,14 @@ Covered here:
   the HTTP service, the facade or the fault harness -- so editing
   orchestration code never changes a cache or artifact key;
 * the reach gate: every science module is in the closure of some driver
-  or producer, so no model survives whose only consumer is its own tests.
+  or producer, so no model survives whose only consumer is its own tests;
+* the name gate: every function, method and property a science module
+  defines is referenced outside its own ``def`` somewhere in the repo.
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,21 @@ def _driver_and_producer_modules() -> set[str]:
         modules.add(spec.module_name)
         modules.update(binding.producer.partition(":")[0] for binding in spec.artifacts.values())
     return modules
+
+
+#: Where a reference keeps a science definition alive.
+_REFERENCE_DIRECTORIES = ("src", "tests", "examples", "benchmarks", "perfbench")
+
+
+def _references(tree: ast.Module):
+    """``(identifier, line)`` of every name, attribute and ``"module:function"`` producer path in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and ":" in node.value:
+            yield node.value.rpartition(":")[2], node.lineno
 
 
 def _counting_producer(calls):
@@ -120,3 +138,43 @@ class TestClosureGate:
         assert len(science) > 40
         assert sorted(science - reached - _UNREACHED_ALLOWED) == []
         assert _UNREACHED_ALLOWED <= science - reached, "an allowed exception is reached now: drop it"
+
+    def test_every_science_definition_is_referenced(self):
+        """Each science ``def`` (dunders aside) is named somewhere outside its own body.
+
+        A reference is a name, an attribute or a producer path in any file
+        of the repo's code directories; the module exceptions of the reach
+        gate are exempt here too.
+        """
+        repo = Path(repro.__file__).parents[2]
+        references: dict[str, list[tuple[Path, int]]] = {}
+        definitions = []
+        for directory in _REFERENCE_DIRECTORIES:
+            for path in sorted((repo / directory).rglob("*.py")):
+                tree = ast.parse(path.read_bytes())
+                for name, line in _references(tree):
+                    references.setdefault(name, []).append((path, line))
+                parts = path.relative_to(repo).with_suffix("").parts  # ("src", "repro", package, module)
+                if (
+                    parts[:2] == ("src", "repro")
+                    and len(parts) == 4
+                    and parts[2] in _SCIENCE_PACKAGES
+                    and parts[3] != "__init__"
+                    and ".".join(parts[1:]) not in _UNREACHED_ALLOWED
+                ):
+                    definitions.extend(
+                        (path, node)
+                        for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef)
+                        and not (node.name.startswith("__") and node.name.endswith("__"))
+                    )
+        assert len(definitions) > 300
+        unreferenced = [
+            f"{path.relative_to(repo)}:{node.lineno} {node.name}"
+            for path, node in definitions
+            if all(
+                where == path and node.lineno <= line <= node.end_lineno
+                for where, line in references.get(node.name, ())
+            )
+        ]
+        assert unreferenced == []

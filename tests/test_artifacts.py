@@ -15,7 +15,8 @@ Covered here:
   invalidates the characterization artifact and its three consumers' cached
   results while unrelated entries survive;
 * the incremental (lockstep) precision search yields the same profile rows
-  as the full-forward reference, runs one merged unquantised pass per step,
+  as the full-forward reference, starts each layer's probes from its exact
+  unquantised prefix input, runs one merged unquantised pass per step,
   leaves every layer's weights bit-identical, probes dense layers block by
   block without a weight-sized allocation, probes each candidate first on
   miss allowance + 2 rows (work counters pinned), matches the reference on
@@ -232,48 +233,20 @@ class TestRegistryArtifacts:
         assert [unit.artifact for unit in units] == ["multiplier_characterization"]
         assert dict(units[0].params) == {"samples": 40, "seed": 11}
 
-    def test_declaration_errors(self, tmp_path):
-        import types
-
-        from repro.runner.registry import ExperimentSpec
-
-        def make(name, artifacts):
-            module = types.ModuleType(f"fake_{name}")
-            module.PARAMS = {"samples": 10, "flag": False}
-            module.ARTIFACTS = artifacts
-            module.run = lambda *, samples=10, flag=False: []
-            module.render = lambda rows: ""
-            return module
-
-        with pytest.raises(TypeError, match="unknown option"):
-            ExperimentSpec.from_module(
-                "bad",
-                make("opt", {"a": ("repro.core.scaling:characterization_artifact", ("samples",), {"shards": 2})}),
+    def test_declaration_errors(self, driver_spec):
+        producer = "repro.core.scaling:characterization_artifact"
+        for artifacts, message in [
+            ({"a": (producer, ("samples",), {"shards": 2})}, "unknown option"),
+            ({"a": (producer, ("missing",))}, "undeclared parameter"),
+            ({"a": (producer, ("samples",), {"when": "samples"})}, "'when' must name a bool"),
+            ({"a": (producer, (), {"after": ("b",)}), "b": (producer, (), {"after": ("a",)})}, "cycle"),
+        ]:
+            source = (
+                f"PARAMS = {{'samples': 10, 'flag': False}}\nARTIFACTS = {artifacts!r}\n\n\n"
+                "def run(*, samples=10, flag=False):\n    return []\n"
             )
-        with pytest.raises(TypeError, match="undeclared parameter"):
-            ExperimentSpec.from_module(
-                "bad",
-                make("par", {"a": ("repro.core.scaling:characterization_artifact", ("missing",))}),
-            )
-        with pytest.raises(TypeError, match="'when' must name a bool"):
-            ExperimentSpec.from_module(
-                "bad",
-                make(
-                    "when",
-                    {"a": ("repro.core.scaling:characterization_artifact", ("samples",), {"when": "samples"})},
-                ),
-            )
-        with pytest.raises(TypeError, match="cycle"):
-            ExperimentSpec.from_module(
-                "bad",
-                make(
-                    "cycle",
-                    {
-                        "a": ("repro.core.scaling:characterization_artifact", (), {"after": ("b",)}),
-                        "b": ("repro.core.scaling:characterization_artifact", (), {"after": ("a",)}),
-                    },
-                ),
-            )
+            with pytest.raises(TypeError, match=message):
+                driver_spec(source, name="bad")
 
 
 #: The three consumers of the shared characterization, reduced workload.
@@ -396,7 +369,7 @@ class TestInvalidationChain:
         requests = [*CHAR_REQUESTS, ("fig4", {"input_length": 24, "taps": 5}), ("fig8", {})]
         cold = runner.run_many([(n, dict(c)) for n, c in requests], jobs=1)
         assert not any(report.cached for report in cold)
-        artifact_keys_before = {key for key, _ in runner.artifacts.entries()}
+        artifact_keys_before = {entry["key"] for entry in runner.artifacts.ls()}
 
         self._simulate_scaling_edit(monkeypatch)
         after = runner.run_many([(n, dict(c)) for n, c in requests], jobs=1)
@@ -409,7 +382,7 @@ class TestInvalidationChain:
             assert by_name[name].cached is True, name
         # The characterization artifact was re-produced under a new key; the
         # old entry still exists (content addresses never collide).
-        artifact_keys_after = {key for key, _ in runner.artifacts.entries()}
+        artifact_keys_after = {entry["key"] for entry in runner.artifacts.ls()}
         assert artifact_keys_before < artifact_keys_after
         assert len(artifact_keys_after) == 2 * len(artifact_keys_before)
 
@@ -463,19 +436,27 @@ class TestIncrementalSearch:
         incremental = PrecisionSearch(network, samples, candidate_bits=(1, 2, 4, 6, 8, 16))
         assert reference.profile() == incremental.profile(incremental=True)
 
-    def test_relative_accuracy_incremental_equivalence(self, trained_lenet, digit_dataset):
+    def test_layer_prefix_inputs_match_forward_batch(self, trained_lenet, digit_dataset):
+        # The lockstep search starts every probe of a layer from its captured
+        # input, so each capture must be exactly the unquantised
+        # ``forward_batch`` of the layers before it.
+        from repro.nn.network import Network
+
         network, _history = trained_lenet
-        search = PrecisionSearch(
-            network, digit_dataset.test_images[:16], labels=digit_dataset.test_labels[:16]
-        )
-        for layer in network.weighted_layers():
-            for config in (
-                QuantizationConfig(weight_bits=3),
-                QuantizationConfig(activation_bits=5),
-            ):
-                assert search.relative_accuracy_incremental(
-                    layer.name, config
-                ) == search.relative_accuracy({layer.name: config})
+        samples = digit_dataset.test_images[:16]
+        search = PrecisionSearch(network, samples, labels=digit_dataset.test_labels[:16])
+        prefix = search._layer_prefix_inputs()
+        assert list(prefix) == [layer.name for layer in network.weighted_layers()]
+        for name, (position, tensors) in prefix.items():
+            assert network.layers[position].name == name
+            expected = (
+                Network(network.layers[:position], network.input_shape).forward_batch(samples)
+                if position
+                else samples
+            )
+            assert np.array_equal(tensors, expected), name
+        # The capture's last tensor doubles as the baseline logits.
+        assert np.array_equal(search._baseline_logits_cache, network.forward_batch(samples))
 
     def test_probe_restores_weights(self, trained_lenet, digit_dataset):
         # Every weighted layer (conv and dense), from the 1-bit candidate on,

@@ -72,9 +72,8 @@ class TestPersistedLayout:
             elapsed_seconds=0.125,
             provenance={"created_unix": 1700000000.0, "python": "3.11.7", "numpy": "1.26.4", "repro": "1.0.0"},
         )
-        path = ResultCache(tmp_path).put(RESULT_KEY, entry)
-        assert path == tmp_path / "table1" / f"{RESULT_KEY}.json"
-        assert path.read_bytes() == RESULT_BYTES
+        ResultCache(tmp_path).put(RESULT_KEY, entry)
+        assert (tmp_path / "table1" / f"{RESULT_KEY}.json").read_bytes() == RESULT_BYTES
         # ... and bytes written by an earlier version read back as that entry.
         replayed = ResultCache(tmp_path).get("table1", RESULT_KEY)
         assert replayed is not None and replayed.rows == entry.rows

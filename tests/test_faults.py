@@ -19,7 +19,6 @@ through the retry that must then succeed.
 from __future__ import annotations
 
 import errno
-import importlib
 import json
 import multiprocessing
 import os
@@ -28,7 +27,6 @@ import subprocess
 import sys
 import threading
 import time
-import uuid
 from pathlib import Path
 
 import pytest
@@ -52,7 +50,6 @@ from repro.runner.errors import (
 )
 from repro.runner.executor import ExecutionOutcome, ExecutionPolicy, _run_resilient
 from repro.runner.journal import Journal
-from repro.runner.registry import ExperimentSpec
 from repro.runner.service import ExperimentRunner
 from repro.service import BackgroundServer, build_app
 from repro.service.jobs import JobManager, JobRecord
@@ -82,20 +79,9 @@ def render(rows):
 '''
 
 
-def _toy_runner(tmp_path, monkeypatch):
-    module_dir = tmp_path / "modules"
-    module_dir.mkdir(exist_ok=True)
-    module_name = f"chaostoy_{uuid.uuid4().hex[:8]}"
-    (module_dir / f"{module_name}.py").write_text(TOY_SOURCE)
-    monkeypatch.syspath_prepend(str(module_dir))
-    module = importlib.import_module(module_name)
-    spec = ExperimentSpec.from_module("toy", module)
-    return ExperimentRunner(cache=ResultCache(tmp_path / "cache"), registry={"toy": spec})
-
-
 @pytest.fixture()
-def toy_runner(tmp_path, monkeypatch):
-    return _toy_runner(tmp_path, monkeypatch)
+def toy_runner(tmp_path, driver_spec):
+    return ExperimentRunner(cache=ResultCache(tmp_path / "cache"), registry={"toy": driver_spec(TOY_SOURCE)})
 
 
 def _chaos_cell(x):
@@ -591,43 +577,6 @@ class TestJobDurability:
             "job-beforetear00",
         ]
         manager.close(wait=True, drain_seconds=10)
-
-    def test_leftover_snapshot_is_folded_in_then_removed(self, toy_runner, tmp_path):
-        # Services before the shared journal compacted into snapshot.json;
-        # its records must survive the first restart and the file must go.
-        def record(job_id, state, created):
-            return JobRecord(
-                id=job_id,
-                kind="run",
-                experiments=["toy"],
-                params={},
-                grid=None,
-                jobs=1,
-                request_id="",
-                idempotency_key=None,
-                state=state,
-                created_unix=created,
-            )
-
-        state_dir = tmp_path / "jobs"
-        state_dir.mkdir()
-        snapshot = state_dir / "snapshot.json"
-        snapshot.write_text(
-            json.dumps([record("job-snapshotonly", "done", 1.0).to_journal(),
-                        record("job-superseded00", "running", 2.0).to_journal()])
-        )
-        Journal(state_dir / "journal.jsonl").append(record("job-superseded00", "failed", 2.0).to_journal())
-
-        manager = JobManager(toy_runner, state_dir=state_dir)
-        expected = {"job-snapshotonly": "done", "job-superseded00": "failed"}
-        assert {job["id"]: job["state"] for job in manager.listing()} == expected
-        assert not snapshot.exists()
-        assert len((state_dir / "journal.jsonl").read_text().splitlines()) == 2  # one line per job
-        manager.close(wait=True, drain_seconds=10)
-
-        restarted = JobManager(toy_runner, state_dir=state_dir)
-        assert {job["id"]: job["state"] for job in restarted.listing()} == expected
-        restarted.close(wait=True, drain_seconds=10)
 
     def test_resubmit_rejects_unknown_and_unretryable_jobs(self, toy_runner, tmp_path):
         manager = JobManager(toy_runner, state_dir=tmp_path / "jobs")

@@ -12,7 +12,6 @@ never correctness (rows stay bit-identical to a local-only run).
 
 from __future__ import annotations
 
-import importlib
 import itertools
 import json
 import pickle
@@ -20,7 +19,6 @@ import re
 import socket
 import threading
 import time
-import uuid
 from pathlib import Path
 
 import pytest
@@ -45,7 +43,6 @@ from repro.runner.netstore import (
     read_frame,
     write_frame,
 )
-from repro.runner.registry import ExperimentSpec
 from repro.runner.service import ExperimentRunner
 
 
@@ -157,6 +154,14 @@ class TestServerBasics:
         # connection keeps serving and the breaker never counts it.
         assert remote.breaker_state == "closed"
         assert remote.get("ns", "missing.json") is None
+        remote.close()
+
+    def test_touching_missing_names_leaves_nothing_on_the_server(self, server):
+        remote = RemoteBackend(server.url)
+        for index in range(3):
+            remote.touch(f"ns{index}", f"missing{index}.json")
+        assert list(remote.iter()) == []
+        assert not server.root.exists() or list(server.root.iterdir()) == []
         remote.close()
 
     def test_traversal_names_are_rejected_over_the_wire(self, tmp_path, server):
@@ -382,30 +387,20 @@ def render(rows):
 '''
 
 
-def _toy_spec(tmp_path, monkeypatch):
-    module_dir = tmp_path / "modules"
-    module_dir.mkdir(exist_ok=True)
-    module_name = f"nettoy_{uuid.uuid4().hex[:8]}"
-    (module_dir / f"{module_name}.py").write_text(TOY_SOURCE)
-    monkeypatch.syspath_prepend(str(module_dir))
-    module = importlib.import_module(module_name)
-    return ExperimentSpec.from_module("toy", module)
-
-
 def _toy_runner(spec, cache):
     return ExperimentRunner(cache=cache, registry={"toy": spec})
 
 
 class TestSharedServer:
     def test_two_runners_compute_each_address_exactly_once(
-        self, tmp_path, monkeypatch, server
+        self, tmp_path, driver_spec, server
     ):
         requests = [("toy", {"x": x}) for x in range(3)]
         caches = [
             ResultCache(backend=make_store_backend(tmp_path / f"client{i}", server.url))
             for i in range(2)
         ]
-        spec = _toy_spec(tmp_path, monkeypatch)  # one driver: identical addresses
+        spec = driver_spec(TOY_SOURCE)  # one driver: identical addresses
         first = _toy_runner(spec, caches[0])
         second = _toy_runner(spec, caches[1])
         cold = first.run_many(list(requests))
@@ -422,10 +417,10 @@ class TestSharedServer:
         assert stats[1].remote_hits == len(requests)
 
     def test_dead_server_run_is_bit_identical_to_local_only(
-        self, tmp_path, monkeypatch
+        self, tmp_path, driver_spec
     ):
         requests = [("toy", {"x": x}) for x in range(3)]
-        spec = _toy_spec(tmp_path, monkeypatch)
+        spec = driver_spec(TOY_SOURCE)
         baseline = _toy_runner(spec, ResultCache(tmp_path / "baseline"))
         clean = baseline.run_many(list(requests))
         degraded_cache = ResultCache(

@@ -17,9 +17,9 @@ from repro.arithmetic.fixed_point import (
 from repro.arithmetic.multiplier import BoothWallaceMultiplier
 from repro.arithmetic.subword import SubwordParallelMultiplier
 from repro.arithmetic.wallace import reduce_rows
-from repro.circuit.delay import delay_stretch
+from repro.circuit.delay import CriticalPath, delay_stretch
 from repro.circuit.energy import dynamic_power_mw
-from repro.circuit.technology import TECH_40NM_LP_LVT
+from repro.circuit.technology import TECH_28NM_FDSOI, TECH_40NM_LP_LVT
 from repro.circuit.voltage_scaling import minimum_voltage_for_period
 from repro.nn.quantization import quantize
 
@@ -143,6 +143,21 @@ class TestPhysicsInvariants:
         power = dynamic_power_mw(capacitance, activity, frequency, voltage)
         assert dynamic_power_mw(capacitance, activity, frequency, k * voltage) == pytest.approx(k**2 * power)
         assert dynamic_power_mw(capacitance, activity, k * frequency, voltage) == pytest.approx(k * power)
+
+    @given(
+        technology=st.sampled_from([TECH_40NM_LP_LVT, TECH_28NM_FDSOI]),
+        levels=st.floats(min_value=1.0, max_value=60.0),
+        low=st.floats(min_value=0.0, max_value=1.0),
+        high=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_max_frequency_monotone_in_voltage(self, technology, levels, low, high):
+        """Over the technology's supply range, a higher voltage never lowers f_max."""
+        low, high = sorted((low, high))
+        span = technology.max_voltage - technology.min_voltage
+        path = CriticalPath(logic_levels=levels, technology=technology)
+        slow = path.max_frequency_mhz(technology.min_voltage + low * span)
+        fast = path.max_frequency_mhz(technology.min_voltage + high * span)
+        assert 0 < slow <= fast * (1 + 1e-12)  # ulp-level rounding aside
 
 
 class TestQuantizationProperties:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import ast
 import json
 import os
-import uuid
 from pathlib import Path
 
 import pytest
@@ -28,6 +27,7 @@ from repro.analysis.sweep import SweepResult, sweep_grid
 from repro.runner import service as service_module
 from repro.runner.cache import CacheEntry, ResultCache, cache_key, run_provenance
 from repro.runner.cli import main
+from repro.runner.errors import UnknownParamError
 from repro.runner.executor import ExecutionPolicy
 from repro.runner.fingerprint import (
     _is_main_guard,
@@ -37,7 +37,7 @@ from repro.runner.fingerprint import (
     code_fingerprint,
     module_closure,
 )
-from repro.runner.registry import ExperimentSpec, ParamSpec, build_registry
+from repro.runner.registry import ParamSpec, build_registry
 from repro.runner.service import ExperimentRunner
 
 #: Small fig4/table2 configs so cache tests stay fast.
@@ -372,7 +372,7 @@ class TestResultCache:
             with pytest.raises(ValueError, match="invalid experiment name"):
                 cache.clear(bad)
             with pytest.raises(ValueError):
-                list(cache.entries(bad))
+                cache.ls(bad)
         assert (outside / "precious.json").exists()
 
     def test_key_depends_on_all_components(self):
@@ -416,40 +416,33 @@ class TestExperimentRunner:
         # Same (synthetic) fingerprint again: now it hits.
         assert runner.run("fig4", **FIG4_SMALL).cached is True
 
-    def test_source_edit_between_batches_gets_a_new_key(self, tmp_path, monkeypatch):
+    def test_source_edit_between_batches_gets_a_new_key(self, tmp_path, driver_spec):
         # The guard against a stale replay: a batch memoises fingerprints, and
         # that memo must never outlive its batch on a long-lived runner.  The
         # driver lives outside ``repro``: its fingerprint follows its own
         # package's imports.
-        package = f"stalepkg_{uuid.uuid4().hex[:8]}"
-        (tmp_path / package).mkdir()
-        (tmp_path / package / "__init__.py").write_text("")
-        (tmp_path / package / "dep.py").write_text("VALUE = 1\n")
-        (tmp_path / package / "driver.py").write_text(
-            "from .dep import VALUE\n\nPARAMS = {'n': 2}\n\n\ndef run(*, n=2):\n    return [{'n': n, 'value': VALUE}]\n"
+        spec = driver_spec(
+            "from .dep import VALUE\n\nPARAMS = {'n': 2}\n\n\n"
+            "def run(*, n=2):\n    return [{'n': n, 'value': VALUE}]\n",
+            name="stale",
+            dep="VALUE = 1\n",
         )
-        monkeypatch.syspath_prepend(str(tmp_path))
-        spec = ExperimentSpec.from_source("stale", f"{package}.driver")
         runner = ExperimentRunner(cache=ResultCache(tmp_path / "cache"), registry={"stale": spec})
         [first] = runner.run_many([("stale", {})])
         assert runner.lookup("stale", {}).key == first.key
-        (tmp_path / package / "dep.py").write_text("VALUE = 2\n")
+        (tmp_path / spec.module_name.partition(".")[0] / "dep.py").write_text("VALUE = 2\n")
         assert runner.lookup("stale", {}) is None
         [second] = runner.run_many([("stale", {})])
         assert second.cached is False
         assert second.key != first.key
 
-    def test_injected_spec_computes_in_pool_workers(self, tmp_path, monkeypatch):
+    def test_injected_spec_computes_in_pool_workers(self, tmp_path, driver_spec):
         # The spec travels with each task, so a worker runs a driver that
         # ``DRIVERS`` does not name instead of looking it up by name.
-        package = f"extpkg_{uuid.uuid4().hex[:8]}"
-        (tmp_path / package).mkdir()
-        (tmp_path / package / "__init__.py").write_text("")
-        (tmp_path / package / "driver.py").write_text(
-            "import os\n\nPARAMS = {'n': 1}\n\n\ndef run(*, n=1):\n    return [{'n': n, 'pid': os.getpid()}]\n"
+        spec = driver_spec(
+            "import os\n\nPARAMS = {'n': 1}\n\n\ndef run(*, n=1):\n    return [{'n': n, 'pid': os.getpid()}]\n",
+            name="ext",
         )
-        monkeypatch.syspath_prepend(str(tmp_path))
-        spec = ExperimentSpec.from_source("ext", f"{package}.driver")
         runner = ExperimentRunner(cache=ResultCache(tmp_path / "cache"), registry={"ext": spec})
         reports = runner.run_many(
             [("ext", {"n": 1}), ("ext", {"n": 2})], jobs=2, policy=ExecutionPolicy(oversubscribe=True)
@@ -463,12 +456,11 @@ class TestExperimentRunner:
         assert runner.run("table2", **TABLE2_SMALL).cached is False
         assert runner.cache.ls() == []
 
-    def test_object_parameter_bypasses_cache(self, runner):
-        from repro.core.scaling import characterize_multiplier
-
-        characterization = characterize_multiplier(samples=40, seed=3)
-        report = runner.run("table1", characterization=characterization)
-        assert report.cached is False and report.key is None
+    def test_object_parameter_raises_unknown_param(self, runner):
+        # Object parameters work in direct driver calls only: the runner
+        # rejects them like api.run, the CLI and HTTP, and runs nothing.
+        with pytest.raises(UnknownParamError, match="characterization"):
+            runner.run("table1", characterization=object())
         assert runner.cache.ls() == []
 
     def test_parallel_run_many_matches_serial(self, tmp_path):

@@ -15,18 +15,15 @@ eight experiments.
 from __future__ import annotations
 
 import http.client
-import importlib
 import json
 import socket
 import threading
 import time
-import uuid
 
 import pytest
 
 from repro.runner.cache import ResultCache
 from repro.runner.cli import main
-from repro.runner.registry import ExperimentSpec
 from repro.runner.service import ExperimentRunner
 from repro.service import BackgroundServer, build_app
 
@@ -47,20 +44,13 @@ def render(rows):
 '''
 
 
-def _toy_runner(tmp_path, monkeypatch):
-    module_dir = tmp_path / "modules"
-    module_dir.mkdir(exist_ok=True)
-    module_name = f"toyexp_{uuid.uuid4().hex[:8]}"
-    (module_dir / f"{module_name}.py").write_text(TOY_SOURCE)
-    monkeypatch.syspath_prepend(str(module_dir))
-    module = importlib.import_module(module_name)
-    spec = ExperimentSpec.from_module("toy", module)
-    return ExperimentRunner(cache=ResultCache(tmp_path / "cache"), registry={"toy": spec})
+def _toy_runner(tmp_path, driver_spec):
+    return ExperimentRunner(cache=ResultCache(tmp_path / "cache"), registry={"toy": driver_spec(TOY_SOURCE)})
 
 
 @pytest.fixture()
-def toy_runner(tmp_path, monkeypatch):
-    return _toy_runner(tmp_path, monkeypatch)
+def toy_runner(tmp_path, driver_spec):
+    return _toy_runner(tmp_path, driver_spec)
 
 
 @pytest.fixture()
@@ -218,7 +208,7 @@ class TestHealthSplit:
         assert "store_backend" not in document  # nothing remote to probe
 
     def test_readiness_reports_degraded_when_the_store_is_gone(
-        self, tmp_path, monkeypatch
+        self, tmp_path, driver_spec
     ):
         import socket as socketlib
 
@@ -229,7 +219,7 @@ class TestHealthSplit:
         probe.bind(("127.0.0.1", 0))
         dead_url = f"tcp://127.0.0.1:{probe.getsockname()[1]}"
         probe.close()
-        runner = _toy_runner(tmp_path, monkeypatch)
+        runner = _toy_runner(tmp_path, driver_spec)
         runner.cache.backend = TieredBackend(
             DiskBackend(tmp_path / "tiered"), RemoteBackend(dead_url, timeout=0.2, retries=0)
         )

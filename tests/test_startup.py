@@ -3,12 +3,12 @@
 Covered here:
 
 * the drift guard: for every real driver, the spec the registry reads from
-  the driver's literal declarations equals the spec built from the imported
-  module, so the import-time checks (``PARAMS`` against ``run()``,
-  producers importable and callable) keep running on the real drivers;
+  the driver's literal declarations matches the imported module's own
+  ``PARAMS``, ``OBJECT_PARAMS`` and ``ARTIFACTS`` and ``run()``'s
+  signature, and every producer imports and is callable;
 * one parse per source text, shared by the registry and the fingerprint;
 * the static checks of :meth:`ExperimentSpec.from_source` on small
-  packages written to ``tmp_path``;
+  packages written to ``tmp_path`` (``driver_spec``);
 * the import sets of fresh interpreters (``sys.modules`` only, no timing):
   ``repro list`` loads no driver, no science package, no service, no
   facade, no process pool and no store; ``sweep table2`` loads no other
@@ -25,12 +25,11 @@ from __future__ import annotations
 import hashlib
 import http.client
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
-import textwrap
-import uuid
 from pathlib import Path
 
 import pytest
@@ -39,9 +38,10 @@ from repro import api
 from repro.experiments import DRIVERS
 from repro.runner import fingerprint
 from repro.runner import registry as registry_module
+from repro.runner.artifacts import load_producer
 from repro.runner.cache import ResultCache
 from repro.runner.fingerprint import module_closure
-from repro.runner.registry import ExperimentSpec, build_registry
+from repro.runner.registry import build_registry
 from repro.runner.service import ExperimentRunner
 from repro.service import BackgroundServer, build_app
 
@@ -76,16 +76,37 @@ def _loaded(modules: list[str], package: str) -> list[str]:
     return [name for name in modules if name == package or name.startswith(package + ".")]
 
 
+#: A package ``__init__`` that fails any import: the registry must read the driver without one.
+_RAISING_INIT = "raise RuntimeError('the registry must not import this package')\n"
+
+
 class TestRegistryFromSource:
     @pytest.mark.parametrize("name", list(DRIVERS))
     def test_declarations_match_the_imported_driver(self, name):
-        from_source = build_registry()[name]
-        imported = ExperimentSpec.from_module(name, importlib.import_module(DRIVERS[name]))
-        assert from_source.module_name == imported.module_name == DRIVERS[name]
-        assert from_source.params == imported.params
-        assert from_source.object_params == imported.object_params
-        assert from_source.artifacts == imported.artifacts  # levels included
-        assert from_source.module is imported.module
+        spec = build_registry()[name]
+        module = importlib.import_module(DRIVERS[name])
+        assert spec.module_name == DRIVERS[name] and spec.module is module
+        declared = getattr(module, "PARAMS", {})
+        assert {pname: param.default for pname, param in spec.params.items()} == declared
+        for pname, param in spec.params.items():
+            assert param.type is (tuple if isinstance(declared[pname], (list, tuple)) else type(declared[pname]))
+        assert spec.object_params == frozenset(getattr(module, "OBJECT_PARAMS", ()))
+        declared_artifacts = getattr(module, "ARTIFACTS", {})
+        assert list(spec.artifacts) == list(declared_artifacts)
+        for artifact, (producer, params, *options) in declared_artifacts.items():
+            binding = spec.artifacts[artifact]
+            options = options[0] if options else {}
+            assert (binding.producer, binding.params) == (producer, tuple(params))
+            assert (binding.when, binding.after) == (options.get("when"), tuple(options.get("after", ())))
+            assert binding.level == max((spec.artifacts[dep].level + 1 for dep in binding.after), default=0)
+            assert callable(load_producer(producer))  # importable, and names a callable
+        # run() accepts every declared and object parameter (by name, or through
+        # ``**kwargs``), and a named one defaults to the declared value.
+        signature = inspect.signature(module.run).parameters
+        named = {pname: signature[pname].default for pname in spec.params if pname in signature}
+        assert named == {pname: declared[pname] for pname in named}
+        if not any(parameter.kind is inspect.Parameter.VAR_KEYWORD for parameter in signature.values()):
+            assert set(spec.params) | spec.object_params <= set(signature)
 
     def test_registry_and_fingerprints_parse_each_source_once(self, monkeypatch):
         parsed = []
@@ -101,21 +122,8 @@ class TestRegistryFromSource:
                 fingerprint.code_fingerprint(binding.producer.partition(":")[0])
         assert len(parsed) == len(set(parsed)) > len(DRIVERS)
 
-    def _package(self, tmp_path, monkeypatch, driver: str, producers: str = "") -> str:
-        """A package whose ``__init__`` raises, holding ``driver.py`` (``PKG`` = the package name)."""
-        name = f"declpkg_{uuid.uuid4().hex[:8]}"
-        package = tmp_path / name
-        package.mkdir()
-        (package / "__init__.py").write_text("raise RuntimeError('the registry must not import this package')\n")
-        (package / "driver.py").write_text(textwrap.dedent(driver).replace("PKG", name))
-        (package / "producers.py").write_text(producers)
-        monkeypatch.syspath_prepend(str(tmp_path))
-        return name
-
-    def test_reads_a_driver_without_importing_it(self, tmp_path, monkeypatch):
-        package = self._package(
-            tmp_path,
-            monkeypatch,
+    def test_reads_a_driver_without_importing_it(self, driver_spec):
+        spec = driver_spec(
             """
             PARAMS: dict[str, object] = {"n": 3, "sizes": (1, 2), "flag": False}
             OBJECT_PARAMS = ("model",)
@@ -124,9 +132,9 @@ class TestRegistryFromSource:
             def run(*, n=3, sizes=(1, 2), flag=False, model=None):
                 return []
             """,
+            __init__=_RAISING_INIT,
             producers="def make(*, n):\n    return n\n",
         )
-        spec = ExperimentSpec.from_source("toy", f"{package}.driver")
         assert {name: param.default for name, param in spec.params.items()} == {
             "n": 3,
             "sizes": (1, 2),
@@ -134,6 +142,7 @@ class TestRegistryFromSource:
         }
         assert spec.object_params == frozenset({"model"})
         assert spec.artifacts["a"].when == "flag"
+        package = spec.module_name.partition(".")[0]
         assert not [name for name in sys.modules if name.startswith(package)]
 
     @pytest.mark.parametrize(
@@ -157,10 +166,9 @@ class TestRegistryFromSource:
             ),
         ],
     )
-    def test_static_checks_raise_type_errors(self, tmp_path, monkeypatch, source, message):
-        package = self._package(tmp_path, monkeypatch, source, producers="def make(): pass\naliased = make\n")
+    def test_static_checks_raise_type_errors(self, driver_spec, source, message):
         with pytest.raises(TypeError, match=message):
-            ExperimentSpec.from_source("toy", f"{package}.driver")
+            driver_spec(source, __init__=_RAISING_INIT, producers="def make(): pass\naliased = make\n")
 
 
 class TestStartupImports:

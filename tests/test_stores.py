@@ -18,7 +18,6 @@ import os
 import tempfile
 import threading
 import time
-import uuid
 
 import pytest
 
@@ -40,7 +39,6 @@ from repro.runner.backends import (
 from repro.runner.cache import CacheEntry, ResultCache, cache_key
 from repro.runner import artifacts as artifacts_module
 from repro.runner.cli import main
-from repro.runner.registry import ExperimentSpec
 from repro.runner.service import ExperimentRunner
 
 
@@ -151,6 +149,17 @@ class TestDiskLayout:
         assert list(backend.iter()) == [("ns", "k.json")]  # dotfiles never listed
         backend.delete("ns", "k.json")
         assert list((tmp_path / "ns").iterdir()) == []
+
+    def test_touch_on_a_missing_entry_leaves_nothing(self, tmp_path):
+        # No delete, clear or eviction would ever remove a stamp without an
+        # entry (nor the namespace directory made for it).
+        backend = DiskBackend(tmp_path)
+        backend.touch("ns", "missing.json")
+        assert list(tmp_path.iterdir()) == []
+        backend.put("ns", "k.json", b"blob")
+        os.unlink(tmp_path / "ns" / ".k.json.atime")  # e.g. an entry written without one
+        backend.touch("ns", "k.json")
+        assert sorted(path.name for path in (tmp_path / "ns").iterdir()) == [".k.json.atime", "k.json"]
 
     def test_disk_quarantine_moves_bytes_for_forensics(self, tmp_path):
         backend = DiskBackend(tmp_path)
@@ -564,28 +573,19 @@ def render(rows):
 '''
 
 
-def _toy_runner(tmp_path, monkeypatch, *, cache=None):
-    import importlib
-
-    module_dir = tmp_path / "modules"
-    module_dir.mkdir(exist_ok=True)
-    module_name = f"storetoy_{uuid.uuid4().hex[:8]}"
-    (module_dir / f"{module_name}.py").write_text(TOY_SOURCE)
-    monkeypatch.syspath_prepend(str(module_dir))
-    module = importlib.import_module(module_name)
-    spec = ExperimentSpec.from_module("toy", module)
+def _toy_runner(tmp_path, driver_spec, *, cache=None):
     return ExperimentRunner(
         cache=cache if cache is not None else ResultCache(tmp_path / "cache"),
-        registry={"toy": spec},
+        registry={"toy": driver_spec(TOY_SOURCE)},
     )
 
 
 class TestRunnerUnderPressure:
-    def test_warm_replay_is_bit_identical_under_eviction(self, tmp_path, monkeypatch):
+    def test_warm_replay_is_bit_identical_under_eviction(self, tmp_path, driver_spec):
         # A cap small enough to evict most entries: warm reruns recompute
         # the evicted ones and must reproduce the cold rows byte-for-byte.
         runner = _toy_runner(
-            tmp_path, monkeypatch, cache=ResultCache(tmp_path / "cache", max_bytes=2_000)
+            tmp_path, driver_spec, cache=ResultCache(tmp_path / "cache", max_bytes=2_000)
         )
         requests = [("toy", {"x": x}) for x in range(8)]
         cold = runner.run_many(list(requests))
@@ -594,9 +594,9 @@ class TestRunnerUnderPressure:
         counters = load_stats(runner.cache.root)
         assert counters.result_evictions > 0
 
-    def test_memory_backed_runner_needs_no_disk(self, tmp_path, monkeypatch):
+    def test_memory_backed_runner_needs_no_disk(self, tmp_path, driver_spec):
         runner = _toy_runner(
-            tmp_path, monkeypatch, cache=ResultCache(backend=MemoryBackend())
+            tmp_path, driver_spec, cache=ResultCache(backend=MemoryBackend())
         )
         assert runner.cache.root is None
         (cold,) = runner.run_many([("toy", {"x": 6})])
@@ -605,8 +605,8 @@ class TestRunnerUnderPressure:
         assert warm.rows == cold.rows == [{"x": 6, "y": 36}]
         assert list(tmp_path.glob("cache*")) == []  # nothing persisted anywhere
 
-    def test_claims_and_misses_balance_in_counters(self, tmp_path, monkeypatch):
-        runner = _toy_runner(tmp_path, monkeypatch)
+    def test_claims_and_misses_balance_in_counters(self, tmp_path, driver_spec):
+        runner = _toy_runner(tmp_path, driver_spec)
         runner.run_many([("toy", {"x": 1}), ("toy", {"x": 2}), ("toy", {"x": 1})])
         counters = load_stats(runner.cache.root)
         # Two unique cold fills, each computed under a won claim; the
@@ -615,11 +615,11 @@ class TestRunnerUnderPressure:
         assert counters.result_claims == 2
         assert counters.result_claim_waits == 0
 
-    def test_cell_filled_after_the_lookup_is_served_not_recomputed(self, tmp_path, monkeypatch):
+    def test_cell_filled_after_the_lookup_is_served_not_recomputed(self, tmp_path, monkeypatch, driver_spec):
         # Another runner's fill lands between this runner's lookup (a miss)
         # and its claim, so the claim is won fresh on a filled address.  The
         # re-check must serve that entry instead of computing it again.
-        runner = _toy_runner(tmp_path, monkeypatch)
+        runner = _toy_runner(tmp_path, driver_spec)
         other = ExperimentRunner(cache=ResultCache(tmp_path / "cache"), registry=runner.registry)
         claim = runner.cache.claim
 
@@ -635,11 +635,11 @@ class TestRunnerUnderPressure:
         counters = load_stats(runner.cache.root)
         assert counters.result_misses == counters.result_claims == 2
 
-    def test_runners_racing_overlapping_batches_compute_each_cell_once(self, tmp_path, monkeypatch):
+    def test_runners_racing_overlapping_batches_compute_each_cell_once(self, tmp_path, monkeypatch, driver_spec):
         # The runners meet at a barrier after claiming the first half of
         # their lists and again after claiming all of it, before either
         # computes: every batch fill wins two claims and loses two.
-        first = _toy_runner(tmp_path, monkeypatch)
+        first = _toy_runner(tmp_path, driver_spec)
         second = ExperimentRunner(cache=ResultCache(tmp_path / "cache"), registry=first.registry)
         module = first.spec("toy").module
         computed = []
@@ -680,10 +680,10 @@ class TestRunnerUnderPressure:
         assert counters.result_claims == counters.result_claim_waits == 4
         assert counters.result_misses == counters.result_claims + counters.result_claim_waits
 
-    def test_failed_put_releases_every_owned_claim(self, tmp_path, monkeypatch):
+    def test_failed_put_releases_every_owned_claim(self, tmp_path, driver_spec):
         from repro.faults import FaultInjected, injected
 
-        runner = _toy_runner(tmp_path, monkeypatch)
+        runner = _toy_runner(tmp_path, driver_spec)
         requests = [("toy", {"x": x}) for x in (1, 2, 3)]
         with injected("cache.write:exc"):  # the first owned cell's put raises
             with pytest.raises(FaultInjected):
@@ -718,13 +718,6 @@ class TestStatsLog:
         for thread in threads:
             thread.join()
         assert load_stats(tmp_path).result_hits == 32
-
-    def test_legacy_snapshot_still_counts(self, tmp_path):
-        (tmp_path / "_stats.json").write_text(json.dumps({"result_hits": 5}))
-        record_stats(tmp_path, StoreStats(result_hits=2, result_claims=1))
-        total = load_stats(tmp_path)
-        assert total.result_hits == 7
-        assert total.result_claims == 1
 
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         record_stats(tmp_path, StoreStats(artifact_hits=3))
@@ -795,11 +788,12 @@ class TestStatsLog:
         assert log.read_bytes() == before
         assert sorted(path.name for path in tmp_path.iterdir()) == ["_stats.jsonl"]
 
-    def test_reset_clears_log_and_snapshot(self, tmp_path):
-        (tmp_path / "_stats.json").write_text(json.dumps({"result_hits": 5}))
+    def test_reset_clears_the_log(self, tmp_path):
         record_stats(tmp_path, StoreStats(result_hits=2))
         reset_stats(tmp_path)
         assert load_stats(tmp_path).result_hits == 0
+        assert not (tmp_path / "_stats.jsonl").exists()
+        reset_stats(tmp_path)  # nothing left to delete is not an error
 
 
 # -- CLI surface --------------------------------------------------------------------
