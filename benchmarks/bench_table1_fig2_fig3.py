@@ -8,21 +8,32 @@ import pytest
 
 from repro.core.scaling import characterize_multiplier
 from repro.experiments import fig2, fig3, table1
+from repro.runner import MemoryBackend
+from repro.runner.artifacts import ArtifactStore, activated
 
 SAMPLES = 200
+#: The characterisation every driver call below resolves.
+CHARACTERIZATION = {"samples": SAMPLES, "seed": 2017}
 
 
 @pytest.fixture(scope="module")
-def characterization():
-    """Shared multiplier characterisation reused by the three benchmarks."""
-    return characterize_multiplier(samples=SAMPLES, seed=2017)
+def _characterization_store():
+    return ArtifactStore(backend=MemoryBackend())
+
+
+@pytest.fixture
+def characterization(_characterization_store):
+    """A module-wide memory artifact store: the first driver call fills it, later ones replay."""
+    with activated(_characterization_store):
+        table1.run(**CHARACTERIZATION)
+        yield
 
 
 def test_table1_scaling_parameters(benchmark, characterization):
     """Table I: re-extract k0..k5 and N from the structural multiplier."""
-    rows = benchmark(lambda: table1.run(characterization=characterization))
+    rows = benchmark(lambda: table1.run(**CHARACTERIZATION))
     print()
-    print(table1.report(characterization=characterization))
+    print(table1.report(**CHARACTERIZATION))
     by_precision = {row["precision"]: row for row in rows}
     assert by_precision[4]["N"] == 4
     assert by_precision[8]["N"] == 2
@@ -31,9 +42,9 @@ def test_table1_scaling_parameters(benchmark, characterization):
 
 def test_fig2_frequency_slack_voltage_activity(benchmark, characterization):
     """Fig. 2: frequency, slack, voltage and activity vs precision."""
-    rows = benchmark(lambda: fig2.run(characterization=characterization))
+    rows = benchmark(lambda: fig2.run(**CHARACTERIZATION))
     print()
-    print(fig2.report(characterization=characterization))
+    print(fig2.report(**CHARACTERIZATION))
     by_precision = {row["precision"]: row for row in rows}
     assert by_precision[4]["frequency_mhz (2a)"] == 125.0
     assert 5.0 <= by_precision[4]["dvafs_slack_ns (2b)"] <= 7.6
@@ -42,7 +53,7 @@ def test_fig2_frequency_slack_voltage_activity(benchmark, characterization):
 
 def test_fig3a_energy_accuracy_curves(benchmark, characterization):
     """Fig. 3a: DAS/DVAS/DVAFS energy per word, normalised to the 16 b baseline."""
-    rows = benchmark(lambda: fig3.run_fig3a(characterization=characterization))
+    rows = benchmark(lambda: fig3.run_fig3a(**CHARACTERIZATION))
     print()
     from repro.analysis.reporting import format_table
 
@@ -115,9 +126,7 @@ def test_batch_engine_speedup(benchmark, trajectory):
 
 def test_fig3b_baseline_comparison(benchmark, characterization):
     """Fig. 3b: DVAFS vs approximate-computing baselines on an energy/RMSE plane."""
-    rows = benchmark(
-        lambda: fig3.run_fig3b(characterization=characterization, rmse_samples=600)
-    )
+    rows = benchmark(lambda: fig3.run_fig3b(**CHARACTERIZATION, rmse_samples=600))
     print()
     from repro.analysis.reporting import format_table
 

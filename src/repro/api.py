@@ -59,7 +59,6 @@ from .runner.service import ExperimentRunner, Observer, RunReport
 __all__ = [
     "DEFAULT_POLICY",
     "ExecutionError",
-    "ExecutionPolicy",
     "ExperimentRunner",
     "ParamError",
     "ParamTypeError",
@@ -117,8 +116,7 @@ def list_experiments(*, runner: ExperimentRunner | None = None) -> list[dict[str
     """Schema listing of every registered experiment, registry order.
 
     Each entry is :meth:`repro.runner.registry.ExperimentSpec.schema`:
-    ``{"name", "params": {name: {"type", "default"}}, "object_params",
-    "artifacts"}``.
+    ``{"name", "params": {name: {"type", "default"}}, "artifacts"}``.
     """
     runner = runner if runner is not None else make_runner(use_cache=False)
     return [spec.schema() for spec in runner.registry.values()]
@@ -207,14 +205,8 @@ def validate_sweep(
     return validated_grid, fixed
 
 
-def _policy(
-    timeout: float | None, retries: int | None, policy: ExecutionPolicy | None
-) -> ExecutionPolicy | None:
-    """The execution policy a facade call resolves to (an explicit one wins)."""
-    if policy is not None:
-        return policy
-    if timeout is None and retries is None:
-        return None
+def _policy(timeout: float | None, retries: int | None) -> ExecutionPolicy:
+    """The execution policy a facade call resolves to; invalid values raise :class:`ParamValueError`."""
     return DEFAULT_POLICY.with_overrides(timeout=timeout, retries=retries)
 
 
@@ -224,7 +216,7 @@ def _execute(
     *,
     jobs: int,
     observer: Observer | None,
-    policy: ExecutionPolicy | None = None,
+    policy: ExecutionPolicy,
 ):
     """One guarded execution path: driver failures become ``ExecutionError``."""
     try:
@@ -277,7 +269,6 @@ def run_all(
     observer: Observer | None = None,
     timeout: float | None = None,
     retries: int | None = None,
-    policy: ExecutionPolicy | None = None,
 ) -> list[RunReport]:
     """Run several experiments (default: every registered one), request order.
 
@@ -285,15 +276,14 @@ def run_all(
     only accepted together with an explicit single-name list -- the CLI
     enforces the same rule for ``--param``.  ``timeout`` / ``retries``
     tune the parallel executor's per-unit wall-clock budget and retry
-    count (an explicit ``policy`` wins); both only apply when ``jobs > 1``
-    spawns worker processes.
+    count; both only apply when ``jobs > 1`` spawns worker processes, but
+    a non-positive timeout or a negative retry count is rejected on every
+    call (:class:`ParamValueError`).
     """
     runner = make_runner(cache_dir=cache_dir, use_cache=use_cache, runner=runner)
     targets = validate_targets(names, params, runner=runner)
     requests = [(target, dict(params or {})) for target in targets]
-    return _execute(
-        runner, requests, jobs=jobs, observer=observer, policy=_policy(timeout, retries, policy)
-    )
+    return _execute(runner, requests, jobs=jobs, observer=observer, policy=_policy(timeout, retries))
 
 
 @dataclass
@@ -350,7 +340,6 @@ def sweep(
     observer: Observer | None = None,
     timeout: float | None = None,
     retries: int | None = None,
-    policy: ExecutionPolicy | None = None,
 ) -> SweepReport:
     """Cartesian grid over one experiment's parameters, each cell cache-aware."""
     runner = make_runner(cache_dir=cache_dir, use_cache=use_cache, runner=runner)
@@ -361,7 +350,7 @@ def sweep(
         [(name, {**fixed, **assignment}) for assignment in assignments],
         jobs=jobs,
         observer=observer,
-        policy=_policy(timeout, retries, policy),
+        policy=_policy(timeout, retries),
     )
     return SweepReport(
         experiment=name,

@@ -290,21 +290,13 @@ def characterization_artifact(*, samples: int, seed: int) -> MultiplierCharacter
     return characterize_multiplier(samples=samples, seed=seed)
 
 
-def resolve_characterization(
-    *,
-    samples: int,
-    seed: int,
-    characterization: MultiplierCharacterization | None = None,
-) -> MultiplierCharacterization:
+def resolve_characterization(*, samples: int, seed: int) -> MultiplierCharacterization:
     """The one resolver behind every driver-level characterisation lookup.
 
-    A pre-built object wins; otherwise the characterisation is loaded from
-    the active artifact store (populated once per cold ``run all`` by the
-    scheduler's artifact wave) or computed inline when no store is active --
-    bit-identical either way.
+    The characterisation is loaded from the active artifact store (populated
+    once per cold ``run all`` by the scheduler's artifact wave) or computed
+    inline when no store is active -- bit-identical either way.
     """
-    if characterization is not None:
-        return characterization
     return resolve_artifact(
         "multiplier_characterization",
         {"samples": samples, "seed": seed},

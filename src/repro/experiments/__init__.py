@@ -16,12 +16,11 @@ module        reproduces
 
 Each module exposes ``run(**kwargs) -> list[dict]`` returning the raw rows,
 ``render(rows) -> str`` formatting rows from a live run or the result cache
-alike, and ``report(**kwargs) -> str`` (= ``render(run(**kwargs))``).  The
-cacheable parameters are declared in each module's ``PARAMS`` mapping
-(name -> default) -- the schema consumed by :mod:`repro.runner.registry`.
-Object-valued injection parameters are listed in ``OBJECT_PARAMS``; they
-work in direct ``run()`` calls only, and the runner rejects them as
-unknown.  ``python -m repro`` is the unified entry point.
+alike, and ``report(**kwargs) -> str`` (= ``render(run(**kwargs))``).  A
+driver's inputs are the parameters declared in its ``PARAMS`` mapping
+(name -> default) -- the schema consumed by :mod:`repro.runner.registry` --
+plus the shared intermediates its science resolves through
+:mod:`repro.artifact_hook`.  ``python -m repro`` is the unified entry point.
 
 Importing this package imports no driver: the registry reads the literal
 declarations from source, and ``EXPERIMENTS[name]`` or ``repro.experiments.<name>``

@@ -11,12 +11,10 @@ Four series at constant 500 MOPS throughput for the Booth-Wallace multiplier:
 from __future__ import annotations
 
 from ..analysis.reporting import format_table
-from ..core.scaling import MultiplierCharacterization, resolve_characterization
+from ..core.scaling import resolve_characterization
 
 #: Cacheable run() parameters (name -> default); the runner registry's schema.
 PARAMS = {"samples": 300, "seed": 2017}
-#: Object-valued run() parameters, for direct calls only (the runner rejects them).
-OBJECT_PARAMS = ("characterization",)
 #: Shared sub-experiment intermediates (artifact -> (producer, params subset)).
 ARTIFACTS = {
     "multiplier_characterization": (
@@ -26,13 +24,9 @@ ARTIFACTS = {
 }
 
 
-def run(
-    *, samples: int = 300, seed: int = 2017, characterization: MultiplierCharacterization | None = None
-) -> list[dict[str, object]]:
+def run(*, samples: int = 300, seed: int = 2017) -> list[dict[str, object]]:
     """One record per precision with every Fig. 2 quantity."""
-    characterization = resolve_characterization(
-        samples=samples, seed=seed, characterization=characterization
-    )
+    characterization = resolve_characterization(samples=samples, seed=seed)
     das_activity = characterization.relative_activity("das")
     dvafs_activity = characterization.relative_activity("dvafs")
     rows = []

@@ -22,8 +22,6 @@ from ..core.scaling import (
 
 #: Cacheable run() parameters (name -> default); the runner registry's schema.
 PARAMS = {"samples": 300, "rmse_samples": 1500, "seed": 2017}
-#: Object-valued run() parameters, for direct calls only (the runner rejects them).
-OBJECT_PARAMS = ("characterization",)
 #: Shared sub-experiment intermediates (artifact -> (producer, params subset)).
 ARTIFACTS = {
     "multiplier_characterization": (
@@ -33,13 +31,7 @@ ARTIFACTS = {
 }
 
 
-def run_fig3a(
-    *, samples: int = 300, seed: int = 2017, characterization: MultiplierCharacterization | None = None
-) -> list[dict[str, object]]:
-    """Energy/word (relative to the plain 16 b multiplier) per technique and precision."""
-    characterization = resolve_characterization(
-        samples=samples, seed=seed, characterization=characterization
-    )
+def _fig3a_rows(characterization: MultiplierCharacterization) -> list[dict[str, object]]:
     rows = []
     for point in multiplier_energy_curves(characterization):
         rows.append(
@@ -56,17 +48,9 @@ def run_fig3a(
     return rows
 
 
-def run_fig3b(
-    *,
-    samples: int = 300,
-    rmse_samples: int = 1500,
-    seed: int = 2017,
-    characterization: MultiplierCharacterization | None = None,
+def _fig3b_rows(
+    characterization: MultiplierCharacterization, *, rmse_samples: int, seed: int
 ) -> list[dict[str, object]]:
-    """Relative energy vs. RMSE for DVAFS and the baselines of [3]-[5], [8]."""
-    characterization = resolve_characterization(
-        samples=samples, seed=seed, characterization=characterization
-    )
     rng = np.random.default_rng(seed)
     operand_values = rng.uniform(-1.0, 1.0, size=rmse_samples)
 
@@ -101,21 +85,25 @@ def run_fig3b(
     return rows
 
 
-def run(
-    *,
-    samples: int = 300,
-    rmse_samples: int = 1500,
-    seed: int = 2017,
-    characterization: MultiplierCharacterization | None = None,
-) -> list[dict[str, object]]:
-    """Both panels' rows, tagged with a ``panel`` column (the Fig. 3 data)."""
-    characterization = resolve_characterization(
-        samples=samples, seed=seed, characterization=characterization
-    )
-    rows_a = run_fig3a(samples=samples, seed=seed, characterization=characterization)
-    rows_b = run_fig3b(
-        samples=samples, rmse_samples=rmse_samples, seed=seed, characterization=characterization
-    )
+def run_fig3a(*, samples: int = 300, seed: int = 2017) -> list[dict[str, object]]:
+    """Energy/word (relative to the plain 16 b multiplier) per technique and precision."""
+    return _fig3a_rows(resolve_characterization(samples=samples, seed=seed))
+
+
+def run_fig3b(*, samples: int = 300, rmse_samples: int = 1500, seed: int = 2017) -> list[dict[str, object]]:
+    """Relative energy vs. RMSE for DVAFS and the baselines of [3]-[5], [8]."""
+    characterization = resolve_characterization(samples=samples, seed=seed)
+    return _fig3b_rows(characterization, rmse_samples=rmse_samples, seed=seed)
+
+
+def run(*, samples: int = 300, rmse_samples: int = 1500, seed: int = 2017) -> list[dict[str, object]]:
+    """Both panels' rows, tagged with a ``panel`` column (the Fig. 3 data).
+
+    The characterisation is resolved once and shared by both panels.
+    """
+    characterization = resolve_characterization(samples=samples, seed=seed)
+    rows_a = _fig3a_rows(characterization)
+    rows_b = _fig3b_rows(characterization, rmse_samples=rmse_samples, seed=seed)
     return [{"panel": "3a", **row} for row in rows_a] + [{"panel": "3b", **row} for row in rows_b]
 
 

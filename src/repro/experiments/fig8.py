@@ -15,16 +15,14 @@ from __future__ import annotations
 from ..analysis.reporting import format_table
 from ..envision import EnvisionChip
 
-#: Cacheable run() parameters (name -> default); the chip model is the only
-#: input and is an object parameter, so the default config has no knobs.
+#: Cacheable run() parameters (name -> default); the figure is fixed by the
+#: default Envision chip model, so it has no knobs.
 PARAMS: dict[str, object] = {}
-#: Object-valued run() parameters, for direct calls only (the runner rejects them).
-OBJECT_PARAMS = ("chip",)
 
 
-def run(*, chip: EnvisionChip | None = None) -> list[dict[str, object]]:
+def run() -> list[dict[str, object]]:
     """Records for both Fig. 8a (constant f) and Fig. 8b (constant throughput)."""
-    chip = chip or EnvisionChip()
+    chip = EnvisionChip()
     rows: list[dict[str, object]] = []
     for schedule, constant_throughput in (("8a: constant 200MHz", False), ("8b: constant 76GOPS", True)):
         for record in chip.energy_per_word_curve(constant_throughput=constant_throughput):

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 from ..analysis.reporting import format_table
 from ..core.power_model import PAPER_TABLE_I
-from ..core.scaling import MultiplierCharacterization, resolve_characterization
+from ..core.scaling import resolve_characterization
 
 #: Cacheable run() parameters (name -> default); the runner registry's schema.
 PARAMS = {"samples": 300, "seed": 2017}
-#: Object-valued run() parameters, for direct calls only (the runner rejects them).
-OBJECT_PARAMS = ("characterization",)
 #: Shared sub-experiment intermediates (artifact -> (producer, params subset)).
 ARTIFACTS = {
     "multiplier_characterization": (
@@ -24,14 +22,9 @@ ARTIFACTS = {
 }
 
 
-def run(
-    *, samples: int = 300, seed: int = 2017, characterization: MultiplierCharacterization | None = None
-) -> list[dict[str, object]]:
+def run(*, samples: int = 300, seed: int = 2017) -> list[dict[str, object]]:
     """Compute the Table I rows; returns one record per precision."""
-    characterization = resolve_characterization(
-        samples=samples, seed=seed, characterization=characterization
-    )
-    extracted = characterization.scaling_parameters()
+    extracted = resolve_characterization(samples=samples, seed=seed).scaling_parameters()
     rows = []
     for precision in sorted(extracted, reverse=True):
         ours = extracted[precision]

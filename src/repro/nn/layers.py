@@ -69,10 +69,6 @@ class Layer:
         """Multiply-accumulate operations per sample."""
         return 0
 
-    def parameter_count(self) -> int:
-        """Number of learned parameters."""
-        return 0
-
     def weight_sparsity(self) -> float:
         """Fraction of zero-valued weights."""
         return 0.0
@@ -156,9 +152,6 @@ class Conv2D(Layer):
             * self.kernel_size
             * self.kernel_size
         )
-
-    def parameter_count(self) -> int:
-        return self.weights.size + self.bias.size
 
     def weight_sparsity(self) -> float:
         return float(np.count_nonzero(self.weights == 0) / self.weights.size)
@@ -401,9 +394,6 @@ class FullyConnected(Layer):
 
     def macs(self, input_shape: tuple[int, ...]) -> int:
         return self.in_features * self.out_features
-
-    def parameter_count(self) -> int:
-        return self.weights.size + self.bias.size
 
     def weight_sparsity(self) -> float:
         return float(np.count_nonzero(self.weights == 0) / self.weights.size)

@@ -27,7 +27,6 @@ class LayerSummary:
     input_shape: tuple[int, ...]
     output_shape: tuple[int, ...]
     macs: int
-    parameters: int
     weight_sparsity: float
 
     @property
@@ -89,7 +88,6 @@ class Network:
                         input_shape=shape,
                         output_shape=output_shape,
                         macs=layer.macs(shape),
-                        parameters=layer.parameter_count(),
                         weight_sparsity=layer.weight_sparsity(),
                     )
                 )

@@ -4,7 +4,7 @@ The runner unifies how the reproduction executes (PR 3, extended in PR 5):
 
 * :mod:`repro.runner.registry` -- typed experiment specs with deterministic
   config canonicalization, read from the drivers' literal declarations
-  (``PARAMS``, ``OBJECT_PARAMS``, ``ARTIFACTS``) without importing them;
+  (``PARAMS``, ``ARTIFACTS``) without importing them;
 * :mod:`repro.runner.fingerprint` -- static import-closure code fingerprints;
 * :mod:`repro.runner.backends` -- the pluggable byte-level
   :class:`StoreBackend` protocol (disk + in-memory) with its claim tickets

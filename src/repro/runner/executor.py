@@ -20,8 +20,8 @@ Both run through one fault-tolerant engine governed by an
   ``BrokenProcessPool`` / unit timeout) are retried with exponential
   backoff plus deterministic jitter; driver exceptions are not retryable
   and propagate immediately;
-* **pool respawn** -- a broken pool is torn down and respawned (bounded
-  by ``pool_respawns``); completed units are never recomputed, so a
+* **pool respawn** -- a broken pool is torn down and respawned (at most
+  :data:`POOL_RESPAWNS` times); completed units are never recomputed, so a
   recovered batch stays bit-identical to a clean one;
 * **graceful degradation** -- when the pool is irrecoverable (respawn
   budget spent, or the pool cannot even be created) the remaining units
@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 from ..analysis.sweep import SweepResult
 from ..faults import fault_point
 from .backends import backoff_delay
-from .errors import UnitTimeoutError, WorkerCrashError
+from .errors import ParamValueError, UnitTimeoutError, WorkerCrashError
 from .store import StoreStats
 
 if TYPE_CHECKING:
@@ -67,22 +67,22 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """Fault-tolerance knobs of the execution engine.
+    """Fault-tolerance settings of the execution engine.
 
-    ``timeout`` is per-unit wall-clock seconds (``None`` = unbounded);
-    ``retries`` bounds how often one unit may be re-attempted after a
-    *retryable* failure (crash/timeout); ``pool_respawns`` bounds how many
-    broken/hung pools are replaced before the engine degrades to serial
-    in-process execution.  ``oversubscribe`` skips the CPU-count clamp on
-    worker fan-out -- chaos tests need real worker processes even on a
-    1-core box, where the clamp would silently fall back to the serial
-    path (which cannot crash or hang a worker).
+    ``timeout`` is per-unit wall-clock seconds (``None`` = unbounded, else
+    positive); ``retries`` (>= 0) bounds how often one unit may be
+    re-attempted after a *retryable* failure (crash/timeout).  Invalid
+    values raise :class:`~repro.runner.errors.ParamValueError`.
     """
 
     timeout: float | None = None
     retries: int = 2
-    pool_respawns: int = 3
-    oversubscribe: bool = False
+
+    def __post_init__(self) -> None:
+        if self.timeout is not None and not self.timeout > 0:
+            raise ParamValueError(f"timeout must be positive, got {self.timeout!r}", param="timeout")
+        if self.retries < 0:
+            raise ParamValueError(f"retries must be >= 0, got {self.retries!r}", param="retries")
 
     def with_overrides(
         self, *, timeout: float | None = None, retries: int | None = None
@@ -98,6 +98,10 @@ class ExecutionPolicy:
 
 #: The policy every entry point uses unless the caller overrides it.
 DEFAULT_POLICY = ExecutionPolicy()
+
+#: Broken or hung pools replaced per batch before the engine degrades to
+#: serial in-process execution.
+POOL_RESPAWNS = 3
 
 #: Base and cap (seconds) of the jittered backoff before a pool respawn.
 BACKOFF_SECONDS = 0.05
@@ -120,17 +124,18 @@ class ExecutionOutcome:
     degraded: bool = False
 
 
-def _worker_count(jobs: int, tasks: int, *, oversubscribe: bool = False) -> int:
+def _worker_count(jobs: int, tasks: int) -> int:
     """Workers actually spawned: never more than tasks or available CPUs.
 
     Oversubscribing a small machine makes things *slower* -- concurrent
     producers thrash the caches (the precision-search workloads stream
     hundred-megabyte weight matrices) -- so ``--jobs 4`` on a 1-core box
     degrades to the serial in-process path while multi-core machines get
-    the full fan-out.  ``oversubscribe`` (or ``$REPRO_EXECUTOR_OVERSUBSCRIBE``)
-    lifts the CPU clamp for fault-injection runs that need real workers.
+    the full fan-out.  ``$REPRO_EXECUTOR_OVERSUBSCRIBE`` lifts the CPU clamp
+    for fault-injection runs that need real workers even on a 1-core box,
+    where the serial path cannot crash or hang a worker.
     """
-    if oversubscribe or os.environ.get("REPRO_EXECUTOR_OVERSUBSCRIBE"):
+    if os.environ.get("REPRO_EXECUTOR_OVERSUBSCRIBE"):
         return min(jobs, tasks)
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -180,7 +185,7 @@ class _ResilientRun:
         self.queue: deque[int] = deque(range(len(tasks)))
         self.in_flight: dict[Future, tuple[int, float]] = {}
         self.pool: ProcessPoolExecutor | None = None
-        self.respawns_left = policy.pool_respawns
+        self.respawns_left = POOL_RESPAWNS
 
     # -- failure handling ---------------------------------------------------------
 
@@ -328,7 +333,7 @@ def _run_resilient(
     """Run ``worker`` over ``tasks`` under the fault-tolerance policy; results in task order."""
     policy = policy if policy is not None else DEFAULT_POLICY
     outcome = outcome if outcome is not None else ExecutionOutcome()
-    workers = _worker_count(jobs or 1, len(tasks), oversubscribe=policy.oversubscribe)
+    workers = _worker_count(jobs or 1, len(tasks))
     if workers <= 1:
         # Serial in-process execution: no worker to crash and no safe way
         # to preempt ourselves, so timeouts/retries do not apply here.

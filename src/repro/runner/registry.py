@@ -2,12 +2,9 @@
 
 Builds one :class:`ExperimentSpec` per driver named in
 :data:`repro.experiments.DRIVERS`.  Every driver module declares its
-cacheable parameters in a ``PARAMS`` mapping (name -> default) and,
-optionally, the object-valued injection parameters its ``run()`` also
-accepts in ``OBJECT_PARAMS`` (pre-built characterizations, chip models,
-...).  Only ``PARAMS`` values participate in cache keys, and only they
-reach a driver through the runner: object parameters work in direct
-``run()`` calls, and every runner front end rejects them as unknown.
+parameters in a ``PARAMS`` mapping (name -> default); they are the whole
+of its ``run()`` keywords, they participate in cache keys, and every
+runner front end rejects any other name as unknown.
 
 The declarations are literals, so :func:`build_registry` reads them from
 each driver's source (one parse per source text, shared with the code
@@ -274,7 +271,7 @@ def _check_run_defaults(
 # -- declarations read from source ----------------------------------------------------
 
 #: The module-level names the registry reads from a driver's source.
-_DECLARED_NAMES = ("PARAMS", "OBJECT_PARAMS", "ARTIFACTS")
+_DECLARED_NAMES = ("PARAMS", "ARTIFACTS")
 #: Stands for a ``run()`` default that is not a literal.
 _NOT_LITERAL = object()
 
@@ -283,7 +280,7 @@ _NOT_LITERAL = object()
 class _Declarations:
     """What the registry needs from one module's source."""
 
-    values: Mapping[str, object]  # the literal PARAMS / OBJECT_PARAMS / ARTIFACTS present
+    values: Mapping[str, object]  # the literal PARAMS / ARTIFACTS present
     functions: frozenset[str]  # names of the top-level ``def``s
     run: tuple[dict[str, object], bool] | None  # run()'s (parameter -> default, accepts **kwargs)
 
@@ -365,7 +362,6 @@ class ExperimentSpec:
     name: str
     module_name: str
     params: Mapping[str, ParamSpec]
-    object_params: frozenset[str]
     artifacts: Mapping[str, ArtifactBinding]
     _module: types.ModuleType | None = field(default=None, repr=False, compare=False)
 
@@ -397,16 +393,11 @@ class ExperimentSpec:
             name=name,
             module_name=module_name,
             params=params,
-            object_params=frozenset(declarations.values.get("OBJECT_PARAMS", ())),
             artifacts=artifacts,
         )
 
     def param(self, name: str) -> ParamSpec:
-        """The declared parameter ``name``; every front end rejects unknown names here.
-
-        Object parameters are not declared in ``PARAMS``, so they are
-        rejected too: a config containing those is not cacheable.
-        """
+        """The declared parameter ``name``; every front end rejects unknown names here."""
         if name not in self.params:
             known = ", ".join(sorted(self.params)) or "(none)"
             raise UnknownParamError(
@@ -447,7 +438,6 @@ class ExperimentSpec:
                 }
                 for pname, spec in sorted(self.params.items())
             },
-            "object_params": sorted(self.object_params),
             "artifacts": [
                 {
                     "name": binding.name,

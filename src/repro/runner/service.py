@@ -234,8 +234,8 @@ class ExperimentRunner:
     def run(self, name: str, **overrides: object) -> RunReport:
         """Run one experiment (cache-aware): ``run_many([(name, overrides)])[0]``.
 
-        Overrides must name declared ``PARAMS``; an object parameter or an
-        unknown key raises :class:`~repro.runner.errors.UnknownParamError`.
+        Overrides must name declared ``PARAMS``; an unknown key raises
+        :class:`~repro.runner.errors.UnknownParamError`.
         """
         return self.run_many([(name, dict(overrides))])[0]
 
@@ -335,8 +335,8 @@ class ExperimentRunner:
         the parent, artifact waves and executions in workers, cache writes
         back in the parent -- a single writer keeps the on-disk store simple.
         ``observer`` (when given) receives progress events: the plan, each
-        artifact wave, and the experiment fan-out.  ``policy`` tunes the
-        executor's per-unit timeout / retry / respawn behaviour
+        artifact wave, and the experiment fan-out.  ``policy`` sets the
+        executor's per-unit timeout and retry count
         (:data:`~repro.runner.executor.DEFAULT_POLICY` when ``None``).
         """
         outcome = ExecutionOutcome()

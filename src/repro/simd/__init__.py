@@ -6,7 +6,6 @@ from .isa import Instruction, Opcode, Program, SCALAR_REGISTERS, VECTOR_REGISTER
 from .kernels import (
     ConvolutionWorkload,
     convolution_kernel,
-    execute_convolution_batch,
     load_workload,
     read_outputs,
     run_convolution,
@@ -32,7 +31,6 @@ __all__ = [
     "VECTOR_REGISTERS",
     "ConvolutionWorkload",
     "convolution_kernel",
-    "execute_convolution_batch",
     "load_workload",
     "read_outputs",
     "run_convolution",

@@ -195,30 +195,8 @@ def run_convolution(
     """
     load_workload(processor, workload)
     if batch:
-        result = execute_convolution_batch(processor, workload)
+        result = TraceEngine(processor).run(workload.program)
     else:
         result = processor.run(workload.program)
     outputs = read_outputs(processor, workload)
     return outputs, result
-
-
-def execute_convolution_batch(
-    processor: SimdProcessor, workload: ConvolutionWorkload
-) -> ExecutionResult:
-    """Evaluate a convolution workload on the trace-compiled engine.
-
-    Thin wrapper over :class:`~repro.simd.engine.TraceEngine`: the engine
-    detects the output loop of the generated program as an affine trace and
-    executes all iterations at once, so memory contents, event counters
-    (including the data-dependent zero-operand guard counts) and the returned
-    :class:`ExecutionResult` match :meth:`SimdProcessor.run` bit for bit --
-    in packed-subword modes (parallelism > 1) as well, which the previous
-    closed-form batch executor rejected.  Programs the engine cannot analyze
-    fall back to the interpreter dispatch loop automatically.
-    """
-    if processor.simd_width != workload.inputs.shape[0]:
-        raise ValueError(
-            f"workload was generated for {workload.inputs.shape[0]} banks, "
-            f"processor has {processor.simd_width}"
-        )
-    return TraceEngine(processor).run(workload.program)

@@ -12,6 +12,11 @@ from repro.analysis import (
     top1_agreement,
 )
 from repro.experiments import EXPERIMENTS, fig3, fig8, table2
+from repro.runner import MemoryBackend
+from repro.runner.artifacts import ArtifactStore, activated
+
+#: The reduced characterisation of the ``characterization`` fixture (fast).
+SMALL_CHARACTERIZATION = {"samples": 150, "seed": 7}
 
 
 class TestMetrics:
@@ -56,6 +61,18 @@ class TestReporting:
         assert len(text.splitlines()) == 3
 
 
+@pytest.fixture(scope="module")
+def _characterization_store():
+    return ArtifactStore(backend=MemoryBackend())
+
+
+@pytest.fixture
+def shared_characterization(_characterization_store):
+    """A module-wide memory artifact store: the first driver call fills it, later calls replay."""
+    with activated(_characterization_store):
+        yield
+
+
 class TestExperimentDrivers:
     def test_registry_complete(self):
         assert set(EXPERIMENTS) == {
@@ -69,25 +86,25 @@ class TestExperimentDrivers:
             "table3",
         }
 
-    def test_table1_rows(self, characterization):
-        rows = EXPERIMENTS["table1"].run(characterization=characterization)
+    def test_table1_rows(self, shared_characterization):
+        rows = EXPERIMENTS["table1"].run(**SMALL_CHARACTERIZATION)
         assert [row["precision"] for row in rows] == [16, 12, 8, 4]
         assert rows[-1]["N"] == 4
 
-    def test_fig2_rows(self, characterization):
-        rows = EXPERIMENTS["fig2"].run(characterization=characterization)
+    def test_fig2_rows(self, shared_characterization):
+        rows = EXPERIMENTS["fig2"].run(**SMALL_CHARACTERIZATION)
         by_precision = {row["precision"]: row for row in rows}
         assert by_precision[4]["frequency_mhz (2a)"] == pytest.approx(125.0)
         assert by_precision[4]["dvafs_slack_ns (2b)"] > by_precision[4]["das_slack_ns (2b)"]
         assert by_precision[4]["dvafs_voltage (2c)"] < by_precision[4]["dvas_voltage (2c)"]
 
-    def test_fig3a_normalisation(self, characterization):
-        rows = fig3.run_fig3a(characterization=characterization)
+    def test_fig3a_normalisation(self, shared_characterization):
+        rows = fig3.run_fig3a(**SMALL_CHARACTERIZATION)
         das16 = [r for r in rows if r["technique"] == "DAS" and r["precision"] == 16][0]
         assert das16["relative_energy"] == pytest.approx(1.0, abs=0.05)
 
-    def test_fig3b_dvafs_reaches_lowest_energy(self, characterization):
-        rows = fig3.run_fig3b(characterization=characterization, rmse_samples=400)
+    def test_fig3b_dvafs_reaches_lowest_energy(self, shared_characterization):
+        rows = fig3.run_fig3b(**SMALL_CHARACTERIZATION, rmse_samples=400)
         dvafs_min = min(r["relative_energy"] for r in rows if r["scheme"] == "DVAFS")
         others_min = min(r["relative_energy"] for r in rows if r["scheme"] != "DVAFS")
         assert dvafs_min < others_min

@@ -74,7 +74,6 @@ class TestValidation:
         assert names == ["table1", "fig2", "fig3", "fig4", "table2", "fig6", "fig8", "table3"]
         table1 = next(entry for entry in listing if entry["name"] == "table1")
         assert table1["params"]["samples"] == {"type": "int", "default": 300}
-        assert table1["object_params"] == ["characterization"]
 
     def test_validate_params_canonicalises(self):
         config = api.validate_params("fig4", {"taps": 5, "input_length": 24})
@@ -140,6 +139,15 @@ class TestRunFacade:
         with pytest.raises(api.ParamError, match="exactly one experiment"):
             api.run_all(["fig8", "table3"], {"seed": 1}, runner=runner)
 
+    def test_run_all_rejects_invalid_executor_settings(self, runner):
+        with pytest.raises(api.ParamError) as excinfo:
+            api.run_all(["table1"], retries=-1, runner=runner)
+        assert excinfo.value.param == "retries"
+        with pytest.raises(api.ParamValueError) as excinfo:
+            api.run_all(["table1"], timeout=0, runner=runner)
+        assert excinfo.value.param == "timeout"
+        assert runner.cache.ls() == []
+
     def test_execution_failures_are_wrapped(self, runner, monkeypatch):
         import repro.experiments.fig8 as fig8
 
@@ -193,6 +201,13 @@ class TestCliExitCodes:
         with pytest.raises(SystemExit, match="cannot parse") as excinfo:
             self._run(tmp_path, "run", "table1", "--param", "samples=many")
         assert excinfo.value.code == VALIDATION_EXIT
+
+    def test_invalid_executor_settings_exit_3_and_run_nothing(self, tmp_path):
+        for flag, value in (("--timeout", "0"), ("--retries", "-1")):
+            with pytest.raises(SystemExit, match=flag.lstrip("-")) as excinfo:
+                self._run(tmp_path, "run", "table1", flag, value)
+            assert excinfo.value.code == VALIDATION_EXIT
+        assert ResultCache(tmp_path / "cache").ls() == []
 
     def test_execution_errors_exit_4(self, tmp_path, monkeypatch):
         import repro.experiments.fig8 as fig8

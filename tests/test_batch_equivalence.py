@@ -368,12 +368,12 @@ class TestSimdBatchExecution:
         interpreter fallback) instead of being rejected."""
         from dataclasses import replace
 
-        from repro.simd import SimdProcessor, convolution_kernel, execute_convolution_batch
+        from repro.simd import SimdProcessor, TraceEngine, convolution_kernel
         from repro.simd.assembler import assemble
 
         workload = convolution_kernel(4, input_length=16, taps=3)
         tampered = replace(workload, program=assemble("    nop\n    halt\n"))
-        result = execute_convolution_batch(SimdProcessor(4), tampered)
+        result = TraceEngine(SimdProcessor(4)).run(tampered.program)
         assert result.halted
         assert result.counters.instructions == 2
 

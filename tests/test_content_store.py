@@ -27,7 +27,6 @@ from repro.runner.artifacts import ArtifactEntry, ArtifactStore, StoreStats, art
 from repro.runner.backends import claim_ttl_seconds, claim_wait_seconds
 from repro.runner.cache import CacheEntry, ResultCache, cache_key
 from repro.runner.cli import main
-from repro.runner.executor import ExecutionPolicy
 from repro.runner.service import ExperimentRunner
 
 RESULT_KEY = "ad367e945b6cbc393d4ce0acbf1f314ee7d856ca735f492dbf72d3028fb99181"
@@ -185,13 +184,14 @@ class TestExperimentTimeCounters:
         # The resolver re-produced the artifact under a won claim.
         assert summary["artifacts"]["claims"] == 2
 
-    def test_worker_drains_fold_into_the_parent(self, tmp_path):
+    def test_worker_drains_fold_into_the_parent(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR_OVERSUBSCRIBE", "1")
         requests = [("table1", {"samples": 40, "seed": 11}), ("fig2", {"samples": 40, "seed": 11})]
         runner = ExperimentRunner(cache=ResultCache(tmp_path))
         runner.run_many(requests, jobs=1)
         self._corrupt_characterization(tmp_path / "artifacts")
         runner.cache.clear()
-        runner.run_many(requests, jobs=2, policy=ExecutionPolicy(oversubscribe=True))
+        runner.run_many(requests, jobs=2)
         counters = load_stats(tmp_path)
         assert counters.artifact_corrupt >= 1
         assert counters.quarantined >= 1

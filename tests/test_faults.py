@@ -8,12 +8,12 @@ fresh pool (bit-identically), the stores quarantine instead of crashing
 or silently deleting, and the service journals jobs across restarts,
 sheds load with 503s and drains on SIGTERM.
 
-Worker-process tests run with ``ExecutionPolicy(oversubscribe=True)``:
-CI boxes can be single-core, where the CPU clamp would silently route
-everything through the serial in-process path (which cannot crash or
-hang a worker).  ``times`` budgets are shared across processes through a
-state directory, so "kill exactly one worker" stays exactly one kill
-through the retry that must then succeed.
+Worker-process tests set ``REPRO_EXECUTOR_OVERSUBSCRIBE=1``: CI boxes can
+be single-core, where the CPU clamp would silently route everything
+through the serial in-process path (which cannot crash or hang a worker).
+``times`` budgets are shared across processes through a state directory,
+so "kill exactly one worker" stays exactly one kill through the retry
+that must then succeed.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from repro.runner.errors import (
     UnitTimeoutError,
     WorkerCrashError,
 )
+from repro.runner import executor
 from repro.runner.executor import ExecutionOutcome, ExecutionPolicy, _run_resilient
 from repro.runner.journal import Journal
 from repro.runner.service import ExperimentRunner
@@ -231,12 +232,16 @@ def _run_cells(*, jobs, policy=None, outcome=None):
 
 
 class TestExecutorRecovery:
+    @pytest.fixture(autouse=True)
+    def _real_workers(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR_OVERSUBSCRIBE", "1")
+
     def _clean_records(self):
         return _run_cells(jobs=1)
 
     def test_killed_worker_is_retried_bit_identically(self, tmp_path):
         outcome = ExecutionOutcome()
-        policy = ExecutionPolicy(oversubscribe=True, retries=3)
+        policy = ExecutionPolicy(retries=3)
         with injected("test.cell:kill:match=x=3", state_dir=tmp_path / "state"):
             result = _run_cells(jobs=2, policy=policy, outcome=outcome)
         assert json.dumps(result) == json.dumps(self._clean_records())
@@ -247,7 +252,7 @@ class TestExecutorRecovery:
 
     def test_hung_unit_times_out_and_retry_succeeds(self, tmp_path):
         outcome = ExecutionOutcome()
-        policy = ExecutionPolicy(oversubscribe=True, timeout=1.0, retries=3)
+        policy = ExecutionPolicy(timeout=1.0, retries=3)
         with injected(
             "test.cell:hang:seconds=30:match=x=2", state_dir=tmp_path / "state"
         ):
@@ -256,11 +261,15 @@ class TestExecutorRecovery:
         assert outcome.timeouts >= 1
         assert outcome.retries >= 1
 
-    def test_persistent_crash_surfaces_worker_crash_error(self):
+    def test_persistent_crash_surfaces_worker_crash_error(self, monkeypatch):
         # No state dir: every freshly-forked worker re-fires the kill, so
         # the retry budget must run out -- and the failure must surface as
-        # the typed taxonomy error, never a raw BrokenProcessPool.
-        policy = ExecutionPolicy(oversubscribe=True, retries=1, pool_respawns=5)
+        # the typed taxonomy error, never a raw BrokenProcessPool.  A broken
+        # pool may report one in-flight unit per crash, which can spread the
+        # penalties over all four cells: five respawns always reach a second
+        # crash of one cell before the engine degrades to serial.
+        monkeypatch.setattr(executor, "POOL_RESPAWNS", 5)
+        policy = ExecutionPolicy(retries=1)
         with injected("test.cell:kill:times=100"):
             with pytest.raises(WorkerCrashError) as excinfo:
                 _run_cells(jobs=2, policy=policy)
@@ -269,9 +278,7 @@ class TestExecutorRecovery:
         assert isinstance(excinfo.value, ReproError)
 
     def test_persistent_hang_surfaces_unit_timeout_error(self):
-        policy = ExecutionPolicy(
-            oversubscribe=True, timeout=0.4, retries=1, pool_respawns=5
-        )
+        policy = ExecutionPolicy(timeout=0.4, retries=1)
         with injected("test.cell:hang:seconds=30:times=100:match=x=1"):
             with pytest.raises(UnitTimeoutError) as excinfo:
                 _run_cells(jobs=2, policy=policy)
@@ -280,9 +287,8 @@ class TestExecutorRecovery:
 
     def test_unspawnable_pool_degrades_to_serial(self):
         outcome = ExecutionOutcome()
-        policy = ExecutionPolicy(oversubscribe=True)
         with injected("executor.pool:exc:times=100"):
-            result = _run_cells(jobs=2, policy=policy, outcome=outcome)
+            result = _run_cells(jobs=2, outcome=outcome)
         assert outcome.degraded is True
         assert json.dumps(result) == json.dumps(self._clean_records())
 
@@ -290,7 +296,7 @@ class TestExecutorRecovery:
         # A deterministic driver bug re-raised N times is N times the
         # wasted compute: only crashes/timeouts are retryable.
         outcome = ExecutionOutcome()
-        policy = ExecutionPolicy(oversubscribe=True, retries=3)
+        policy = ExecutionPolicy(retries=3)
         with injected("test.cell:exc:match=x=4:times=100"):
             with pytest.raises(FaultInjected):
                 _run_cells(jobs=2, policy=policy, outcome=outcome)
@@ -304,7 +310,7 @@ class TestExecutorRecovery:
         clean = ExperimentRunner(cache=ResultCache(tmp_path / "clean")).run_many(
             requests, jobs=2
         )
-        policy = ExecutionPolicy(oversubscribe=True, retries=3)
+        policy = ExecutionPolicy(retries=3)
         chaos_runner = ExperimentRunner(cache=ResultCache(tmp_path / "chaos"))
         with injected("executor.unit:kill:match=fig4", state_dir=tmp_path / "state"):
             recovered = chaos_runner.run_many(requests, jobs=2, policy=policy)

@@ -28,7 +28,6 @@ from repro.runner import service as service_module
 from repro.runner.cache import CacheEntry, ResultCache, cache_key, run_provenance
 from repro.runner.cli import main
 from repro.runner.errors import UnknownParamError
-from repro.runner.executor import ExecutionPolicy
 from repro.runner.fingerprint import (
     _is_main_guard,
     _is_type_checking_guard,
@@ -436,17 +435,16 @@ class TestExperimentRunner:
         assert second.cached is False
         assert second.key != first.key
 
-    def test_injected_spec_computes_in_pool_workers(self, tmp_path, driver_spec):
+    def test_injected_spec_computes_in_pool_workers(self, tmp_path, driver_spec, monkeypatch):
         # The spec travels with each task, so a worker runs a driver that
         # ``DRIVERS`` does not name instead of looking it up by name.
+        monkeypatch.setenv("REPRO_EXECUTOR_OVERSUBSCRIBE", "1")
         spec = driver_spec(
             "import os\n\nPARAMS = {'n': 1}\n\n\ndef run(*, n=1):\n    return [{'n': n, 'pid': os.getpid()}]\n",
             name="ext",
         )
         runner = ExperimentRunner(cache=ResultCache(tmp_path / "cache"), registry={"ext": spec})
-        reports = runner.run_many(
-            [("ext", {"n": 1}), ("ext", {"n": 2})], jobs=2, policy=ExecutionPolicy(oversubscribe=True)
-        )
+        reports = runner.run_many([("ext", {"n": 1}), ("ext", {"n": 2})], jobs=2)
         assert [report.rows[0]["n"] for report in reports] == [1, 2]
         assert all(report.rows[0]["pid"] != os.getpid() for report in reports)
 
@@ -457,8 +455,8 @@ class TestExperimentRunner:
         assert runner.cache.ls() == []
 
     def test_object_parameter_raises_unknown_param(self, runner):
-        # Object parameters work in direct driver calls only: the runner
-        # rejects them like api.run, the CLI and HTTP, and runs nothing.
+        # Only declared PARAMS reach a driver: the runner rejects any other
+        # keyword like api.run, the CLI and HTTP, and runs nothing.
         with pytest.raises(UnknownParamError, match="characterization"):
             runner.run("table1", characterization=object())
         assert runner.cache.ls() == []

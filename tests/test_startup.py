@@ -4,8 +4,9 @@ Covered here:
 
 * the drift guard: for every real driver, the spec the registry reads from
   the driver's literal declarations matches the imported module's own
-  ``PARAMS``, ``OBJECT_PARAMS`` and ``ARTIFACTS`` and ``run()``'s
-  signature, and every producer imports and is callable;
+  ``PARAMS`` and ``ARTIFACTS`` and ``run()``'s signature (which takes
+  exactly the declared parameters), and every producer imports and is
+  callable;
 * one parse per source text, shared by the registry and the fingerprint;
 * the static checks of :meth:`ExperimentSpec.from_source` on small
   packages written to ``tmp_path`` (``driver_spec``);
@@ -90,7 +91,6 @@ class TestRegistryFromSource:
         assert {pname: param.default for pname, param in spec.params.items()} == declared
         for pname, param in spec.params.items():
             assert param.type is (tuple if isinstance(declared[pname], (list, tuple)) else type(declared[pname]))
-        assert spec.object_params == frozenset(getattr(module, "OBJECT_PARAMS", ()))
         declared_artifacts = getattr(module, "ARTIFACTS", {})
         assert list(spec.artifacts) == list(declared_artifacts)
         for artifact, (producer, params, *options) in declared_artifacts.items():
@@ -100,13 +100,16 @@ class TestRegistryFromSource:
             assert (binding.when, binding.after) == (options.get("when"), tuple(options.get("after", ())))
             assert binding.level == max((spec.artifacts[dep].level + 1 for dep in binding.after), default=0)
             assert callable(load_producer(producer))  # importable, and names a callable
-        # run() accepts every declared and object parameter (by name, or through
-        # ``**kwargs``), and a named one defaults to the declared value.
+        # run() takes exactly the declared parameters: by name, each defaulting
+        # to the declared value, or through ``**kwargs`` that reject any other.
         signature = inspect.signature(module.run).parameters
         named = {pname: signature[pname].default for pname in spec.params if pname in signature}
         assert named == {pname: declared[pname] for pname in named}
-        if not any(parameter.kind is inspect.Parameter.VAR_KEYWORD for parameter in signature.values()):
-            assert set(spec.params) | spec.object_params <= set(signature)
+        if any(parameter.kind is inspect.Parameter.VAR_KEYWORD for parameter in signature.values()):
+            with pytest.raises(TypeError, match="undeclared"):
+                module.run(undeclared=None)
+        else:
+            assert set(signature) == set(spec.params)
 
     def test_registry_and_fingerprints_parse_each_source_once(self, monkeypatch):
         parsed = []
@@ -126,10 +129,9 @@ class TestRegistryFromSource:
         spec = driver_spec(
             """
             PARAMS: dict[str, object] = {"n": 3, "sizes": (1, 2), "flag": False}
-            OBJECT_PARAMS = ("model",)
             ARTIFACTS = {"a": ("PKG.producers:make", ("n",), {"when": "flag"})}
 
-            def run(*, n=3, sizes=(1, 2), flag=False, model=None):
+            def run(*, n=3, sizes=(1, 2), flag=False):
                 return []
             """,
             __init__=_RAISING_INIT,
@@ -140,7 +142,6 @@ class TestRegistryFromSource:
             "sizes": (1, 2),
             "flag": False,
         }
-        assert spec.object_params == frozenset({"model"})
         assert spec.artifacts["a"].when == "flag"
         package = spec.module_name.partition(".")[0]
         assert not [name for name in sys.modules if name.startswith(package)]
